@@ -9,9 +9,18 @@ Three subcommands::
 Exit codes: 0 success, 1 data error (unreadable/unparseable input),
 2 usage error (bad flags or parameters).
 
-Analysis thresholds may come from a ``key = value`` config file (see
-CONFIG_KEYS) given via ``--config`` or the ``PAPERTRAIL_CONFIG``
-environment variable; individual flags override file values.
+Analysis thresholds may come from a ``key = value`` config file (one key
+per ``AnalysisConfig`` field) given via ``--config`` or the
+``PAPERTRAIL_CONFIG`` environment variable; the flags in CONFIG_FLAGS
+override file values.  Whatever its source, a value outside its range
+exits 2::
+
+    r_min                (-1, 1), exclusive
+    i_max                (0, 1), exclusive
+    pubs_per_year_limit  >= 1
+    growth_window        >= 0
+    max_lag              >= 0
+    prefer_reported_h    true for 1, true, yes or on; false otherwise
 
 JSON schemas (version "1.0"; every indicator key is always present,
 undefined values are null with a reason under ``undefined_reasons``)::
@@ -43,7 +52,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
@@ -64,20 +73,30 @@ from .errors import DegenerateAbscissaError, PapertrailError, TooFewPointsError
 from .indicators import AnalysisConfig, IndicatorSet, analyze_profile
 from .ingest import ReportFormat, ResearcherProfile, parse_report, serialize_report
 from .render import ChartStyle, ScatterAxes, profile_chart, scatter_chart
-from .series import build_series
 from .synth import Archetype, conscientious_spec, generate, papermill_spec
 
 SCHEMA_VERSION = "1.0"
 CONFIG_ENV_VAR = "PAPERTRAIL_CONFIG"
 
-# documented config-file keys and their parsers
+
+def _parse_bool(text: str) -> bool:
+    return text.strip().lower() in ("1", "true", "yes", "on")
+
+
+# config-file keys (the AnalysisConfig fields) and their parsers
 CONFIG_KEYS = {
-    "r_min": float,
-    "i_max": float,
-    "pubs_per_year_limit": int,
-    "growth_window": int,
-    "max_lag": int,
-    "prefer_reported_h": lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
+    f.name: _parse_bool if isinstance(f.default, bool) else type(f.default)
+    for f in fields(AnalysisConfig)
+}
+
+# the flag that overrides each config key, and its help text
+CONFIG_FLAGS = {
+    "r_min": ("--r-min", "correlation threshold for the flag region, in (-1, 1)"),
+    "i_max": ("--i-max", "integrity-index threshold for the flag region, in (0, 1)"),
+    "pubs_per_year_limit": ("--pubs-limit", "papers-per-year threshold for the output flag, >= 1"),
+    "growth_window": ("--growth-window", "trailing years examined for monotone growth, >= 0"),
+    "max_lag": ("--max-lag", "largest citation delay scanned, >= 0"),
+    "prefer_reported_h": ("--prefer-reported-h", "use a file's reported h-index when present"),
 }
 
 EXIT_OK = 0
@@ -117,23 +136,11 @@ def load_config_file(path: str) -> dict[str, Any]:
 
 
 def _resolve_analysis_config(args: argparse.Namespace) -> AnalysisConfig:
-    values: dict[str, Any] = {}
     config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    if config_path:
-        values.update(load_config_file(config_path))
+    values = load_config_file(config_path) if config_path else {}
     # flags beat the config file
-    if args.r_min is not None:
-        values["r_min"] = args.r_min
-    if args.i_max is not None:
-        values["i_max"] = args.i_max
-    if args.max_lag is not None:
-        values["max_lag"] = args.max_lag
-    if args.pubs_limit is not None:
-        values["pubs_per_year_limit"] = args.pubs_limit
-    if args.growth_window is not None:
-        values["growth_window"] = args.growth_window
-    if getattr(args, "prefer_reported_h", False):
-        values["prefer_reported_h"] = True
+    values.update((key, getattr(args, key)) for key in CONFIG_KEYS
+                  if getattr(args, key) is not None)
     return AnalysisConfig(**values)
 
 
@@ -292,9 +299,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     _write_json(build_report(profile, ind), args.json)
     if args.svg:
-        series = build_series(profile)
         style = ChartStyle(title=f"Times cited and publications over time: {profile.name}")
-        Path(args.svg).write_text(profile_chart(series, ind, style), encoding="utf-8")
+        Path(args.svg).write_text(profile_chart(ind.series, ind, style), encoding="utf-8")
     return EXIT_OK
 
 
@@ -336,11 +342,7 @@ def cmd_cohort(args: argparse.Namespace) -> int:
     for d in diagnostics:
         print(f"warning: skipped {d['label'] or 'entry'}: {d['error']}", file=sys.stderr)
 
-    try:
-        region = Region(r_min=config.r_min, i_max=config.i_max)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE_ERROR
+    region = Region(r_min=config.r_min, i_max=config.i_max)
     document = build_cohort_document(points, region, diagnostics)
     _write_json(document, args.json)
 
@@ -360,27 +362,18 @@ def cmd_cohort(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    kwargs: dict[str, Any] = {}
-    if args.start_year is not None:
-        kwargs["start_year"] = args.start_year
-    if args.n_years is not None:
-        kwargs["n_years"] = args.n_years
-    if args.base_rate is not None:
-        kwargs["base_rate"] = args.base_rate
-    if args.peak_rate is not None:
-        kwargs["peak_rate"] = args.peak_rate
-    if args.cites_per_paper is not None:
-        kwargs["cites_per_paper"] = args.cites_per_paper
+    if Archetype(args.archetype) is Archetype.PAPERMILL:
+        make_spec, own, other = papermill_spec, "onset_offset", "kernel_peak_lag"
+    else:
+        make_spec, own, other = conscientious_spec, "kernel_peak_lag", "onset_offset"
+    if getattr(args, other) is not None:
+        print(f"error: --{other.replace('_', '-')} does not apply to the "
+              f"{args.archetype} archetype", file=sys.stderr)
+        return EXIT_USAGE_ERROR
+    names = ("start_year", "n_years", "base_rate", "peak_rate", "cites_per_paper", own)
+    kwargs = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     try:
-        if Archetype(args.archetype) is Archetype.PAPERMILL:
-            if args.onset_offset is not None:
-                kwargs["onset_offset"] = args.onset_offset
-            spec = papermill_spec(args.seed, **kwargs)
-        else:
-            if args.kernel_peak_lag is not None:
-                kwargs["kernel_peak_lag"] = args.kernel_peak_lag
-            spec = conscientious_spec(args.seed, **kwargs)
-        profile = generate(spec)
+        profile = generate(make_spec(args.seed, **kwargs))
     except PapertrailError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE_ERROR
@@ -392,16 +385,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="key = value config file")
-    parser.add_argument("--r-min", dest="r_min", type=float, metavar="F",
-                        help="correlation threshold for the flag region")
-    parser.add_argument("--i-max", dest="i_max", type=float, metavar="F",
-                        help="integrity-index threshold for the flag region")
-    parser.add_argument("--max-lag", dest="max_lag", type=int, metavar="N",
-                        help="largest citation delay scanned")
-    parser.add_argument("--pubs-limit", dest="pubs_limit", type=int, metavar="N",
-                        help="papers-per-year threshold for the output flag")
-    parser.add_argument("--growth-window", dest="growth_window", type=int, metavar="N",
-                        help="trailing years examined for monotone growth")
+    for key, parse in CONFIG_KEYS.items():
+        flag, help_text = CONFIG_FLAGS[key]
+        if parse is _parse_bool:
+            parser.add_argument(flag, dest=key, action="store_true", default=None, help=help_text)
+        else:
+            parser.add_argument(flag, dest=key, type=parse, help=help_text,
+                                metavar="F" if parse is float else "N")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -417,8 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--svg", metavar="PATH", help="also write the profile chart")
     p_analyze.add_argument("--format", choices=[f.value for f in ReportFormat],
                            help="input format (default: by file extension)")
-    p_analyze.add_argument("--prefer-reported-h", action="store_true",
-                           help="use the file's reported h-index when present")
     _add_config_flags(p_analyze)
     p_analyze.set_defaults(func=cmd_analyze)
 
@@ -428,8 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cohort.add_argument("--svg-dir", metavar="DIR", help="write the four cohort charts here")
     p_cohort.add_argument("--format", choices=[f.value for f in ReportFormat],
                           help="format of the referenced reports (default: by extension)")
-    p_cohort.add_argument("--prefer-reported-h", action="store_true",
-                          help="use each file's reported h-index when present")
     _add_config_flags(p_cohort)
     p_cohort.set_defaults(func=cmd_cohort)
 

@@ -23,12 +23,6 @@ class EmptyProfileError(PapertrailError):
     """A report or profile contains no publication records."""
 
 
-# --- time series ---
-
-class EmptyWindowError(PapertrailError):
-    """Requested year window does not intersect the series range."""
-
-
 # --- indicators ---
 
 class LengthMismatchError(PapertrailError):

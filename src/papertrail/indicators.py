@@ -44,6 +44,9 @@ DEFAULT_HCP_THRESHOLDS = MappingProxyType({
 
 DEFAULT_MAX_LAG = 10
 
+# ZeroLag fires (with HighCorrelation) when the best lag is at most this
+ZERO_LAG_MAX = 0
+
 
 class SignalKind(str, Enum):
     HIGH_CORRELATION = "HighCorrelation"
@@ -60,31 +63,37 @@ class Signal:
 
 
 @dataclass(frozen=True)
-class FlagConfig:
-    """Thresholds for the behavioral flags.
+class AnalysisConfig:
+    """Thresholds for the behavioral flags plus the knobs used by analyze_profile.
 
     Flags use strict inequalities on r and I; loosening any threshold can
-    only add signals of the corresponding kind, never remove them.
+    only add signals of the corresponding kind, never remove them.  Values
+    outside their range raise ValueError.
     """
 
     r_min: float = 0.5
-    lag_max_flag: int = 0
     i_max: float = 0.3
     pubs_per_year_limit: int = 30
     growth_window: int = 5
-
-
-@dataclass(frozen=True)
-class AnalysisConfig(FlagConfig):
-    """Flag thresholds plus the knobs used by analyze_profile."""
-
     max_lag: int = DEFAULT_MAX_LAG
     prefer_reported_h: bool = False
+
+    def __post_init__(self) -> None:
+        if not -1.0 < self.r_min < 1.0:
+            raise ValueError(f"r_min must lie in (-1, 1), got {self.r_min}")
+        if not 0.0 < self.i_max < 1.0:
+            raise ValueError(f"i_max must lie in (0, 1), got {self.i_max}")
+        if self.pubs_per_year_limit < 1:
+            raise ValueError(f"pubs_per_year_limit must be >= 1, got {self.pubs_per_year_limit}")
+        if self.growth_window < 0:
+            raise ValueError(f"growth_window must be >= 0, got {self.growth_window}")
+        if self.max_lag < 0:
+            raise ValueError(f"max_lag must be >= 0, got {self.max_lag}")
 
 
 @dataclass(frozen=True)
 class IndicatorSet:
-    """All single-researcher indicators.
+    """All single-researcher indicators, with the annual series they came from.
 
     ``r`` and ``lag`` are None when undefined (too-short or constant
     series; lag is only estimated when the correlation is strong).
@@ -102,6 +111,7 @@ class IndicatorSet:
     avg_cites_per_paper: float
     start_year: int
     hcp_count: int
+    series: AnnualSeries
     flags: tuple[Signal, ...] = ()
     warnings: tuple[str, ...] = ()
 
@@ -210,17 +220,14 @@ def yearly_stats(series: AnnualSeries) -> YearlyStats:
     return YearlyStats(max(pubs), min(pubs), math.fsum(pubs) / len(pubs))
 
 
-def flag_profile(
-    ind: IndicatorSet,
-    series: AnnualSeries,
-    config: FlagConfig = FlagConfig(),
-) -> list[Signal]:
+def flag_profile(ind: IndicatorSet, config: AnalysisConfig = AnalysisConfig()) -> list[Signal]:
     """Evaluate the behavioral signals for an indicator set.
 
     HighCorrelation and LowIntegrity use strict inequalities; ZeroLag only
     fires together with HighCorrelation; MonotoneGrowth looks at the
     trailing ``growth_window`` years of the publication counts.
     """
+    series = ind.series
     signals: list[Signal] = []
 
     high_corr = ind.r is not None and ind.r > config.r_min
@@ -229,11 +236,11 @@ def flag_profile(
             SignalKind.HIGH_CORRELATION,
             f"publications/citations correlation {ind.r:.4f} exceeds {config.r_min}",
         ))
-        if ind.lag is not None and ind.lag <= config.lag_max_flag:
+        if ind.lag is not None and ind.lag <= ZERO_LAG_MAX:
             signals.append(Signal(
                 SignalKind.ZERO_LAG,
                 f"citations track publications with lag {ind.lag} year(s) "
-                f"(<= {config.lag_max_flag}) despite strong correlation",
+                f"(<= {ZERO_LAG_MAX}) despite strong correlation",
             ))
 
     if ind.i_index < config.i_max:
@@ -293,11 +300,8 @@ def analyze_profile(
     lag: int | None = None
     if r is not None and r > config.r_min:
         effective_max_lag = min(config.max_lag, len(series) - 3)
-        if effective_max_lag >= 0:
-            try:
-                lag = best_lag(series, effective_max_lag).lag
-            except AllDegenerateError:  # unreachable when r is defined; belt and braces
-                lag = None
+        if effective_max_lag >= 0:  # lag 0 is r itself, so some lag is defined
+            lag = best_lag(series, effective_max_lag).lag
 
     total_pubs = len(profile.records)
     computed_h = h_index(profile.records)
@@ -332,6 +336,7 @@ def analyze_profile(
         avg_cites_per_paper=total_cites / total_pubs,
         start_year=series.start_year,
         hcp_count=hcp_count(profile.records),
+        series=series,
         warnings=tuple(notes),
     )
-    return replace(ind, flags=tuple(flag_profile(ind, series, config)))
+    return replace(ind, flags=tuple(flag_profile(ind, config)))

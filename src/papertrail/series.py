@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyProfileError, EmptyWindowError
+from .errors import EmptyProfileError
 from .ingest import ResearcherProfile
 
 
@@ -34,12 +34,11 @@ class AnnualSeries:
         return range(self.start_year, self.end_year + 1)
 
 
-def build_series(profile: ResearcherProfile, end_year: int | None = None) -> AnnualSeries:
+def build_series(profile: ResearcherProfile) -> AnnualSeries:
     """Aggregate a profile into aligned per-year counts.
 
     The range starts at the earliest publication year and ends at the latest
-    of: ``end_year`` (when given), the latest publication year, the latest
-    cited year.  Citations recorded *before* the first publication year
+    of: the latest publication year, the latest cited year.  Citations recorded *before* the first publication year
     (possible in malformed exports) extend the range downward instead of
     being dropped; callers can detect this via start_year < min pub_year.
     """
@@ -52,8 +51,6 @@ def build_series(profile: ResearcherProfile, end_year: int | None = None) -> Ann
         for year in rec.citations_by_year:
             first = min(first, year)
             last = max(last, year)
-    if end_year is not None:
-        last = max(last, end_year)
 
     n = last - first + 1
     pubs = [0] * n
@@ -64,19 +61,3 @@ def build_series(profile: ResearcherProfile, end_year: int | None = None) -> Ann
             cites[year - first] += count
     return AnnualSeries(start_year=first, pubs=tuple(pubs), cites=tuple(cites))
 
-
-def slice_window(series: AnnualSeries, first_year: int, last_year: int) -> AnnualSeries:
-    """Clip a series to [first_year, last_year]; never zero-pads.
-
-    Raises EmptyWindowError when the window misses the series entirely.
-    """
-    lo = max(first_year, series.start_year)
-    hi = min(last_year, series.end_year)
-    if lo > hi:
-        raise EmptyWindowError(
-            f"window {first_year}..{last_year} does not intersect "
-            f"series {series.start_year}..{series.end_year}"
-        )
-    i = lo - series.start_year
-    j = hi - series.start_year + 1
-    return AnnualSeries(start_year=lo, pubs=series.pubs[i:j], cites=series.cites[i:j])

@@ -1,9 +1,12 @@
+import argparse
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from papertrail.cli import main
+from papertrail.cli import CONFIG_KEYS, _resolve_analysis_config, build_parser, main
+from papertrail.indicators import AnalysisConfig
 from papertrail.ingest import serialize_report
 from papertrail.synth import conscientious_spec, generate, papermill_spec
 
@@ -142,6 +145,93 @@ class TestConfig:
         assert any("reported h-index" in w for w in doc["warnings"])
 
 
+CONFIG_FIELDS = dataclasses.fields(AnalysisConfig)
+
+# (config-file value, flag argv tail, value the flag sets), by field type
+OVERRIDES = {
+    float: ("0.2", ["0.4"], 0.4),
+    int: ("2", ["3"], 3),
+    bool: ("false", [], True),
+}
+
+BAD_VALUES = [
+    ("r_min", "nan"), ("r_min", "inf"), ("r_min", "1.0"), ("i_max", "1.5"),
+    ("max_lag", "-1"), ("growth_window", "-2"), ("pubs_per_year_limit", "0"),
+]
+
+
+def subcommand_parser(name):
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return subparsers.choices[name]
+
+
+def flag_of(command, key):
+    """The single option string that sets ``key`` on a subcommand."""
+    actions = [a for a in subcommand_parser(command)._actions if a.dest == key]
+    assert len(actions) == 1
+    assert len(actions[0].option_strings) == 1
+    return actions[0].option_strings[0]
+
+
+@pytest.mark.parametrize("command", ["analyze", "cohort"])
+@pytest.mark.parametrize("field", CONFIG_FIELDS, ids=lambda f: f.name)
+class TestConfigDrift:
+    def test_field_is_a_config_key_with_one_flag(self, command, field):
+        assert field.name in CONFIG_KEYS
+        assert flag_of(command, field.name).startswith("--")
+
+    def test_flag_beats_config_file(self, command, field, tmp_path):
+        file_value, flag_tail, flag_value = OVERRIDES[type(field.default)]
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"{field.name} = {file_value}\n")
+        from_file = _resolve_analysis_config(build_parser().parse_args(
+            [command, "input", "--config", str(cfg)]))
+        assert getattr(from_file, field.name) == CONFIG_KEYS[field.name](file_value)
+        args = build_parser().parse_args(
+            [command, "input", "--config", str(cfg), flag_of(command, field.name), *flag_tail])
+        assert getattr(_resolve_analysis_config(args), field.name) == flag_value
+
+
+def test_config_keys_are_exactly_the_fields():
+    assert list(CONFIG_KEYS) == [f.name for f in CONFIG_FIELDS]
+
+
+class TestThresholdValidation:
+    @pytest.fixture
+    def inputs(self, report_path, tmp_path):
+        manifest = tmp_path / "cohort.tsv"
+        manifest.write_text(f"R\t{report_path.name}\n")
+        return {"analyze": report_path, "cohort": manifest}
+
+    @pytest.mark.parametrize("command", ["analyze", "cohort"])
+    @pytest.mark.parametrize("key,value", BAD_VALUES)
+    def test_bad_flag_value_exit_2(self, command, key, value, inputs, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        argv = [command, str(inputs[command]), "--json", str(out),
+                f"{flag_of(command, key)}={value}"]
+        assert main(argv) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "cohort"])
+    @pytest.mark.parametrize("key,value", BAD_VALUES)
+    def test_bad_config_file_value_exit_2(self, command, key, value, inputs, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        out = tmp_path / "out.json"
+        assert main([command, str(inputs[command]), "--json", str(out),
+                     "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "cohort"])
+    def test_range_edges_accepted(self, command, inputs, tmp_path, capsys):
+        assert main([command, str(inputs[command]), "--json", str(tmp_path / "o.json"),
+                     "--r-min=-0.99", "--i-max", "0.01", "--max-lag", "0",
+                     "--growth-window", "0", "--pubs-limit", "1"]) == 0
+
+
 class TestCohort:
     def make_manifest(self, tmp_path, entries):
         manifest = tmp_path / "cohort.tsv"
@@ -225,6 +315,26 @@ class TestSynth:
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--archetype", "papermill"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("archetype,flag", [
+        ("conscientious", "--onset-offset"),
+        ("papermill", "--kernel-peak-lag"),
+    ])
+    def test_flag_of_the_other_archetype_exit_2(self, archetype, flag, tmp_path, capsys):
+        out = tmp_path / "x.tsv"
+        assert main(["synth", "--archetype", archetype, flag, "3", "-o", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("archetype,flag", [
+        ("papermill", "--onset-offset"),
+        ("conscientious", "--kernel-peak-lag"),
+    ])
+    def test_flag_of_the_own_archetype_applies(self, archetype, flag, tmp_path):
+        plain, tuned = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        assert main(["synth", "--archetype", archetype, "-o", str(plain)]) == 0
+        assert main(["synth", "--archetype", archetype, flag, "3", "-o", str(tuned)]) == 0
+        assert plain.read_bytes() != tuned.read_bytes()
 
     def test_invalid_parameters_exit_2(self, tmp_path, capsys):
         assert main(["synth", "--archetype", "papermill", "--n-years", "4",

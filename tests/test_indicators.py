@@ -16,7 +16,6 @@ from papertrail.errors import (
 from papertrail.indicators import (
     DEFAULT_HCP_THRESHOLDS,
     AnalysisConfig,
-    FlagConfig,
     IndicatorSet,
     SignalKind,
     analyze_profile,
@@ -30,7 +29,7 @@ from papertrail.indicators import (
     yearly_stats,
 )
 from papertrail.ingest import PublicationRecord, ResearcherProfile
-from papertrail.series import AnnualSeries
+from papertrail.series import AnnualSeries, build_series
 
 from conftest import make_profile
 
@@ -229,21 +228,22 @@ class TestYearlyStats:
         assert stats.avg_pubs == pytest.approx(sum(pubs) / len(pubs), abs=1e-12)
 
 
-def indicator_set(r=None, lag=None, h=10, i=0.5, max_pubs=5, total_pubs=20):
+DECLINING_SERIES = AnnualSeries(2000, (5, 9, 7, 4, 3, 2, 1, 1), (1, 2, 3, 4, 5, 6, 7, 8))
+
+
+def indicator_set(r=None, lag=None, h=10, i=0.5, max_pubs=5, total_pubs=20,
+                  series=DECLINING_SERIES):
     return IndicatorSet(
         r=r, lag=lag, h=h, i_index=i, total_pubs=total_pubs, total_cites=100,
         max_pubs_year=max_pubs, min_pubs_year=0, avg_pubs_year=2.0,
-        avg_cites_per_paper=5.0, start_year=2000, hcp_count=0,
+        avg_cites_per_paper=5.0, start_year=2000, hcp_count=0, series=series,
     )
-
-
-DECLINING_SERIES = AnnualSeries(2000, (5, 9, 7, 4, 3, 2, 1, 1), (1, 2, 3, 4, 5, 6, 7, 8))
 
 
 class TestFlagProfile:
     def test_papermill_style_values(self):
         ind = indicator_set(r=0.94, lag=0, i=0.08, max_pubs=45)
-        kinds = {s.kind for s in flag_profile(ind, DECLINING_SERIES)}
+        kinds = {s.kind for s in flag_profile(ind)}
         assert kinds == {
             SignalKind.HIGH_CORRELATION,
             SignalKind.ZERO_LAG,
@@ -253,31 +253,31 @@ class TestFlagProfile:
 
     def test_conscientious_style_values(self):
         ind = indicator_set(r=-0.23, lag=None, i=0.44, max_pubs=19)
-        assert flag_profile(ind, DECLINING_SERIES) == []
+        assert flag_profile(ind) == []
 
     def test_strict_boundary_checks(self):
         ind = indicator_set(r=0.51, lag=None, i=0.29, max_pubs=3)
-        kinds = {s.kind for s in flag_profile(ind, DECLINING_SERIES)}
+        kinds = {s.kind for s in flag_profile(ind)}
         assert kinds == {SignalKind.HIGH_CORRELATION, SignalKind.LOW_INTEGRITY}
 
     def test_boundaries_are_exclusive(self):
         ind = indicator_set(r=0.5, lag=0, i=0.3, max_pubs=29)
-        assert flag_profile(ind, DECLINING_SERIES) == []
+        assert flag_profile(ind) == []
 
     def test_zero_lag_requires_high_correlation(self):
         ind = indicator_set(r=0.2, lag=0, i=0.5)
-        assert flag_profile(ind, DECLINING_SERIES) == []
+        assert flag_profile(ind) == []
 
     def test_monotone_growth(self):
         series = AnnualSeries(2000, (1, 1, 1, 2, 3, 4, 5, 6), (0,) * 8)
-        ind = indicator_set(i=0.9, max_pubs=6)
-        kinds = {s.kind for s in flag_profile(ind, series)}
+        ind = indicator_set(i=0.9, max_pubs=6, series=series)
+        kinds = {s.kind for s in flag_profile(ind)}
         assert kinds == {SignalKind.MONOTONE_GROWTH}
 
     def test_monotone_growth_needs_a_strict_increase(self):
         series = AnnualSeries(2000, (1, 1, 6, 6, 6, 6, 6, 6), (0,) * 8)
-        ind = indicator_set(i=0.9, max_pubs=6)
-        assert flag_profile(ind, series) == []
+        ind = indicator_set(i=0.9, max_pubs=6, series=series)
+        assert flag_profile(ind) == []
 
     def test_loosening_thresholds_never_removes_signals(self):
         rng = random.Random(99)
@@ -286,13 +286,13 @@ class TestFlagProfile:
                 r=rng.uniform(-1, 1), lag=rng.choice([None, 0, 1, 3]),
                 i=rng.uniform(0, 1), max_pubs=rng.randint(0, 60),
             )
-            tight = FlagConfig()
-            loose = FlagConfig(
-                r_min=tight.r_min - 0.2, lag_max_flag=tight.lag_max_flag + 2,
-                i_max=tight.i_max + 0.2, pubs_per_year_limit=tight.pubs_per_year_limit - 10,
+            tight = AnalysisConfig()
+            loose = AnalysisConfig(
+                r_min=tight.r_min - 0.2, i_max=tight.i_max + 0.2,
+                pubs_per_year_limit=tight.pubs_per_year_limit - 10,
             )
-            tight_kinds = {s.kind for s in flag_profile(ind, DECLINING_SERIES, tight)}
-            loose_kinds = {s.kind for s in flag_profile(ind, DECLINING_SERIES, loose)}
+            tight_kinds = {s.kind for s in flag_profile(ind, tight)}
+            loose_kinds = {s.kind for s in flag_profile(ind, loose)}
             assert tight_kinds <= loose_kinds
 
 
@@ -359,6 +359,13 @@ class TestAnalyzeProfile:
         assert ind.hcp_count == 0
         assert SignalKind.LOW_INTEGRITY in {s.kind for s in ind.flags}
 
+    def test_series_is_the_one_the_indicators_came_from(self):
+        profile = make_profile({2010: [4, 0], 2011: [9], 2014: [2]})
+        ind = analyze_profile(profile)
+        assert ind.series == build_series(profile)
+        assert ind.start_year == ind.series.start_year
+        assert ind.max_pubs_year == max(ind.series.pubs)
+
     def test_downward_extension_warns(self):
         profile = ResearcherProfile(
             name="n", records=[PublicationRecord("a", 2010, 2, {2008: 1, 2010: 1})]
@@ -366,6 +373,17 @@ class TestAnalyzeProfile:
         ind = analyze_profile(profile)
         assert ind.start_year == 2008
         assert any("extended downward" in w for w in ind.warnings)
+
+
+class TestAnalysisConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"r_min": math.nan}, {"r_min": math.inf}, {"r_min": 1.0}, {"r_min": -1.0},
+        {"i_max": 0.0}, {"i_max": 1.5}, {"i_max": math.nan}, {"max_lag": -1},
+        {"growth_window": -2}, {"pubs_per_year_limit": 0},
+    ])
+    def test_out_of_range_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            AnalysisConfig(**kwargs)
 
 
 class TestRoundHalfUp:

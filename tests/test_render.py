@@ -35,15 +35,15 @@ def polyline_vertices(elem: ET.Element) -> list[tuple[float, float]]:
     return [tuple(float(c) for c in p.split(",")) for p in pairs]
 
 
+SERIES = AnnualSeries(2010, (3, 7, 0, 12), (5, 40, 22, 61))
+
+
 def sample_indicators() -> IndicatorSet:
     return IndicatorSet(
         r=0.94, lag=0, h=34, i_index=0.0885, total_pubs=384, total_cites=4000,
         max_pubs_year=45, min_pubs_year=0, avg_pubs_year=16.0,
-        avg_cites_per_paper=10.4, start_year=2010, hcp_count=3,
+        avg_cites_per_paper=10.4, start_year=2010, hcp_count=3, series=SERIES,
     )
-
-
-SERIES = AnnualSeries(2010, (3, 7, 0, 12), (5, 40, 22, 61))
 
 
 class TestProfileChart:

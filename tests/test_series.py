@@ -1,12 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from papertrail.errors import EmptyProfileError, EmptyWindowError
+from papertrail.errors import EmptyProfileError
 from papertrail.ingest import PublicationRecord, ResearcherProfile
-from papertrail.series import AnnualSeries, build_series, slice_window
+from papertrail.series import build_series
 
 from conftest import random_profile
 
@@ -48,14 +46,6 @@ class TestBuildSeries:
             assert sum(s.pubs) == len(profile.records)
             assert sum(s.cites) == sum(r.window_sum for r in profile.records)
 
-    def test_end_year_extends_range(self):
-        s = build_series(profile_with([PublicationRecord("a", 2020, 0)]), end_year=2023)
-        assert s.pubs == (1, 0, 0, 0)
-
-    def test_end_year_never_truncates(self):
-        s = build_series(profile_with([PublicationRecord("a", 2020, 1, {2022: 1})]), end_year=2020)
-        assert s.end_year == 2022
-
     def test_citations_before_first_pub_year_extend_downward(self):
         s = build_series(profile_with([PublicationRecord("a", 2010, 2, {2008: 1, 2010: 1})]))
         assert s.start_year == 2008
@@ -71,48 +61,3 @@ class TestBuildSeries:
         profile = random_profile(rng)
         assert build_series(profile) == build_series(profile)
 
-
-class TestSliceWindow:
-    @pytest.fixture
-    def series(self):
-        return AnnualSeries(start_year=2010, pubs=(2, 0, 1, 0), cites=(1, 1, 1, 1))
-
-    def test_interior_slice(self, series):
-        sub = slice_window(series, 2011, 2012)
-        assert sub == AnnualSeries(2011, (0, 1), (1, 1))
-
-    def test_full_range_is_identity(self, series):
-        assert slice_window(series, 2010, 2013) == series
-
-    def test_clips_to_series_bounds(self, series):
-        assert slice_window(series, 1990, 2011).start_year == 2010
-
-    def test_no_intersection(self, series):
-        with pytest.raises(EmptyWindowError):
-            slice_window(series, 1990, 1995)
-
-    def test_partition_conserves_totals(self, series):
-        left = slice_window(series, 2010, 2011)
-        right = slice_window(series, 2012, 2013)
-        assert sum(left.pubs) + sum(right.pubs) == sum(series.pubs)
-        assert sum(left.cites) + sum(right.cites) == sum(series.cites)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.integers(min_value=1960, max_value=2090),
-    st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=2, max_size=30),
-    st.data(),
-)
-def test_any_partition_conserves_totals(start, counts, data):
-    series = AnnualSeries(
-        start_year=start,
-        pubs=tuple(p for p, _ in counts),
-        cites=tuple(c for _, c in counts),
-    )
-    cut = data.draw(st.integers(series.start_year, series.end_year - 1))
-    left = slice_window(series, series.start_year, cut)
-    right = slice_window(series, cut + 1, series.end_year)
-    assert sum(left.pubs) + sum(right.pubs) == sum(series.pubs)
-    assert sum(left.cites) + sum(right.cites) == sum(series.cites)
-    assert len(left) + len(right) == len(series)
