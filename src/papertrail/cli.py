@@ -20,7 +20,7 @@ exits 2::
     pubs_per_year_limit  >= 1
     growth_window        >= 0
     max_lag              >= 0
-    prefer_reported_h    true for 1, true, yes or on; false otherwise
+    prefer_reported_h    1, true, yes or on; 0, false, no or off (any case)
 
 JSON schemas (version "1.0"; every indicator key is always present,
 undefined values are null with a reason under ``undefined_reasons``)::
@@ -80,7 +80,12 @@ CONFIG_ENV_VAR = "PAPERTRAIL_CONFIG"
 
 
 def _parse_bool(text: str) -> bool:
-    return text.strip().lower() in ("1", "true", "yes", "on")
+    word = text.strip().lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
 
 
 # config-file keys (the AnalysisConfig fields) and their parsers

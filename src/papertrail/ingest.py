@@ -82,6 +82,23 @@ class PublicationRecord:
                 cleaned[int(year)] = int(count)
         self.citations_by_year = cleaned
 
+    @classmethod
+    def _checked_by_caller(
+        cls, title: str, pub_year: int, total_citations: int, citations_by_year: dict[int, int]
+    ) -> PublicationRecord:
+        """Build a record without ``__post_init__``, for fields already validated.
+
+        The caller guarantees what ``__post_init__`` would establish: the
+        year lies in MIN_YEAR..MAX_YEAR, the total is non-negative, and
+        ``citations_by_year`` maps int years to positive int counts.
+        """
+        record = cls.__new__(cls)
+        record.title = title
+        record.pub_year = pub_year
+        record.total_citations = total_citations
+        record.citations_by_year = citations_by_year
+        return record
+
     @property
     def window_sum(self) -> int:
         """Sum of the per-year citation columns (may differ from the total)."""
@@ -140,6 +157,14 @@ def _parse_count(cell: str, what: str, row_no: int) -> int:
     if value < 0:
         raise MalformedRowError(f"row {row_no}: {what} must be non-negative, got {value}")
     return value
+
+
+def _parse_counts(cells: list[str], year_cols: list[int], row_no: int) -> list[int]:
+    """Convert a record row's total and year cells one by one, in column order."""
+    counts = [_parse_count(cells[2], "total citations", row_no)]
+    for year, cell in zip(year_cols, cells[3:]):
+        counts.append(_parse_count(cell, f"citation count for {year}", row_no))
+    return counts
 
 
 def parse_report(
@@ -217,22 +242,26 @@ def parse_report(
             raise MalformedRowError(
                 f"row {row_no}: publication year {pub_year} outside {MIN_YEAR}..{MAX_YEAR}"
             )
-        total = _parse_count(cells[2], "total citations", row_no)
-        by_year: dict[int, int] = {}
-        for year, cell in zip(year_cols, cells[3:]):
-            count = _parse_count(cell, f"citation count for {year}", row_no)
-            if count > 0:
-                by_year[year] = count
-        record = PublicationRecord(
-            title=title, pub_year=pub_year, total_citations=total, citations_by_year=by_year
-        )
-        if record.window_sum != total:
+        # one step for the common row; a row it rejects goes through the
+        # cell-by-cell path, which names the first bad cell or accepts
+        # cells such as "\x1c7" that int() rejects but str.strip() cleans
+        try:
+            counts = list(map(int, cells[2:]))
+        except ValueError:
+            counts = _parse_counts(cells, year_cols, row_no)
+        else:
+            if min(counts) < 0:
+                counts = _parse_counts(cells, year_cols, row_no)
+        total = counts[0]
+        window_sum = sum(counts) - total
+        by_year = {year: count for year, count in zip(year_cols, counts[1:]) if count}
+        if window_sum != total:
             parse_warnings.append(
                 f"record {len(records) + 1} ({title!r}): year columns sum to "
-                f"{record.window_sum} but total citations is {total}; "
+                f"{window_sum} but total citations is {total}; "
                 "keeping the declared total as authoritative"
             )
-        records.append(record)
+        records.append(PublicationRecord._checked_by_caller(title, pub_year, total, by_year))
 
     if year_cols is None:
         raise MalformedHeaderError("no header row found")

@@ -48,9 +48,10 @@ def build_series(profile: ResearcherProfile) -> AnnualSeries:
     first = min(rec.pub_year for rec in profile.records)
     last = max(rec.pub_year for rec in profile.records)
     for rec in profile.records:
-        for year in rec.citations_by_year:
-            first = min(first, year)
-            last = max(last, year)
+        by_year = rec.citations_by_year
+        if by_year:
+            first = min(first, min(by_year))
+            last = max(last, max(by_year))
 
     n = last - first + 1
     pubs = [0] * n

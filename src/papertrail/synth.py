@@ -40,6 +40,14 @@ _KERNEL_SPAN = 3
 # papermill citation kernel: fraction landing in the publication year vs the next
 _PAPERMILL_KERNEL = (0.8, 0.2)
 
+# parameter bounds: they keep a profile's record count, its kernel length
+# and every citation count (papermill masses scale with peak/base) finite
+# and small enough to hold in memory
+MIN_BASE_RATE = 0.01
+MAX_PEAK_RATE = 1000.0
+MAX_CITES_PER_PAPER = 1e6
+MAX_KERNEL_PEAK_LAG = 20
+
 
 class Xorshift64Star:
     """xorshift64* PRNG with a splitmix64-mixed seed.
@@ -106,16 +114,23 @@ class SynthSpec:
     def __post_init__(self) -> None:
         if self.n_years < 8:
             raise InvalidSpecError("n_years must be at least 8")
-        if not self.base_rate > 0:
-            raise InvalidSpecError("base_rate must be positive")
+        for name in ("base_rate", "peak_rate", "cites_per_paper"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidSpecError(f"{name} must be finite")
+        if self.base_rate < MIN_BASE_RATE:
+            raise InvalidSpecError(f"base_rate must be at least {MIN_BASE_RATE}")
         if self.base_rate > self.peak_rate:
             raise InvalidSpecError("base_rate must not exceed peak_rate")
-        if self.kernel_peak_lag < 1:
-            raise InvalidSpecError("kernel_peak_lag must be at least 1")
+        if self.peak_rate > MAX_PEAK_RATE:
+            raise InvalidSpecError(f"peak_rate must not exceed {MAX_PEAK_RATE:g}")
+        if not 1 <= self.kernel_peak_lag <= MAX_KERNEL_PEAK_LAG:
+            raise InvalidSpecError(f"kernel_peak_lag must lie in 1..{MAX_KERNEL_PEAK_LAG}")
         if not 0 <= self.onset_offset < self.n_years:
             raise InvalidSpecError("onset_offset must lie in 0..n_years-1")
-        if not self.cites_per_paper > 0:
-            raise InvalidSpecError("cites_per_paper must be positive")
+        if not 0 < self.cites_per_paper <= MAX_CITES_PER_PAPER:
+            raise InvalidSpecError(
+                f"cites_per_paper must lie in (0, {MAX_CITES_PER_PAPER:g}]"
+            )
         if not 1900 <= self.start_year <= 2100 - self.n_years:
             raise InvalidSpecError(
                 f"start_year {self.start_year} leaves no room for {self.n_years} years"

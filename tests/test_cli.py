@@ -226,6 +226,29 @@ class TestThresholdValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["analyze", "cohort"])
+    @pytest.mark.parametrize("value", ["maybe", "2", "", "truthy", "nein"])
+    def test_unknown_boolean_in_config_file_exit_2(self, command, value, inputs, tmp_path,
+                                                   capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"# thresholds\nprefer_reported_h = {value}\n")
+        out = tmp_path / "out.json"
+        assert main([command, str(inputs[command]), "--json", str(out),
+                     "--config", str(cfg)]) == 2
+        assert f"{cfg}:2:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "cohort"])
+    @pytest.mark.parametrize("value,expected", [
+        ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+        ("0", False), ("False", False), ("NO", False), ("Off", False),
+    ])
+    def test_boolean_spellings_in_config_file(self, command, value, expected, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"prefer_reported_h = {value}\n")
+        args = build_parser().parse_args([command, "input", "--config", str(cfg)])
+        assert _resolve_analysis_config(args).prefer_reported_h is expected
+
+    @pytest.mark.parametrize("command", ["analyze", "cohort"])
     def test_range_edges_accepted(self, command, inputs, tmp_path, capsys):
         assert main([command, str(inputs[command]), "--json", str(tmp_path / "o.json"),
                      "--r-min=-0.99", "--i-max", "0.01", "--max-lag", "0",
@@ -339,6 +362,24 @@ class TestSynth:
     def test_invalid_parameters_exit_2(self, tmp_path, capsys):
         assert main(["synth", "--archetype", "papermill", "--n-years", "4",
                      "-o", str(tmp_path / "x.tsv")]) == 2
+
+    @pytest.mark.parametrize("archetype,flag,value", [
+        ("papermill", "--cites-per-paper", "inf"),
+        ("papermill", "--cites-per-paper", "1e7"),
+        ("papermill", "--peak-rate", "nan"),
+        ("papermill", "--peak-rate", "1001"),
+        ("papermill", "--base-rate", "1e-300"),
+        ("conscientious", "--base-rate", "-inf"),
+        ("conscientious", "--peak-rate", "inf"),
+        ("conscientious", "--kernel-peak-lag", "21"),
+    ])
+    def test_unbounded_or_non_finite_parameter_exit_2(self, archetype, flag, value,
+                                                       tmp_path, capsys):
+        out = tmp_path / "x.tsv"
+        assert main(["synth", "--archetype", archetype, f"{flag}={value}",
+                     "-o", str(out)]) == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_custom_parameters(self, tmp_path, capsys):
         out = tmp_path / "p.csv"

@@ -1,0 +1,148 @@
+"""Differential tests: ``parse_report`` against the cell-by-cell reference parser.
+
+Every input must give the same outcome from both: equal profiles (name, id,
+reported h, records with their per-year dicts in order, warnings), or the
+same exception type with the same message.
+"""
+
+import csv
+import io
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from papertrail.errors import PapertrailError
+from papertrail.ingest import ReportFormat, parse_report, serialize_report
+
+from conftest import random_profile
+from reference_ingest import parse_report as reference_parse_report
+
+# count cells at the edges of what int() and str.strip() accept
+TRICKY_CELLS = [" 7 ", "+7", "1_000", "٣", "-0", "-3", "x", "",
+                "\x1c7", "\x1d7", "\x1e7", "\x1f7"]
+
+
+def outcome(parse, data: bytes, fmt: ReportFormat):
+    try:
+        profile = parse(data, fmt, default_name="stem")
+    except PapertrailError as exc:
+        return ("error", type(exc), str(exc))
+    records = [
+        (r.title, r.pub_year, r.total_citations, list(r.citations_by_year.items()))
+        for r in profile.records
+    ]
+    return ("profile", profile.name, profile.source_id, profile.reported_h, records,
+            profile.warnings)
+
+
+def assert_same_outcome(data: bytes, fmt: ReportFormat):
+    expected = outcome(reference_parse_report, data, fmt)
+    assert outcome(parse_report, data, fmt) == expected
+    return expected
+
+
+def criterion_8_cases(rng: random.Random, n: int):
+    """The random, mutated and shuffled reports of acceptance criterion 8."""
+    header = b"Title\tPublication Year\tTotal Citations\t2010\t2011\n"
+    valid = b"# researcher\tA\n" + header + b"p\t2010\t3\t1\t2\n"
+    for case in range(n):
+        kind = case % 3
+        if kind == 0:
+            data = bytes(rng.randrange(256) for _ in range(rng.randint(0, 120)))
+        elif kind == 1:
+            mutated = bytearray(valid)
+            for _ in range(rng.randint(1, 8)):
+                pos = rng.randrange(len(mutated))
+                mutated[pos] = rng.randrange(256)
+            data = bytes(mutated)
+        else:
+            pieces = [header if rng.random() < 0.7 else b"",
+                      b"p\t2010\t3\t1\t2\n" * rng.randint(0, 3),
+                      bytes(rng.randrange(32, 127) for _ in range(rng.randint(0, 40)))]
+            rng.shuffle(pieces)
+            data = b"".join(pieces)
+        yield data, ReportFormat.TSV if case % 2 else ReportFormat.CSV
+
+
+@pytest.mark.parametrize("seed", [808, 1, 2])
+def test_criterion_8_fuzz_corpus(seed):
+    kinds = set()
+    for data, fmt in criterion_8_cases(random.Random(seed), 10_000):
+        kinds.add(assert_same_outcome(data, fmt)[0])
+    assert kinds == {"profile", "error"}
+
+
+def report(rows: list[list[str]], fmt: ReportFormat) -> bytes:
+    if fmt is ReportFormat.TSV:
+        return ("\n".join("\t".join(row) for row in rows) + "\n").encode("utf-8")
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+def split_report(data: bytes, fmt: ReportFormat) -> list[list[str]]:
+    text = data.decode("utf-8")
+    if fmt is ReportFormat.TSV:
+        return [line.split("\t") for line in text.split("\n")]
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+@pytest.mark.parametrize("fmt", list(ReportFormat))
+@pytest.mark.parametrize("column", [2, 4], ids=["total", "year"])
+@pytest.mark.parametrize("cell", TRICKY_CELLS, ids=repr)
+def test_tricky_count_cell(cell, column, fmt):
+    rows = [
+        ["Title", "Publication Year", "Total Citations", "2010", "2011", "2012"],
+        ["first", "2010", "5", "2", "2", "1"],
+        ["second", "2011", "7", "0", "3", "4"],
+    ]
+    rows[2][column] = cell
+    assert_same_outcome(report(rows, fmt), fmt)
+
+
+@pytest.mark.parametrize("fmt", list(ReportFormat))
+@pytest.mark.parametrize("cell", ["\x1c7", "\x1d7", "\x1e7", "\x1f7"], ids=repr)
+def test_cell_that_only_strip_cleans_is_accepted(cell, fmt):
+    # int() rejects these separators but str.strip() removes them, so the
+    # one-step conversion fails on a row the cell-by-cell parser accepts
+    rows = [["Title", "Publication Year", "Total Citations", "2010", "2011"],
+            ["p", "2010", cell, "3", cell]]
+    profile = parse_report(report(rows, fmt), fmt)
+    assert profile.records[0].total_citations == 7
+    assert profile.records[0].citations_by_year == {2010: 3, 2011: 7}
+    assert len(profile.warnings) == 1 and "sum to 10" in profile.warnings[0]
+
+
+def test_first_bad_cell_is_named():
+    rows = [["Title", "Publication Year", "Total Citations", "2010", "2011", "2012"],
+            ["p", "2010", "1", "-2", "x", "-1"]]
+    result = assert_same_outcome(report(rows, ReportFormat.TSV), ReportFormat.TSV)
+    assert result[2] == "row 2: citation count for 2010 must be non-negative, got -2"
+
+
+cell_text = st.one_of(
+    st.sampled_from(TRICKY_CELLS),
+    st.integers(-5, 10 ** 6).map(str),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def mutated_reports(draw):
+    """A serialized random profile, with up to three cells replaced."""
+    fmt = draw(st.sampled_from(list(ReportFormat)))
+    profile = random_profile(draw(st.randoms(use_true_random=False)))
+    rows = split_report(serialize_report(profile, fmt), fmt)
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.integers(0, len(rows) - 1))
+        if rows[row]:
+            rows[row][draw(st.integers(0, len(rows[row]) - 1))] = draw(cell_text)
+    return report(rows, fmt), fmt
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_reports())
+def test_well_formed_and_mutated_reports(case):
+    assert_same_outcome(*case)

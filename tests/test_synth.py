@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from papertrail.errors import InvalidSpecError
@@ -5,6 +7,10 @@ from papertrail.indicators import SignalKind, analyze_profile, best_lag
 from papertrail.ingest import parse_report, serialize_report
 from papertrail.series import build_series
 from papertrail.synth import (
+    MAX_CITES_PER_PAPER,
+    MAX_KERNEL_PEAK_LAG,
+    MAX_PEAK_RATE,
+    MIN_BASE_RATE,
     Archetype,
     SynthSpec,
     Xorshift64Star,
@@ -61,6 +67,29 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpecError):
             papermill_spec(0, **kwargs)
 
+    @pytest.mark.parametrize("make", [papermill_spec, conscientious_spec])
+    @pytest.mark.parametrize("kwargs", [
+        {"base_rate": math.nan},
+        {"base_rate": math.inf, "peak_rate": math.inf},
+        {"base_rate": MIN_BASE_RATE / 2},
+        {"peak_rate": math.nan},
+        {"peak_rate": math.inf},
+        {"peak_rate": MAX_PEAK_RATE + 1},
+        {"cites_per_paper": math.nan},
+        {"cites_per_paper": math.inf},
+        {"cites_per_paper": MAX_CITES_PER_PAPER * 2},
+    ])
+    def test_non_finite_or_unbounded_rates(self, make, kwargs):
+        with pytest.raises(InvalidSpecError):
+            make(0, **kwargs)
+
+    def test_rate_bounds_are_inclusive(self):
+        # constructing a spec generates nothing, so the largest size is cheap to check
+        papermill_spec(0, base_rate=MIN_BASE_RATE, peak_rate=MAX_PEAK_RATE,
+                       cites_per_paper=MAX_CITES_PER_PAPER)
+        conscientious_spec(0, kernel_peak_lag=MAX_KERNEL_PEAK_LAG)
+        papermill_spec(0, peak_rate=400.0)
+
     def test_invalid_onset(self):
         with pytest.raises(InvalidSpecError):
             papermill_spec(0, onset_offset=14)
@@ -68,6 +97,8 @@ class TestSpecValidation:
     def test_invalid_kernel_lag(self):
         with pytest.raises(InvalidSpecError):
             conscientious_spec(0, kernel_peak_lag=0)
+        with pytest.raises(InvalidSpecError):
+            conscientious_spec(0, kernel_peak_lag=MAX_KERNEL_PEAK_LAG + 1)
 
 
 class TestDeterminism:
