@@ -6,8 +6,8 @@ Three subcommands::
     papertrail cohort   MANIFEST [--json PATH] [--svg-dir DIR] ...
     papertrail synth    --archetype NAME --seed N -o PATH ...
 
-Exit codes: 0 success, 1 data error (unreadable/unparseable input),
-2 usage error (bad flags or parameters).
+Exit codes: 0 success, 1 data error (unreadable/unparseable input, or an
+output file that cannot be written), 2 usage error (bad flags or parameters).
 
 Analysis thresholds may come from a ``key = value`` config file (one key
 per ``AnalysisConfig`` field) given via ``--config`` or the
@@ -52,6 +52,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -272,10 +273,24 @@ def build_cohort_document(
     }
 
 
+class _WriteError(Exception):
+    """An output file could not be written; ``main`` reports it as a data error."""
+
+
+@contextmanager
+def _writing(path: str | Path):
+    """Yield ``path`` as a Path; an OSError while writing it names the path."""
+    try:
+        yield Path(path)
+    except OSError as exc:
+        raise _WriteError(f"cannot write {path}: {exc}") from None
+
+
 def _write_json(document: dict[str, Any], path: str | None) -> None:
     text = json.dumps(document, indent=2, ensure_ascii=False) + "\n"
     if path:
-        Path(path).write_text(text, encoding="utf-8")
+        with _writing(path) as out:
+            out.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -305,7 +320,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     _write_json(build_report(profile, ind), args.json)
     if args.svg:
         style = ChartStyle(title=f"Times cited and publications over time: {profile.name}")
-        Path(args.svg).write_text(profile_chart(ind.series, ind, style), encoding="utf-8")
+        svg = profile_chart(ind.series, ind, style)
+        with _writing(args.svg) as out:
+            out.write_text(svg, encoding="utf-8")
     return EXIT_OK
 
 
@@ -317,7 +334,7 @@ def cmd_cohort(args: argparse.Namespace) -> int:
         return EXIT_USAGE_ERROR
     try:
         manifest_text = Path(args.manifest).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.manifest}: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
 
@@ -352,8 +369,8 @@ def cmd_cohort(args: argparse.Namespace) -> int:
     _write_json(document, args.json)
 
     if args.svg_dir:
-        out_dir = Path(args.svg_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        with _writing(args.svg_dir) as out_dir:
+            out_dir.mkdir(parents=True, exist_ok=True)
         power_fit, _, linear_fit, _ = compute_cohort_fits(points)
         fits = {
             ScatterAxes.I_VS_P_POWERFIT: power_fit,
@@ -362,7 +379,8 @@ def cmd_cohort(args: argparse.Namespace) -> int:
         for filename, axes in COHORT_CHARTS:
             style = ChartStyle(title=f"Cohort: {axes.value.replace('_', ' ')}")
             svg = scatter_chart(points, axes, fit=fits.get(axes), region=region, style=style)
-            (out_dir / filename).write_text(svg, encoding="utf-8")
+            with _writing(out_dir / filename) as out:
+                out.write_text(svg, encoding="utf-8")
     return EXIT_OK
 
 
@@ -384,7 +402,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         return EXIT_USAGE_ERROR
 
     fmt = ReportFormat(args.format) if args.format else ReportFormat.TSV
-    Path(args.output).write_bytes(serialize_report(profile, fmt))
+    data = serialize_report(profile, fmt)
+    with _writing(args.output) as out:
+        out.write_bytes(data)
     return EXIT_OK
 
 
@@ -446,7 +466,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _WriteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA_ERROR
 
 
 if __name__ == "__main__":

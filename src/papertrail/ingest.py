@@ -303,29 +303,37 @@ def serialize_report(profile: ResearcherProfile, fmt: ReportFormat = ReportForma
     except ``warnings``; titles holding tab or newline characters are
     sanitized for the TSV flavor (a ReportWarning is emitted).
     """
-    cited_years = [y for rec in profile.records for y in rec.citations_by_year]
-    year_cols: list[int] = []
-    if cited_years:
-        year_cols = list(range(min(cited_years), max(cited_years) + 1))
+    # the year window, from one min/max pair per cited record
+    cited = [rec.citations_by_year for rec in profile.records if rec.citations_by_year]
+    year_cols = range(0)
+    if cited:
+        year_cols = range(min(min(by_year) for by_year in cited),
+                          max(max(by_year) for by_year in cited) + 1)
 
-    rows: list[list[str]] = []
-    rows.append([META_RESEARCHER, _sanitize(profile.name, fmt, "researcher name")])
-    if profile.source_id is not None:
-        rows.append([META_ID, _sanitize(profile.source_id, fmt, "researcher id")])
-    if profile.reported_h is not None:
-        rows.append([META_H_INDEX, str(profile.reported_h)])
-    rows.append(list(_HEADER_PREFIX) + [str(y) for y in year_cols])
-    for rec in profile.records:
-        rows.append(
-            [_sanitize(rec.title, fmt, "record title"), str(rec.pub_year), str(rec.total_citations)]
-            + [str(rec.citations_by_year.get(y, 0)) for y in year_cols]
-        )
-
+    # each row becomes its line at once; the per-row cell strings do not outlive it
+    buffer = io.StringIO()
     if fmt is ReportFormat.TSV:
-        text = "\n".join("\t".join(row) for row in rows) + "\n"
+        def write_row(row: list[str]) -> None:
+            buffer.write("\t".join(row))
+            buffer.write("\n")
     else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerows(rows)
-        text = buffer.getvalue()
-    return text.encode("utf-8")
+        write_row = csv.writer(buffer, lineterminator="\n").writerow
+
+    write_row([META_RESEARCHER, _sanitize(profile.name, fmt, "researcher name")])
+    if profile.source_id is not None:
+        write_row([META_ID, _sanitize(profile.source_id, fmt, "researcher id")])
+    if profile.reported_h is not None:
+        write_row([META_H_INDEX, str(profile.reported_h)])
+    write_row([*_HEADER_PREFIX, *map(str, year_cols)])
+    # a record row is a template of zero cells with only its cited years filled in
+    template = ["", "", ""] + ["0"] * len(year_cols)
+    offset = 3 - year_cols.start
+    for rec in profile.records:
+        row = template.copy()
+        row[0] = _sanitize(rec.title, fmt, "record title")
+        row[1] = str(rec.pub_year)
+        row[2] = str(rec.total_citations)
+        for year, count in rec.citations_by_year.items():
+            row[year + offset] = str(count)
+        write_row(row)
+    return buffer.getvalue().encode("utf-8")

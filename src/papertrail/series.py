@@ -38,9 +38,10 @@ def build_series(profile: ResearcherProfile) -> AnnualSeries:
     """Aggregate a profile into aligned per-year counts.
 
     The range starts at the earliest publication year and ends at the latest
-    of: the latest publication year, the latest cited year.  Citations recorded *before* the first publication year
-    (possible in malformed exports) extend the range downward instead of
-    being dropped; callers can detect this via start_year < min pub_year.
+    of: the latest publication year, the latest cited year.  Citations
+    recorded *before* the first publication year (possible in malformed
+    exports) extend the range downward instead of being dropped; callers can
+    detect this via start_year < min pub_year.
     """
     if not profile.records:
         raise EmptyProfileError("cannot build a series from a profile with no records")

@@ -112,6 +112,10 @@ class SynthSpec:
     kernel_peak_lag: int
 
     def __post_init__(self) -> None:
+        if not 0 <= self.seed <= _MASK64:
+            # the generator reduces its seed mod 2**64, so a wider seed would
+            # repeat the data of a smaller one under a different name
+            raise InvalidSpecError("seed must lie in 0..2**64-1")
         if self.n_years < 8:
             raise InvalidSpecError("n_years must be at least 8")
         for name in ("base_rate", "peak_rate", "cites_per_paper"):
@@ -210,12 +214,13 @@ def _enforce_peak(counts: list[int], peak: int) -> list[int]:
     if len(counts) <= 1 or sum(counts) == 0:
         return counts
     while True:
-        rival = max(
-            (j for j in range(len(counts)) if j != peak),
-            key=lambda j: (counts[j], -j),
-        )
-        if counts[peak] > counts[rival]:
+        top = max(counts[:peak] + counts[peak + 1:])
+        if counts[peak] > top:
             return counts
+        # the rival is the lowest-index bin other than the peak holding ``top``
+        rival = counts.index(top)
+        if rival == peak:
+            rival = counts.index(top, peak + 1)
         counts[rival] -= 1
         counts[peak] += 1
 
@@ -285,19 +290,16 @@ def generate(spec: SynthSpec) -> ResearcherProfile:
     paper_no = 0
     for i, count in enumerate(pub_counts):
         year = spec.start_year + i
+        # papermill masses scale with the year's output; x * 1.0 == x exactly
+        scale = count / spec.base_rate if spec.archetype is Archetype.PAPERMILL else 1.0
         for _ in range(count):
             paper_no += 1
-            mass = spec.cites_per_paper * rng.jitter(_CITE_JITTER)
-            if spec.archetype is Archetype.PAPERMILL:
-                mass *= pub_counts[i] / spec.base_rate
-            mass = max(mass, 1.0)
+            mass = max(spec.cites_per_paper * rng.jitter(_CITE_JITTER) * scale, 1.0)
             offsets = _enforce_peak(_floor_carry([mass * w for w in kernel]), peak_offset)
             by_year = {year + d: c for d, c in enumerate(offsets) if c > 0}
-            records.append(PublicationRecord(
-                title=f"Synthetic study {paper_no:04d}",
-                pub_year=year,
-                total_citations=sum(by_year.values()),
-                citations_by_year=by_year,
+            # start_year bounds every pub_year, and the counts are positive ints
+            records.append(PublicationRecord._checked_by_caller(
+                f"Synthetic study {paper_no:04d}", year, sum(offsets), by_year
             ))
 
     return ResearcherProfile(

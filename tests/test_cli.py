@@ -389,3 +389,55 @@ class TestSynth:
         assert main(["analyze", str(out)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["indicators"]["max_pubs_in_year"] <= 24
+
+
+class TestWriteFailures:
+    """An output that cannot be written exits 1 naming it, like an input that cannot be read."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        report = write_synth(tmp_path, "r0.tsv", papermill_spec(0))
+        write_synth(tmp_path, "r1.tsv", papermill_spec(1))
+        write_synth(tmp_path, "r2.tsv", conscientious_spec(2))
+        manifest = tmp_path / "cohort.tsv"
+        manifest.write_text("".join(f"R{k}\tr{k}.tsv\n" for k in range(3)))
+        (tmp_path / "a_file").write_text("")
+        (tmp_path / "a_dir").mkdir()
+        (tmp_path / "figs" / "i_vs_r.svg").mkdir(parents=True)
+        return {"report": str(report), "manifest": str(manifest)}
+
+    @pytest.mark.parametrize("argv,target", [
+        (["analyze", "{report}", "--json", "{tmp}/missing/o.json"], "{tmp}/missing/o.json"),
+        (["analyze", "{report}", "--json", "{tmp}/o.json", "--svg", "{tmp}/a_dir"],
+         "{tmp}/a_dir"),
+        (["cohort", "{manifest}", "--json", "{tmp}/missing/o.json"], "{tmp}/missing/o.json"),
+        (["cohort", "{manifest}", "--json", "{tmp}/o.json", "--svg-dir", "{tmp}/a_file/figs"],
+         "{tmp}/a_file/figs"),
+        (["cohort", "{manifest}", "--json", "{tmp}/o.json", "--svg-dir", "{tmp}/figs"],
+         "{tmp}/figs/i_vs_r.svg"),
+        (["synth", "--archetype", "papermill", "-o", "{tmp}/missing/x.tsv"],
+         "{tmp}/missing/x.tsv"),
+    ], ids=["analyze-json", "analyze-svg", "cohort-json", "cohort-svg-dir", "cohort-svg",
+            "synth"])
+    def test_unwritable_output_exit_1(self, argv, target, inputs, tmp_path, capsys):
+        fill = dict(inputs, tmp=str(tmp_path))
+        assert main([arg.format(**fill) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target.format(**fill)}: ")
+        assert "Traceback" not in err
+
+    def test_manifest_not_utf8_exit_1(self, tmp_path, capsys):
+        manifest = tmp_path / "cohort.tsv"
+        manifest.write_bytes(b"R0\tr\xff0.tsv\n")
+        assert main(["cohort", str(manifest)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read {manifest}: ")
+
+
+@pytest.mark.parametrize("seed,code", [("-1", 2), ("0", 0), (str(2 ** 64 - 1), 0),
+                                       (str(2 ** 64), 2)])
+def test_synth_seed_range(seed, code, tmp_path, capsys):
+    out = tmp_path / "x.tsv"
+    assert main(["synth", "--archetype", "papermill", f"--seed={seed}", "-o", str(out)]) == code
+    assert out.exists() == (code == 0)
+    if code:
+        assert "seed" in capsys.readouterr().err

@@ -1,8 +1,9 @@
 """Golden differential test: CLI output over a fixed synthetic corpus.
 
 Every JSON document (without ``generated_at``) and every SVG written by
-``analyze`` and ``cohort`` under a few threshold settings is hashed and
-compared with digests recorded from a reference build.  Refactors that must
+``analyze`` and ``cohort`` under a few threshold settings, and every report
+written by ``synth``, is hashed and compared with digests recorded from a
+reference build.  Refactors that must
 not change output keep this test green; a change that alters output on
 purpose has to re-record the table (run this file directly to print it).
 """
@@ -59,6 +60,17 @@ def write_corpus(root: Path) -> list[str]:
     return names
 
 
+# the default spec of each archetype, and the 60-year synth-write benchmark profile
+SYNTH_RUNS = {
+    "conscientious": ["--archetype", "conscientious"],
+    "papermill": ["--archetype", "papermill"],
+    "conscientious-wide": ["--archetype", "conscientious", "--seed", "1", "--n-years", "60",
+                           "--peak-rate", "400", "--start-year", "1960"],
+    "papermill-wide": ["--archetype", "papermill", "--seed", "1", "--n-years", "60",
+                       "--peak-rate", "400", "--start-year", "1960"],
+}
+
+
 def _digest(path: Path, root: Path) -> str:
     if not path.exists():
         return "absent"
@@ -96,6 +108,18 @@ def run_corpus(root: Path) -> dict[str, str]:
         results[f"{key}/cohort.json"] = _digest(out / "cohort.json", root)
         for svg in sorted((out / "figs").glob("*.svg")):
             results[f"{key}/{svg.name}"] = _digest(svg, root)
+    return results
+
+
+def run_synth(root: Path) -> dict[str, str]:
+    """Write every synth report in both formats; returns {output key: digest or exit code}."""
+    results: dict[str, str] = {}
+    for run, argv in SYNTH_RUNS.items():
+        for fmt in ("tsv", "csv"):
+            out = root / f"{run}.{fmt}"
+            key = f"synth/{run}.{fmt}"
+            results[f"{key}.exit"] = str(main(["synth", *argv, "--format", fmt, "-o", str(out)]))
+            results[key] = hashlib.sha256(out.read_bytes()).hexdigest()
     return results
 
 
@@ -240,6 +264,25 @@ GOLDEN: dict[str, str] = {
     'cohort/i-max/m_vs_p_linfit.svg': '76201f93e1e71ff16f5f6b425a44af2afd3e57d530a9549802501b0e5e2a9888',
 }
 
+GOLDEN_SYNTH: dict[str, str] = {
+    'synth/conscientious.tsv.exit': '0',
+    'synth/conscientious.tsv': '384f35e498c1e4ae259b6a85ee280633169199a764d295cf83a162b8e18847ee',
+    'synth/conscientious.csv.exit': '0',
+    'synth/conscientious.csv': 'bacf8d65cb4250099c6538bdd8fa2f347da9ea253c538d2ea8b00a110f18f01b',
+    'synth/papermill.tsv.exit': '0',
+    'synth/papermill.tsv': '4494e1bd432b73e5c3b1a20643cdaa120339077f9d8e0486b0d3abc0d1324c3f',
+    'synth/papermill.csv.exit': '0',
+    'synth/papermill.csv': 'c7f0cd0382221784016d8d316603f8c32e01a7128219c7fb84a765681f80a9c3',
+    'synth/conscientious-wide.tsv.exit': '0',
+    'synth/conscientious-wide.tsv': '89d753becfcb5319283c22e57cce354fdf8ef7416037ef6f99ebec7dfb69e5e4',
+    'synth/conscientious-wide.csv.exit': '0',
+    'synth/conscientious-wide.csv': 'f4d26f6a5fe9c1aba8c87987c62cc92ac5ac4992b58bd6d6cb17b72412112485',
+    'synth/papermill-wide.tsv.exit': '0',
+    'synth/papermill-wide.tsv': 'f120973d1d7a871ea07ae92175c09f16df909d03e46929eb46260d484b51b52b',
+    'synth/papermill-wide.csv.exit': '0',
+    'synth/papermill-wide.csv': 'adfbdad4cb67e329de2169b982ded07652264da1ed9143cd7e5c34174a16cb68',
+}
+
 
 @pytest.fixture(scope="module")
 def corpus_run(tmp_path_factory):
@@ -263,9 +306,19 @@ def test_corpus_exercises_the_error_paths(corpus_run):
     assert len(document["diagnostics"]) == 3
 
 
+def test_synth_reports_match_golden_digests(tmp_path):
+    results = run_synth(tmp_path)
+    changed = sorted(key for key in GOLDEN_SYNTH.keys() | results.keys()
+                     if GOLDEN_SYNTH.get(key) != results.get(key))
+    assert not changed, f"{len(changed)} reports differ from the recorded digests: {changed}"
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         for key, value in run_corpus(Path(tmp)).items():
+            print(f"    {key!r}: {value!r},", file=sys.stdout)
+    with tempfile.TemporaryDirectory() as tmp:
+        for key, value in run_synth(Path(tmp)).items():
             print(f"    {key!r}: {value!r},", file=sys.stdout)

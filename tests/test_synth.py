@@ -4,7 +4,7 @@ import pytest
 
 from papertrail.errors import InvalidSpecError
 from papertrail.indicators import SignalKind, analyze_profile, best_lag
-from papertrail.ingest import parse_report, serialize_report
+from papertrail.ingest import PublicationRecord, parse_report, serialize_report
 from papertrail.series import build_series
 from papertrail.synth import (
     MAX_CITES_PER_PAPER,
@@ -89,6 +89,16 @@ class TestSpecValidation:
                        cites_per_paper=MAX_CITES_PER_PAPER)
         conscientious_spec(0, kernel_peak_lag=MAX_KERNEL_PEAK_LAG)
         papermill_spec(0, peak_rate=400.0)
+
+    @pytest.mark.parametrize("make", [papermill_spec, conscientious_spec])
+    @pytest.mark.parametrize("seed,valid", [(-1, False), (0, True), (2 ** 64 - 1, True),
+                                            (2 ** 64, False)])
+    def test_seed_range(self, make, seed, valid):
+        if valid:
+            assert generate(make(seed)).records
+        else:
+            with pytest.raises(InvalidSpecError, match="seed"):
+                make(seed)
 
     def test_invalid_onset(self):
         with pytest.raises(InvalidSpecError):
@@ -180,6 +190,15 @@ class TestGenerateContract:
         )
         with pytest.raises(InvalidSpecError):
             generate(spec)
+
+    @pytest.mark.parametrize("make", [papermill_spec, conscientious_spec])
+    def test_records_pass_the_public_validation(self, make):
+        # generate builds records without __post_init__; each must survive it unchanged
+        for seed in (0, 1, 7, 2 ** 64 - 1):
+            for r in generate(make(seed)).records:
+                assert PublicationRecord(
+                    r.title, r.pub_year, r.total_citations, dict(r.citations_by_year)
+                ) == r
 
     def test_totals_equal_window_sums(self):
         for rec in generate(papermill_spec(5)).records:
