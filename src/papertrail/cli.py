@@ -8,6 +8,8 @@ Three subcommands::
 
 Exit codes: 0 success, 1 data error (unreadable/unparseable input, or an
 output file that cannot be written), 2 usage error (bad flags or parameters).
+Every output is rendered before any is written, and the JSON document is
+written last: when it exists, every chart of the run was written too.
 
 Analysis thresholds may come from a ``key = value`` config file (one key
 per ``AnalysisConfig`` field) given via ``--config`` or the
@@ -124,7 +126,12 @@ def _now_iso() -> str:
 def load_config_file(path: str) -> dict[str, Any]:
     """Parse a `key = value` config file; '#' starts a comment line."""
     values: dict[str, Any] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data[:exc.start].count(b"\n") + 1
+        raise ValueError(f"{path}:{line_no}: not valid UTF-8: {exc.reason}") from None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -141,19 +148,42 @@ def load_config_file(path: str) -> dict[str, Any]:
     return values
 
 
+class _Failure(Exception):
+    """A run that cannot finish; ``main`` prints ``error: <message>`` and returns ``code``."""
+
+    def __init__(self, code: int, message: str) -> None:
+        super().__init__(message)
+        self.code = code
+
+
 def _resolve_analysis_config(args: argparse.Namespace) -> AnalysisConfig:
-    config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    values = load_config_file(config_path) if config_path else {}
-    # flags beat the config file
-    values.update((key, getattr(args, key)) for key in CONFIG_KEYS
-                  if getattr(args, key) is not None)
-    return AnalysisConfig(**values)
+    try:
+        config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
+        values = load_config_file(config_path) if config_path else {}
+        # flags beat the config file
+        values.update((key, getattr(args, key)) for key in CONFIG_KEYS
+                      if getattr(args, key) is not None)
+        return AnalysisConfig(**values)
+    except (OSError, ValueError) as exc:
+        raise _Failure(EXIT_USAGE_ERROR, str(exc)) from None
 
 
 def _detect_format(path: str, explicit: str | None) -> ReportFormat:
     if explicit:
         return ReportFormat(explicit)
     return ReportFormat.CSV if path.lower().endswith(".csv") else ReportFormat.TSV
+
+
+def _load_report(path: Path, explicit_format: str | None,
+                 config: AnalysisConfig) -> tuple[ResearcherProfile, IndicatorSet]:
+    """Read, parse and analyze one report; raises OSError or PapertrailError."""
+    try:
+        data = path.read_bytes()
+    except ValueError as exc:  # a NUL byte in the path: unreadable like any bad path
+        raise OSError(exc) from None
+    fmt = _detect_format(str(path), explicit_format)
+    profile = parse_report(data, fmt, default_name=path.stem)
+    return profile, analyze_profile(profile, config)
 
 
 def _signal_json(ind: IndicatorSet) -> list[dict[str, str]]:
@@ -273,139 +303,105 @@ def build_cohort_document(
     }
 
 
-class _WriteError(Exception):
-    """An output file could not be written; ``main`` reports it as a data error."""
-
-
 @contextmanager
 def _writing(path: str | Path):
-    """Yield ``path`` as a Path; an OSError while writing it names the path."""
+    """An OSError (or a NUL byte in ``path``) inside the block fails the run as a data error."""
     try:
-        yield Path(path)
-    except OSError as exc:
-        raise _WriteError(f"cannot write {path}: {exc}") from None
-
-
-def _write_json(document: dict[str, Any], path: str | None) -> None:
-    text = json.dumps(document, indent=2, ensure_ascii=False) + "\n"
-    if path:
-        with _writing(path) as out:
-            out.write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
-def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        config = _resolve_analysis_config(args)
+        yield
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE_ERROR
-    try:
-        data = Path(args.report).read_bytes()
-    except OSError as exc:
-        print(f"error: cannot read {args.report}: {exc}", file=sys.stderr)
-        return EXIT_DATA_ERROR
-    try:
-        profile = parse_report(
-            data,
-            _detect_format(args.report, args.format),
-            default_name=Path(args.report).stem,
-        )
-        ind = analyze_profile(profile, config)
-    except PapertrailError as exc:
-        print(f"error: {args.report}: {exc}", file=sys.stderr)
-        return EXIT_DATA_ERROR
+        raise _Failure(EXIT_DATA_ERROR, f"cannot write {path}: {exc}") from None
 
-    _write_json(build_report(profile, ind), args.json)
+
+def _write(*outputs: tuple[str | Path | None, str | bytes]) -> None:
+    """Write each (path, data) in order, text as UTF-8; a None path means stdout."""
+    for path, data in outputs:
+        if path is None:
+            sys.stdout.write(data)
+            continue
+        with _writing(path):
+            Path(path).write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+
+
+def _json_text(document: dict[str, Any]) -> str:
+    return json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+
+
+def cmd_analyze(args: argparse.Namespace) -> None:
+    config = _resolve_analysis_config(args)
+    try:
+        profile, ind = _load_report(Path(args.report), args.format, config)
+    except OSError as exc:
+        raise _Failure(EXIT_DATA_ERROR, f"cannot read {args.report}: {exc}") from None
+    except PapertrailError as exc:
+        raise _Failure(EXIT_DATA_ERROR, f"{args.report}: {exc}") from None
+
+    outputs = []
     if args.svg:
         style = ChartStyle(title=f"Times cited and publications over time: {profile.name}")
-        svg = profile_chart(ind.series, ind, style)
-        with _writing(args.svg) as out:
-            out.write_text(svg, encoding="utf-8")
-    return EXIT_OK
+        outputs.append((args.svg, profile_chart(ind.series, ind, style)))
+    _write(*outputs, (args.json or None, _json_text(build_report(profile, ind))))
 
 
-def cmd_cohort(args: argparse.Namespace) -> int:
+def cmd_cohort(args: argparse.Namespace) -> None:
+    config = _resolve_analysis_config(args)
+    manifest = Path(args.manifest)
     try:
-        config = _resolve_analysis_config(args)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE_ERROR
-    try:
-        manifest_text = Path(args.manifest).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read {args.manifest}: {exc}", file=sys.stderr)
-        return EXIT_DATA_ERROR
+        manifest_text = manifest.read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL byte in the path
+        raise _Failure(EXIT_DATA_ERROR, f"cannot read {args.manifest}: {exc}") from None
 
     entries, problems = parse_manifest(manifest_text)
     diagnostics = [{"label": "", "path": "", "error": p} for p in problems]
-    base_dir = Path(args.manifest).parent
-
     points: list[CohortPoint] = []
     for label, path in entries:
-        resolved = Path(path)
-        if not resolved.is_absolute():
-            resolved = base_dir / resolved
+        resolved = manifest.parent / path  # an absolute path replaces the parent
         try:
-            data = resolved.read_bytes()
-            profile = parse_report(
-                data, _detect_format(str(resolved), args.format), default_name=resolved.stem
-            )
-            points.append(point_from_indicators(label, analyze_profile(profile, config)))
+            _, ind = _load_report(resolved, args.format, config)
         except (OSError, PapertrailError) as exc:
             diagnostics.append({"label": label, "path": str(resolved), "error": str(exc)})
+        else:
+            points.append(point_from_indicators(label, ind))
 
     if not points:
-        print("error: no profile in the manifest could be processed", file=sys.stderr)
-        for d in diagnostics:
-            print(f"  {d['label'] or d['path'] or 'manifest'}: {d['error']}", file=sys.stderr)
-        return EXIT_DATA_ERROR
+        raise _Failure(EXIT_DATA_ERROR, "\n".join(
+            ["no profile in the manifest could be processed"]
+            + [f"  {d['label'] or d['path'] or 'manifest'}: {d['error']}" for d in diagnostics]
+        ))
     for d in diagnostics:
         print(f"warning: skipped {d['label'] or 'entry'}: {d['error']}", file=sys.stderr)
 
     region = Region(r_min=config.r_min, i_max=config.i_max)
-    document = build_cohort_document(points, region, diagnostics)
-    _write_json(document, args.json)
-
+    text = _json_text(build_cohort_document(points, region, diagnostics))
+    charts = []
     if args.svg_dir:
-        with _writing(args.svg_dir) as out_dir:
-            out_dir.mkdir(parents=True, exist_ok=True)
         power_fit, _, linear_fit, _ = compute_cohort_fits(points)
-        fits = {
-            ScatterAxes.I_VS_P_POWERFIT: power_fit,
-            ScatterAxes.M_VS_P_LINFIT: linear_fit,
-        }
+        fits = {ScatterAxes.I_VS_P_POWERFIT: power_fit, ScatterAxes.M_VS_P_LINFIT: linear_fit}
         for filename, axes in COHORT_CHARTS:
             style = ChartStyle(title=f"Cohort: {axes.value.replace('_', ' ')}")
             svg = scatter_chart(points, axes, fit=fits.get(axes), region=region, style=style)
-            with _writing(out_dir / filename) as out:
-                out.write_text(svg, encoding="utf-8")
-    return EXIT_OK
+            charts.append((Path(args.svg_dir) / filename, svg))
+        with _writing(args.svg_dir):
+            Path(args.svg_dir).mkdir(parents=True, exist_ok=True)
+    _write(*charts, (args.json or None, text))
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
+def cmd_synth(args: argparse.Namespace) -> None:
     if Archetype(args.archetype) is Archetype.PAPERMILL:
         make_spec, own, other = papermill_spec, "onset_offset", "kernel_peak_lag"
     else:
         make_spec, own, other = conscientious_spec, "kernel_peak_lag", "onset_offset"
     if getattr(args, other) is not None:
-        print(f"error: --{other.replace('_', '-')} does not apply to the "
-              f"{args.archetype} archetype", file=sys.stderr)
-        return EXIT_USAGE_ERROR
+        raise _Failure(EXIT_USAGE_ERROR, f"--{other.replace('_', '-')} does not apply to the "
+                                         f"{args.archetype} archetype")
     names = ("start_year", "n_years", "base_rate", "peak_rate", "cites_per_paper", own)
     kwargs = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     try:
         profile = generate(make_spec(args.seed, **kwargs))
     except PapertrailError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE_ERROR
+        raise _Failure(EXIT_USAGE_ERROR, str(exc)) from None
 
     fmt = ReportFormat(args.format) if args.format else ReportFormat.TSV
-    data = serialize_report(profile, fmt)
-    with _writing(args.output) as out:
-        out.write_bytes(data)
-    return EXIT_OK
+    _write((args.output, serialize_report(profile, fmt)))
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -467,10 +463,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except _WriteError as exc:
+        args.func(args)
+    except _Failure as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA_ERROR
+        return exc.code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -13,7 +13,8 @@ Layout (TSV shown; CSV is identical with comma delimiter + quoting)::
     Title<TAB>Publication Year<TAB>Total Citations<TAB><Y1>...<TAB><Yk>
     <title><TAB><year><TAB><int><TAB><int>...<TAB><int>
 
-Year columns Y1..Yk must be contiguous ascending calendar years.  The
+Year columns Y1..Yk must be contiguous ascending calendar years within
+MIN_YEAR..MAX_YEAR (1900..2100), so every cited year lies there too.  The
 declared total-citations value is kept as authoritative even when it
 disagrees with the sum of the year columns (the per-year window of a
 real export does not necessarily cover a paper's whole citation
@@ -76,6 +77,8 @@ class PublicationRecord:
             raise ValueError("total citations must be non-negative")
         cleaned: dict[int, int] = {}
         for year, count in self.citations_by_year.items():
+            if not MIN_YEAR <= int(year) <= MAX_YEAR:
+                raise ValueError(f"cited year {year} outside {MIN_YEAR}..{MAX_YEAR}")
             if count < 0:
                 raise ValueError(f"negative citation count for year {year}")
             if count > 0:
@@ -90,7 +93,8 @@ class PublicationRecord:
 
         The caller guarantees what ``__post_init__`` would establish: the
         year lies in MIN_YEAR..MAX_YEAR, the total is non-negative, and
-        ``citations_by_year`` maps int years to positive int counts.
+        ``citations_by_year`` maps int years in MIN_YEAR..MAX_YEAR to
+        positive int counts.
         """
         record = cls.__new__(cls)
         record.title = title
@@ -146,6 +150,11 @@ def _parse_year_columns(cells: list[str]) -> list[int]:
             raise MalformedHeaderError(
                 f"year columns must be contiguous ascending; found {prev} followed by {cur}"
             )
+    # every cited year then lies in the range, which bounds the annual series
+    if years and not (MIN_YEAR <= years[0] and years[-1] <= MAX_YEAR):
+        raise MalformedHeaderError(
+            f"year columns {years[0]}..{years[-1]} outside {MIN_YEAR}..{MAX_YEAR}"
+        )
     return years
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidSpecError
-from .ingest import PublicationRecord, ResearcherProfile
+from .ingest import MAX_YEAR, MIN_YEAR, PublicationRecord, ResearcherProfile
 
 _MASK64 = (1 << 64) - 1
 
@@ -135,9 +135,18 @@ class SynthSpec:
             raise InvalidSpecError(
                 f"cites_per_paper must lie in (0, {MAX_CITES_PER_PAPER:g}]"
             )
-        if not 1900 <= self.start_year <= 2100 - self.n_years:
+        if not MIN_YEAR <= self.start_year <= MAX_YEAR - self.n_years:
             raise InvalidSpecError(
                 f"start_year {self.start_year} leaves no room for {self.n_years} years"
+            )
+        # the kernel carries citations past the last publication year
+        tail = (_KERNEL_SPAN * self.kernel_peak_lag if self.archetype is Archetype.CONSCIENTIOUS
+                else len(_PAPERMILL_KERNEL) - 1)
+        last_cited = self.start_year + self.n_years - 1 + tail
+        if last_cited > MAX_YEAR:
+            raise InvalidSpecError(
+                f"citations would run to {last_cited}, past {MAX_YEAR}: lower "
+                "start_year, n_years or kernel_peak_lag"
             )
 
 

@@ -3,8 +3,9 @@
 This is the cell-by-cell record parser that the one-step count conversion
 in ``parse_report`` replaced, kept so tests can check that the fast path
 returns the same profiles and raises the same errors.  The helpers that
-did not change (decoding, row splitting, the header) are shared with the
-package.
+did not change (decoding, row splitting) are shared with the package.  The
+header's year columns are parsed as before the package bounded them to
+MIN_YEAR..MAX_YEAR; that bound is the one difference the tests allow.
 """
 
 from __future__ import annotations
@@ -21,9 +22,23 @@ from papertrail.ingest import (
     ReportFormat,
     ResearcherProfile,
     _decode,
-    _parse_year_columns,
     _rows,
 )
+
+
+def _parse_year_columns(cells: list[str]) -> list[int]:
+    years: list[int] = []
+    for cell in cells:
+        try:
+            years.append(int(cell.strip()))
+        except ValueError:
+            raise MalformedHeaderError(f"year column {cell!r} is not an integer") from None
+    for prev, cur in zip(years, years[1:]):
+        if cur != prev + 1:
+            raise MalformedHeaderError(
+                f"year columns must be contiguous ascending; found {prev} followed by {cur}"
+            )
+    return years
 
 
 def _parse_count(cell: str, what: str, row_no: int) -> int:
@@ -40,11 +55,14 @@ def parse_report(
     data: bytes,
     fmt: ReportFormat = ReportFormat.TSV,
     default_name: str = "unknown",
+    parse_year_columns=_parse_year_columns,
 ) -> ResearcherProfile:
     """Parse a canonical citation report into a ResearcherProfile.
 
     ``default_name`` (typically the source file stem) is used when the file
     carries no ``# researcher`` metadata line.  Record order is preserved.
+    ``parse_year_columns`` parses the header's year cells; a test may pass
+    one that stops the parse at the header.
 
     Raises EncodingError, MalformedHeaderError, MalformedRowError or
     EmptyProfileError; any byte input lands in exactly one of those or in
@@ -69,7 +87,7 @@ def parse_report(
                     raise MalformedHeaderError(
                         f"row {row_no}: header must start with {', '.join(_HEADER_PREFIX)}"
                     )
-                year_cols = _parse_year_columns(cells[3:])
+                year_cols = parse_year_columns(cells[3:])
                 continue
             if key == META_RESEARCHER or key == META_ID or key == META_H_INDEX:
                 if len(cells) != 2:

@@ -75,6 +75,14 @@ class TestAnalyze:
         path.write_bytes(b"Title,Publication Year,Total Citations,2020\np,2020,1,1\n")
         assert main(["analyze", str(path), "--format", "csv"]) == 0
 
+    def test_year_column_far_from_the_publication_years_exit_1(self, tmp_path, capsys):
+        # the annual series would need one slot per year from 2000 to 3000000
+        report = tmp_path / "far.tsv"
+        report.write_bytes(b"Title\tPublication Year\tTotal Citations\t3000000\nA\t2000\t1\t1\n")
+        assert main(["analyze", str(report)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {report}: year columns 3000000..3000000 outside 1900..2100\n")
+
     def test_unknown_flag_exit_2_and_no_partial_output(self, report_path, tmp_path, capsys):
         out = tmp_path / "never.json"
         with pytest.raises(SystemExit) as exc:
@@ -238,6 +246,16 @@ class TestThresholdValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["analyze", "cohort"])
+    def test_config_file_not_utf8_exit_2_naming_line(self, command, inputs, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_bytes(b"# thresholds\nr_min = 0.4\ni_max = 0.\xff\n")
+        out = tmp_path / "out.json"
+        assert main([command, str(inputs[command]), "--json", str(out),
+                     "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:3: not valid UTF-8: invalid start byte\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "cohort"])
     @pytest.mark.parametrize("value,expected", [
         ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
         ("0", False), ("False", False), ("NO", False), ("Off", False),
@@ -316,6 +334,20 @@ class TestCohort:
         for p in svg_dir.iterdir():
             ET.parse(p)
 
+    def test_nul_byte_in_entry_path_is_skipped(self, tmp_path, capsys):
+        good = write_synth(tmp_path, "r0.tsv", papermill_spec(0))
+        manifest = self.make_manifest(tmp_path, [("R0", good.name), ("BAD", "p\x00m.tsv")])
+        assert main(["cohort", str(manifest)]) == 0
+        captured = capsys.readouterr()
+        assert [p["label"] for p in json.loads(captured.out)["points"]] == ["R0"]
+        assert captured.err == "warning: skipped BAD: embedded null byte\n"
+
+    def test_nul_byte_in_the_only_entry_path_exit_1(self, tmp_path, capsys):
+        manifest = self.make_manifest(tmp_path, [("BAD", "p\x00m.tsv")])
+        assert main(["cohort", str(manifest)]) == 1
+        assert capsys.readouterr().err == (
+            "error: no profile in the manifest could be processed\n  BAD: embedded null byte\n")
+
     def test_missing_manifest_exit_1(self, tmp_path, capsys):
         assert main(["cohort", str(tmp_path / "none.tsv")]) == 1
 
@@ -372,6 +404,7 @@ class TestSynth:
         ("conscientious", "--base-rate", "-inf"),
         ("conscientious", "--peak-rate", "inf"),
         ("conscientious", "--kernel-peak-lag", "21"),
+        ("conscientious", "--start-year", "2070"),  # citations would run to 2112
     ])
     def test_unbounded_or_non_finite_parameter_exit_2(self, archetype, flag, value,
                                                        tmp_path, capsys):
@@ -417,14 +450,17 @@ class TestWriteFailures:
          "{tmp}/figs/i_vs_r.svg"),
         (["synth", "--archetype", "papermill", "-o", "{tmp}/missing/x.tsv"],
          "{tmp}/missing/x.tsv"),
+        (["synth", "--archetype", "papermill", "-o", ""], ""),
     ], ids=["analyze-json", "analyze-svg", "cohort-json", "cohort-svg-dir", "cohort-svg",
-            "synth"])
+            "synth", "synth-empty-path"])
     def test_unwritable_output_exit_1(self, argv, target, inputs, tmp_path, capsys):
         fill = dict(inputs, tmp=str(tmp_path))
         assert main([arg.format(**fill) for arg in argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {target.format(**fill)}: ")
         assert "Traceback" not in err
+        # the JSON document is written last, so a failed chart leaves none behind
+        assert not (tmp_path / "o.json").exists()
 
     def test_manifest_not_utf8_exit_1(self, tmp_path, capsys):
         manifest = tmp_path / "cohort.tsv"

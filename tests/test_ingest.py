@@ -137,6 +137,24 @@ class TestParseErrors:
         with pytest.raises(MalformedRowError):
             parse_report(data)
 
+    @pytest.mark.parametrize("years", [["3000000"], ["2100", "2101"], ["1899", "1900"], ["-3"]])
+    def test_contiguous_year_columns_out_of_range(self, years):
+        data = tsv("\t".join(["Title", "Publication Year", "Total Citations", *years]),
+                   "\t".join(["x", "2000", "0", *["0"] * len(years)]))
+        with pytest.raises(MalformedHeaderError,
+                           match=rf"^year columns {years[0]}\.\.{years[-1]} outside 1900\.\.2100$"):
+            parse_report(data)
+
+    def test_year_columns_at_the_range_edges(self):
+        for year in ("1900", "2100"):
+            data = tsv(f"Title\tPublication Year\tTotal Citations\t{year}", f"x\t{year}\t1\t1")
+            assert parse_report(data).records[0].citations_by_year == {int(year): 1}
+
+    def test_non_contiguous_out_of_range_keeps_the_contiguity_message(self):
+        data = tsv("Title\tPublication Year\tTotal Citations\t1\t3000000", "x\t2000\t0\t0\t0")
+        with pytest.raises(MalformedHeaderError, match="contiguous ascending; found 1 followed"):
+            parse_report(data)
+
     def test_unknown_metadata_key(self):
         data = tsv("# orcid\t0000", "Title\tPublication Year\tTotal Citations")
         with pytest.raises(MalformedHeaderError):
@@ -158,6 +176,12 @@ class TestParseErrors:
     def test_not_utf8(self):
         with pytest.raises(EncodingError):
             parse_report(b"Title\xff\xfe\t2010")
+
+
+@pytest.mark.parametrize("year", [1899, 2101, 3_000_000])
+def test_record_rejects_cited_year_out_of_range(year):
+    with pytest.raises(ValueError, match=f"cited year {year} outside 1900..2100"):
+        PublicationRecord("p", 2000, 1, {year: 1})
 
 
 class TestSerialize:

@@ -2,7 +2,9 @@
 
 Every input must give the same outcome from both: equal profiles (name, id,
 reported h, records with their per-year dicts in order, warnings), or the
-same exception type with the same message.
+same exception type with the same message.  The one intended difference:
+when the header the reference accepts has year columns outside
+MIN_YEAR..MAX_YEAR, ``parse_report`` rejects that header instead.
 """
 
 import csv
@@ -10,13 +12,14 @@ import io
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from papertrail.errors import PapertrailError
-from papertrail.ingest import ReportFormat, parse_report, serialize_report
+from papertrail.errors import MalformedHeaderError, PapertrailError
+from papertrail.ingest import MAX_YEAR, MIN_YEAR, ReportFormat, parse_report, serialize_report
 
 from conftest import random_profile
+from reference_ingest import _parse_year_columns as reference_year_columns
 from reference_ingest import parse_report as reference_parse_report
 
 # count cells at the edges of what int() and str.strip() accept
@@ -37,9 +40,34 @@ def outcome(parse, data: bytes, fmt: ReportFormat):
             profile.warnings)
 
 
+class HeaderReached(Exception):
+    """Stops the reference parser at the header it accepts, carrying its year columns."""
+
+
+def stop_at_header(cells: list[str]) -> list[int]:
+    raise HeaderReached(reference_year_columns(cells))
+
+
+def accepted_year_columns(data: bytes, fmt: ReportFormat) -> list[int] | None:
+    """The year columns of the header the reference accepts, or None if it stops before."""
+    try:
+        reference_parse_report(data, fmt, parse_year_columns=stop_at_header)
+    except HeaderReached as reached:
+        return reached.args[0]
+    except PapertrailError:
+        return None
+    raise AssertionError("the reference parsed a report without reaching a header")
+
+
 def assert_same_outcome(data: bytes, fmt: ReportFormat):
-    expected = outcome(reference_parse_report, data, fmt)
-    assert outcome(parse_report, data, fmt) == expected
+    actual = outcome(parse_report, data, fmt)
+    years = accepted_year_columns(data, fmt)
+    if years and not (MIN_YEAR <= years[0] and years[-1] <= MAX_YEAR):
+        expected = ("error", MalformedHeaderError,
+                    f"year columns {years[0]}..{years[-1]} outside {MIN_YEAR}..{MAX_YEAR}")
+    else:
+        expected = outcome(reference_parse_report, data, fmt)
+    assert actual == expected
     return expected
 
 
@@ -142,7 +170,24 @@ def mutated_reports(draw):
     return report(rows, fmt), fmt
 
 
+# a single year column replaced by a year the reference takes and the package refuses
+FAR_YEAR_COLUMN = (b"Title\tPublication Year\tTotal Citations\t3000000\nA\t2000\t1\t1\n",
+                   ReportFormat.TSV)
+
+
 @settings(max_examples=400, deadline=None)
 @given(mutated_reports())
+@example(FAR_YEAR_COLUMN)
 def test_well_formed_and_mutated_reports(case):
     assert_same_outcome(*case)
+
+
+@pytest.mark.parametrize("fmt", list(ReportFormat))
+@pytest.mark.parametrize("years", [["3000000"], ["2100", "2101"], ["1898", "1899"]])
+def test_out_of_range_year_columns_are_the_one_difference(years, fmt):
+    rows = [["Title", "Publication Year", "Total Citations", *years],
+            ["p", "2000", "0", *["0"] * len(years)]]
+    data = report(rows, fmt)
+    assert outcome(reference_parse_report, data, fmt)[0] == "profile"
+    result = assert_same_outcome(data, fmt)
+    assert result[:2] == ("error", MalformedHeaderError)

@@ -100,6 +100,26 @@ class TestSpecValidation:
             with pytest.raises(InvalidSpecError, match="seed"):
                 make(seed)
 
+    def test_citations_past_the_last_year_rejected(self):
+        with pytest.raises(InvalidSpecError, match="citations would run to 2159, past 2100"):
+            conscientious_spec(0, start_year=2075, n_years=25, kernel_peak_lag=20)
+
+    @pytest.mark.parametrize("lag", [1, 6, MAX_KERNEL_PEAK_LAG])
+    def test_citation_end_bound_is_inclusive(self, lag):
+        # the last publication year plus the kernel span of 3 * lag years
+        start = 2100 - 7 - 3 * lag
+        records = generate(conscientious_spec(0, start_year=start, n_years=8,
+                                              kernel_peak_lag=lag)).records
+        assert max(max(r.citations_by_year) for r in records if r.citations_by_year) <= 2100
+        with pytest.raises(InvalidSpecError, match="citations would run to 2101"):
+            conscientious_spec(0, start_year=start + 1, n_years=8, kernel_peak_lag=lag)
+
+    def test_papermill_citation_end_is_the_start_year_bound(self):
+        # papermill citations end one year after the last publication year
+        papermill_spec(0, start_year=2100 - 14)
+        with pytest.raises(InvalidSpecError, match="leaves no room"):
+            papermill_spec(0, start_year=2100 - 13)
+
     def test_invalid_onset(self):
         with pytest.raises(InvalidSpecError):
             papermill_spec(0, onset_offset=14)
