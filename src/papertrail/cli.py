@@ -14,8 +14,8 @@ written last: when it exists, every chart of the run was written too.
 Analysis thresholds may come from a ``key = value`` config file (one key
 per ``AnalysisConfig`` field) given via ``--config`` or the
 ``PAPERTRAIL_CONFIG`` environment variable; the flags in CONFIG_FLAGS
-override file values.  Whatever its source, a value outside its range
-exits 2::
+override file values (``--no-prefer-reported-h`` turns off a file's true).
+Whatever its source, a value outside its range exits 2::
 
     r_min                (-1, 1), exclusive
     i_max                (0, 1), exclusive
@@ -46,6 +46,10 @@ undefined values are null with a reason under ``undefined_reasons``)::
               power_law_fit_error, linear_fit: {slope, intercept,
               r_squared, n_points}|null, linear_fit_error,
               diagnostics: [{label, path, error}]}
+
+The power-law fit leaves out points with I = 0.  ``cohort`` then prints
+``warning: excluded N point(s) ...`` and the document shows N as
+``summary.n_points - power_law_fit.n_points``.
 """
 
 from __future__ import annotations
@@ -65,7 +69,6 @@ from .cohort import (
     LinearFit,
     PowerLawFit,
     Region,
-    classify_region,
     cohort_summary,
     fit_linear,
     fit_power_law,
@@ -132,7 +135,8 @@ def load_config_file(path: str) -> dict[str, Any]:
     except UnicodeDecodeError as exc:
         line_no = data[:exc.start].count(b"\n") + 1
         raise ValueError(f"{path}:{line_no}: not valid UTF-8: {exc.reason}") from None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # split on "\n" only, so line numbers agree with editors and the UTF-8 error above
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -282,9 +286,9 @@ def build_cohort_document(
                 "total_publications": p.total_pubs,
                 "max_pubs_in_year": p.max_pubs_year,
                 "avg_pubs_per_year": p.avg_pubs_year,
-                "classification": classify_region(p, region).value,
+                "classification": cls.value,
             }
-            for p in points
+            for p, cls in zip(points, summary.classes)
         ],
         "summary": {
             "n_points": summary.n_points,
@@ -370,19 +374,24 @@ def cmd_cohort(args: argparse.Namespace) -> None:
     for d in diagnostics:
         print(f"warning: skipped {d['label'] or 'entry'}: {d['error']}", file=sys.stderr)
 
-    region = Region(r_min=config.r_min, i_max=config.i_max)
-    text = _json_text(build_cohort_document(points, region, diagnostics))
+    region = config.region
+    document = build_cohort_document(points, region, diagnostics)
+    power_fit, linear_fit = document["power_law_fit"], document["linear_fit"]
+    if power_fit and power_fit["n_points"] < len(points):
+        print(f"warning: excluded {len(points) - power_fit['n_points']} point(s) with "
+              "non-positive coordinates from the power-law fit", file=sys.stderr)
     charts = []
     if args.svg_dir:
-        power_fit, _, linear_fit, _ = compute_cohort_fits(points)
-        fits = {ScatterAxes.I_VS_P_POWERFIT: power_fit, ScatterAxes.M_VS_P_LINFIT: linear_fit}
+        # the charts draw the fits the document reports
+        fits = {ScatterAxes.I_VS_P_POWERFIT: power_fit and PowerLawFit(**power_fit),
+                ScatterAxes.M_VS_P_LINFIT: linear_fit and LinearFit(**linear_fit)}
         for filename, axes in COHORT_CHARTS:
             style = ChartStyle(title=f"Cohort: {axes.value.replace('_', ' ')}")
             svg = scatter_chart(points, axes, fit=fits.get(axes), region=region, style=style)
             charts.append((Path(args.svg_dir) / filename, svg))
         with _writing(args.svg_dir):
             Path(args.svg_dir).mkdir(parents=True, exist_ok=True)
-    _write(*charts, (args.json or None, text))
+    _write(*charts, (args.json or None, _json_text(document)))
 
 
 def cmd_synth(args: argparse.Namespace) -> None:
@@ -409,7 +418,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     for key, parse in CONFIG_KEYS.items():
         flag, help_text = CONFIG_FLAGS[key]
         if parse is _parse_bool:
-            parser.add_argument(flag, dest=key, action="store_true", default=None, help=help_text)
+            parser.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction,
+                                help=help_text)
         else:
             parser.add_argument(flag, dest=key, type=parse, help=help_text,
                                 metavar="F" if parse is float else "N")

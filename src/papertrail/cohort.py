@@ -12,38 +12,18 @@ m(p) = slope * p + intercept.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .errors import (
-    DegenerateAbscissaError,
-    EmptyCohortError,
-    ReportWarning,
-    TooFewPointsError,
-)
-from .indicators import IndicatorSet
+from .errors import DegenerateAbscissaError, EmptyCohortError, TooFewPointsError
+from .indicators import IndicatorSet, Region
 
 
 class RegionClass(str, Enum):
     INSIDE = "inside"
     OUTSIDE = "outside"
     UNCLASSIFIABLE = "unclassifiable"
-
-
-@dataclass(frozen=True)
-class Region:
-    """Flag-region bounds: r strictly above r_min AND I strictly below i_max."""
-
-    r_min: float = 0.5
-    i_max: float = 0.3
-
-    def __post_init__(self) -> None:
-        if not -1.0 < self.r_min < 1.0:
-            raise ValueError("r_min must lie in (-1, 1)")
-        if not 0.0 < self.i_max < 1.0:
-            raise ValueError("i_max must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -96,6 +76,7 @@ class CohortSummary:
     inside_fraction: float
     inside: GroupMeans | None
     outside: GroupMeans | None
+    classes: tuple[RegionClass, ...]  # one per point, in input order
 
 
 def point_from_indicators(label: str, ind: IndicatorSet) -> CohortPoint:
@@ -131,15 +112,16 @@ def _means(points: Sequence[CohortPoint]) -> GroupMeans | None:
 
 
 def cohort_summary(points: Sequence[CohortPoint], region: Region = Region()) -> CohortSummary:
-    """Inside-fraction and per-group means (arithmetic, unweighted).
+    """Each point's class, the inside-fraction and per-group means (arithmetic, unweighted).
 
     Unclassifiable points (undefined correlation) are excluded from both
     groups and from the fraction's denominator; they are reported by count.
     """
     if not points:
         raise EmptyCohortError("cohort summary needs at least one point")
-    inside = [p for p in points if classify_region(p, region) is RegionClass.INSIDE]
-    outside = [p for p in points if classify_region(p, region) is RegionClass.OUTSIDE]
+    classes = tuple(classify_region(p, region) for p in points)
+    inside = [p for p, c in zip(points, classes) if c is RegionClass.INSIDE]
+    outside = [p for p, c in zip(points, classes) if c is RegionClass.OUTSIDE]
     n_in, n_out = len(inside), len(outside)
     classified = n_in + n_out
     return CohortSummary(
@@ -150,6 +132,7 @@ def cohort_summary(points: Sequence[CohortPoint], region: Region = Region()) -> 
         inside_fraction=n_in / classified if classified else 0.0,
         inside=_means(inside),
         outside=_means(outside),
+        classes=classes,
     )
 
 
@@ -176,20 +159,11 @@ def _ols(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float]
 def fit_power_law(points: Iterable[tuple[float, float]]) -> PowerLawFit:
     """Fit I(p) = a * p^b by OLS on (ln p, ln I).
 
-    Points with I <= 0 or p <= 0 cannot enter log space; they are excluded
-    with a ReportWarning rather than silently offset.  r_squared is the
-    coefficient of determination in log space.
+    Points with I <= 0 or p <= 0 cannot enter log space; they are left
+    out rather than offset, and ``n_points`` counts only the points used.
+    r_squared is the coefficient of determination in log space.
     """
-    pts = list(points)
-    usable = [(p, i) for p, i in pts if p > 0 and i > 0]
-    dropped = len(pts) - len(usable)
-    if dropped:
-        warnings.warn(
-            f"excluded {dropped} point(s) with non-positive coordinates "
-            "from the power-law fit",
-            ReportWarning,
-            stacklevel=2,
-        )
+    usable = [(p, i) for p, i in points if p > 0 and i > 0]
     if len(usable) < 2:
         raise TooFewPointsError(
             f"power-law fit needs at least 2 usable points, got {len(usable)}"

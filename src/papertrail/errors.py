@@ -66,4 +66,4 @@ class InvalidSpecError(PapertrailError):
 
 
 class ReportWarning(UserWarning):
-    """Non-fatal data issue (sanitized field, excluded fit point, ...)."""
+    """Non-fatal data issue, such as a title sanitized for the TSV flavor."""

@@ -63,6 +63,20 @@ class Signal:
 
 
 @dataclass(frozen=True)
+class Region:
+    """Flag-region bounds: r strictly above r_min AND I strictly below i_max."""
+
+    r_min: float = 0.5
+    i_max: float = 0.3
+
+    def __post_init__(self) -> None:
+        if not -1.0 < self.r_min < 1.0:
+            raise ValueError(f"r_min must lie in (-1, 1), got {self.r_min}")
+        if not 0.0 < self.i_max < 1.0:
+            raise ValueError(f"i_max must lie in (0, 1), got {self.i_max}")
+
+
+@dataclass(frozen=True)
 class AnalysisConfig:
     """Thresholds for the behavioral flags plus the knobs used by analyze_profile.
 
@@ -71,24 +85,25 @@ class AnalysisConfig:
     outside their range raise ValueError.
     """
 
-    r_min: float = 0.5
-    i_max: float = 0.3
+    r_min: float = Region.r_min
+    i_max: float = Region.i_max
     pubs_per_year_limit: int = 30
     growth_window: int = 5
     max_lag: int = DEFAULT_MAX_LAG
     prefer_reported_h: bool = False
 
     def __post_init__(self) -> None:
-        if not -1.0 < self.r_min < 1.0:
-            raise ValueError(f"r_min must lie in (-1, 1), got {self.r_min}")
-        if not 0.0 < self.i_max < 1.0:
-            raise ValueError(f"i_max must lie in (0, 1), got {self.i_max}")
+        Region(self.r_min, self.i_max)  # raises on an out-of-range r_min or i_max
         if self.pubs_per_year_limit < 1:
             raise ValueError(f"pubs_per_year_limit must be >= 1, got {self.pubs_per_year_limit}")
         if self.growth_window < 0:
             raise ValueError(f"growth_window must be >= 0, got {self.growth_window}")
         if self.max_lag < 0:
             raise ValueError(f"max_lag must be >= 0, got {self.max_lag}")
+
+    @property
+    def region(self) -> Region:
+        return Region(self.r_min, self.i_max)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
 import argparse
+import collections
 import dataclasses
 import json
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from papertrail.cli import CONFIG_KEYS, _resolve_analysis_config, build_parser, main
+from papertrail import cli, cohort
+from papertrail.cli import CONFIG_KEYS, _parse_bool, _resolve_analysis_config, build_parser, main
 from papertrail.indicators import AnalysisConfig
 from papertrail.ingest import serialize_report
 from papertrail.synth import conscientious_spec, generate, papermill_spec
@@ -175,11 +178,15 @@ def subcommand_parser(name):
 
 
 def flag_of(command, key):
-    """The single option string that sets ``key`` on a subcommand."""
+    """The single option string that sets ``key`` on a subcommand.
+
+    A boolean key also has exactly its ``--no-`` negation, and nothing else.
+    """
     actions = [a for a in subcommand_parser(command)._actions if a.dest == key]
     assert len(actions) == 1
-    assert len(actions[0].option_strings) == 1
-    return actions[0].option_strings[0]
+    flag, *rest = actions[0].option_strings
+    assert rest == ([f"--no-{flag[2:]}"] if CONFIG_KEYS[key] is _parse_bool else [])
+    return flag
 
 
 @pytest.mark.parametrize("command", ["analyze", "cohort"])
@@ -199,6 +206,16 @@ class TestConfigDrift:
         args = build_parser().parse_args(
             [command, "input", "--config", str(cfg), flag_of(command, field.name), *flag_tail])
         assert getattr(_resolve_analysis_config(args), field.name) == flag_value
+
+
+@pytest.mark.parametrize("command", ["analyze", "cohort"])
+def test_no_prefer_reported_h_beats_a_true_config_file(command, tmp_path):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("prefer_reported_h = true\n")
+    argv = [command, "input", "--config", str(cfg)]
+    assert _resolve_analysis_config(build_parser().parse_args(argv)).prefer_reported_h
+    args = build_parser().parse_args([*argv, "--no-prefer-reported-h"])
+    assert _resolve_analysis_config(args).prefer_reported_h is False
 
 
 def test_config_keys_are_exactly_the_fields():
@@ -350,6 +367,49 @@ class TestCohort:
 
     def test_missing_manifest_exit_1(self, tmp_path, capsys):
         assert main(["cohort", str(tmp_path / "none.tsv")]) == 1
+
+    def five_profiles(self, tmp_path, *extra):
+        entries = []
+        for k in range(5):
+            spec = papermill_spec(k) if k % 2 else conscientious_spec(k)
+            entries.append((f"R{k}", write_synth(tmp_path, f"r{k}.tsv", spec).name))
+        return self.make_manifest(tmp_path, [*entries, *extra])
+
+    def test_svg_dir_run_computes_each_result_once(self, tmp_path, capsys, monkeypatch):
+        calls = collections.Counter()
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        count(cli, "fit_power_law")
+        count(cli, "fit_linear")
+        count(cohort, "classify_region")
+        manifest = self.five_profiles(tmp_path)
+        assert main(["cohort", str(manifest), "--json", str(tmp_path / "c.json"),
+                     "--svg-dir", str(tmp_path / "figs")]) == 0
+        assert len(list((tmp_path / "figs").iterdir())) == 4
+        assert calls == {"fit_power_law": 1, "fit_linear": 1, "classify_region": 5}
+
+    def test_power_law_exclusion_is_warned_on_every_run(self, tmp_path, capsys):
+        (tmp_path / "zero.tsv").write_bytes(
+            b"Title\tPublication Year\tTotal Citations\t2020\t2021\n"
+            b"a\t2020\t0\t0\t0\nb\t2021\t0\t0\t0\n")
+        manifest = self.five_profiles(tmp_path, ("Z", "zero.tsv"))
+        for _ in range(2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["cohort", str(manifest)]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ("warning: excluded 1 point(s) with non-positive "
+                                    "coordinates from the power-law fit\n")
+            doc = json.loads(captured.out)
+            assert doc["summary"]["n_points"] == 6
+            assert doc["power_law_fit"]["n_points"] == doc["summary"]["n_points"] - 1
 
 
 class TestSynth:

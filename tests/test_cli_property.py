@@ -80,3 +80,29 @@ def test_every_input_ends_in_a_documented_exit_code(workdir, command, config, fl
     if code:
         assert err.getvalue().startswith("error: ")
     assert "Traceback" not in err.getvalue()
+
+
+# characters that str.splitlines() breaks a line on, besides "\n"
+OTHER_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+# config lines that load: a comment may hold any text after a break
+# character, a key line only trailing breaks
+valid_lines = (
+    st.builds("# note{}".format, st.text(alphabet=OTHER_LINE_BREAKS + "x", max_size=3))
+    | st.builds("{}{}".format,
+                st.sampled_from(["", "r_min = 0.4", "max_lag = 3", "prefer_reported_h = on"]),
+                st.text(alphabet=OTHER_LINE_BREAKS, max_size=3))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(before=st.lists(valid_lines, max_size=5))
+def test_config_error_names_the_line_counted_by_newlines(workdir, before):
+    text = "\n".join([*before, "bogus", ""])
+    (workdir / "cfg").write_bytes(text.encode("utf-8"))
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = main(["analyze", str(workdir / "r.tsv"), "--config", str(workdir / "cfg")])
+    assert code == 2
+    line_no = text[:text.index("bogus")].count("\n") + 1
+    assert err.getvalue().startswith(f"error: {workdir / 'cfg'}:{line_no}: ")

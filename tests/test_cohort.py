@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import pytest
 
@@ -15,12 +16,7 @@ from papertrail.cohort import (
     fit_power_law,
     parse_manifest,
 )
-from papertrail.errors import (
-    DegenerateAbscissaError,
-    EmptyCohortError,
-    ReportWarning,
-    TooFewPointsError,
-)
+from papertrail.errors import DegenerateAbscissaError, EmptyCohortError, TooFewPointsError
 
 # frozen oracle: closed-form normal equations on {(1,1),(2,2),(3,2)}
 OLS_ORACLE = {"slope": 0.5, "intercept": 2 / 3, "r_squared": 0.75}
@@ -120,14 +116,17 @@ class TestPowerLawFit:
             assert fit.a * p ** fit.b == pytest.approx(i, rel=1e-9)
 
     def test_zero_i_points_excluded_with_warning(self):
-        with pytest.warns(ReportWarning):
+        # the exclusion is returned as n_points; the CLI prints the warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             fit = fit_power_law([(10, 0.5), (20, 0.25), (30, 0.0)])
         assert fit.n_points == 2
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPointsError):
             fit_power_law([(10, 0.5)])
-        with pytest.warns(ReportWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(TooFewPointsError):
                 fit_power_law([(10, 0.5), (20, 0.0)])
 
