@@ -7,6 +7,8 @@ highly-cited-paper counts), flags suspicious publication behavior, and runs
 cohort-level classification and curve fitting with JSON and SVG outputs.
 """
 
+from types import ModuleType as _ModuleType
+
 from .cohort import (
     CohortPoint,
     CohortSummary,
@@ -77,67 +79,6 @@ from .synth import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllDegenerateError",
-    "AnalysisConfig",
-    "AnnualSeries",
-    "Archetype",
-    "AxisTransform",
-    "ChartStyle",
-    "CohortPoint",
-    "CohortSummary",
-    "DEFAULT_HCP_THRESHOLDS",
-    "DegenerateAbscissaError",
-    "EmptyCohortError",
-    "EmptyProfileError",
-    "EncodingError",
-    "GroupMeans",
-    "HExceedsPublicationsError",
-    "IndicatorSet",
-    "InvalidSpecError",
-    "LagResult",
-    "LengthMismatchError",
-    "LinearFit",
-    "MalformedHeaderError",
-    "MalformedRowError",
-    "PapertrailError",
-    "PowerLawFit",
-    "PublicationRecord",
-    "Region",
-    "RegionClass",
-    "ReportFormat",
-    "ReportWarning",
-    "ResearcherProfile",
-    "ScatterAxes",
-    "Signal",
-    "SignalKind",
-    "SynthSpec",
-    "TooFewPointsError",
-    "TooShortError",
-    "Xorshift64Star",
-    "YearlyStats",
-    "ZeroPublicationsError",
-    "analyze_profile",
-    "best_lag",
-    "build_series",
-    "classify_region",
-    "cohort_summary",
-    "conscientious_spec",
-    "fit_linear",
-    "fit_power_law",
-    "flag_profile",
-    "generate",
-    "h_index",
-    "hcp_count",
-    "i_index",
-    "papermill_spec",
-    "parse_manifest",
-    "parse_report",
-    "pearson",
-    "point_from_indicators",
-    "profile_chart",
-    "round_half_up",
-    "scatter_chart",
-    "serialize_report",
-    "yearly_stats",
-]
+# the public names are the imports above: every global that is neither private nor a module
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -55,6 +55,7 @@ The power-law fit leaves out points with I = 0.  ``cohort`` then prints
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import os
 import sys
@@ -129,7 +130,8 @@ def _now_iso() -> str:
 def load_config_file(path: str) -> dict[str, Any]:
     """Parse a `key = value` config file; '#' starts a comment line."""
     values: dict[str, Any] = {}
-    data = Path(path).read_bytes()
+    # strip a BOM from the bytes (not by decoding utf-8-sig), so a UTF-8 error's offset indexes data
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -350,7 +352,7 @@ def cmd_cohort(args: argparse.Namespace) -> None:
     config = _resolve_analysis_config(args)
     manifest = Path(args.manifest)
     try:
-        manifest_text = manifest.read_text(encoding="utf-8")
+        manifest_text = manifest.read_text(encoding="utf-8").removeprefix("\ufeff")
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL byte in the path
         raise _Failure(EXIT_DATA_ERROR, f"cannot read {args.manifest}: {exc}") from None
 

@@ -107,7 +107,8 @@ def _means(points: Sequence[CohortPoint]) -> GroupMeans | None:
     return GroupMeans(
         total_pubs=sum(p.total_pubs for p in points) / n,
         max_pubs_year=sum(p.max_pubs_year for p in points) / n,
-        avg_pubs_year=sum(p.avg_pubs_year for p in points) / n,
+        # exactly rounded, so the mean does not depend on the Python version
+        avg_pubs_year=math.fsum(p.avg_pubs_year for p in points) / n,
     )
 
 

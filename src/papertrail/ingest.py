@@ -29,6 +29,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterable
 
 from .errors import (
     EmptyProfileError,
@@ -86,21 +87,20 @@ class PublicationRecord:
         self.citations_by_year = cleaned
 
     @classmethod
-    def _checked_by_caller(
-        cls, title: str, pub_year: int, total_citations: int, citations_by_year: dict[int, int]
-    ) -> PublicationRecord:
-        """Build a record without ``__post_init__``, for fields already validated.
+    def _from_row(cls, title: str, pub_year: int, total_citations: int,
+                  years: Iterable[int], counts: Iterable[int]) -> PublicationRecord:
+        """Build a record from already validated row fields, without ``__post_init__``.
 
-        The caller guarantees what ``__post_init__`` would establish: the
-        year lies in MIN_YEAR..MAX_YEAR, the total is non-negative, and
-        ``citations_by_year`` maps int years in MIN_YEAR..MAX_YEAR to
-        positive int counts.
+        The caller guarantees what ``__post_init__`` would check: the year lies
+        in MIN_YEAR..MAX_YEAR, the total is non-negative, and ``counts`` are
+        non-negative ints for ``years``, which lie in MIN_YEAR..MAX_YEAR.  The
+        zero counts are dropped here, as ``__post_init__`` drops them.
         """
         record = cls.__new__(cls)
         record.title = title
         record.pub_year = pub_year
         record.total_citations = total_citations
-        record.citations_by_year = citations_by_year
+        record.citations_by_year = {year: count for year, count in zip(years, counts) if count}
         return record
 
     @property
@@ -263,14 +263,13 @@ def parse_report(
                 counts = _parse_counts(cells, year_cols, row_no)
         total = counts[0]
         window_sum = sum(counts) - total
-        by_year = {year: count for year, count in zip(year_cols, counts[1:]) if count}
         if window_sum != total:
             parse_warnings.append(
                 f"record {len(records) + 1} ({title!r}): year columns sum to "
                 f"{window_sum} but total citations is {total}; "
                 "keeping the declared total as authoritative"
             )
-        records.append(PublicationRecord._checked_by_caller(title, pub_year, total, by_year))
+        records.append(PublicationRecord._from_row(title, pub_year, total, year_cols, counts[1:]))
 
     if year_cols is None:
         raise MalformedHeaderError("no header row found")

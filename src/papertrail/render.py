@@ -28,6 +28,8 @@ FIT_CURVE_SAMPLES = 100
 BUBBLE_RADIUS_MIN = 3.0
 BUBBLE_RADIUS_MAX = 14.0
 MARKER_RADIUS = 4.0
+BAR_COLOR = "#4682b4"
+LINE_COLOR = "#8b0000"
 
 _FONT = "font-family=\"sans-serif\""
 
@@ -43,9 +45,6 @@ class ScatterAxes(str, Enum):
 class ChartStyle:
     width: int = 900
     height: int = 500
-    bar_color: str = "#4682b4"
-    line_color: str = "#8b0000"
-    shade_region: bool = True
     title: str = ""
 
     def __post_init__(self) -> None:
@@ -168,7 +167,7 @@ def profile_chart(series: AnnualSeries, ind: IndicatorSet, style: ChartStyle = C
         parts.append(
             f'<rect class="bar" x="{_fmt(x)}" y="{_fmt(y)}" '
             f'width="{_fmt(0.7 * slot)}" height="{_fmt(bottom - y)}" '
-            f'fill="{style.bar_color}"/>'
+            f'fill="{BAR_COLOR}"/>'
         )
 
     # citation polyline, right scale
@@ -178,7 +177,7 @@ def profile_chart(series: AnnualSeries, ind: IndicatorSet, style: ChartStyle = C
     )
     parts.append(
         f'<polyline class="cites" points="{vertices}" fill="none" '
-        f'stroke="{style.line_color}" stroke-width="2"/>'
+        f'stroke="{LINE_COLOR}" stroke-width="2"/>'
     )
 
     # axes
@@ -190,14 +189,14 @@ def profile_chart(series: AnnualSeries, ind: IndicatorSet, style: ChartStyle = C
         parts.append(f'<line x1="{_fmt(left - 4)}" y1="{_fmt(y)}" x2="{_fmt(left)}" y2="{_fmt(y)}" stroke="black"/>')
         parts.append(
             f'<text x="{_fmt(left - 7)}" y="{_fmt(y + 4)}" text-anchor="end" {_FONT} '
-            f'font-size="11" fill="{style.bar_color}">{v:g}</text>'
+            f'font-size="11" fill="{BAR_COLOR}">{v:g}</text>'
         )
     for v in _axis_ticks(cite_t):
         y = cite_t.to_px(v)
         parts.append(f'<line x1="{_fmt(right)}" y1="{_fmt(y)}" x2="{_fmt(right + 4)}" y2="{_fmt(y)}" stroke="black"/>')
         parts.append(
             f'<text x="{_fmt(right + 7)}" y="{_fmt(y + 4)}" text-anchor="start" {_FONT} '
-            f'font-size="11" fill="{style.line_color}">{v:g}</text>'
+            f'font-size="11" fill="{LINE_COLOR}">{v:g}</text>'
         )
     year_step = max(1, round(len(series) / 12))
     for i, year in enumerate(series.years):
@@ -292,7 +291,7 @@ def scatter_chart(
 
     parts = _svg_open(style)
 
-    if region is not None and style.shade_region and axes in (ScatterAxes.I_VS_R, ScatterAxes.I_VS_R_BUBBLE):
+    if region is not None and axes in (ScatterAxes.I_VS_R, ScatterAxes.I_VS_R_BUBBLE):
         rx = xt.to_px(region.r_min)
         ry = yt.to_px(region.i_max)
         parts.append(
@@ -314,7 +313,7 @@ def scatter_chart(
             samples.append(f"{_fmt(xt.to_px(x))},{_fmt(yt.to_px(y))}")
         parts.append(
             f'<polyline class="fit" points="{" ".join(samples)}" fill="none" '
-            f'stroke="{style.line_color}" stroke-width="1.5"/>'
+            f'stroke="{LINE_COLOR}" stroke-width="1.5"/>'
         )
 
     bubble = axes is ScatterAxes.I_VS_R_BUBBLE
@@ -325,7 +324,7 @@ def scatter_chart(
         radius = _bubble_radius(p.max_pubs_year, m_lo, m_hi) if bubble else MARKER_RADIUS
         parts.append(
             f'<circle class="marker" cx="{_fmt(xt.to_px(x))}" cy="{_fmt(yt.to_px(y))}" '
-            f'r="{_fmt(radius)}" fill="{style.bar_color}" fill-opacity="0.75">'
+            f'r="{_fmt(radius)}" fill="{BAR_COLOR}" fill-opacity="0.75">'
             f'<title>{escape(p.label)}</title></circle>'
         )
 

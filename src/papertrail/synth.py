@@ -305,10 +305,10 @@ def generate(spec: SynthSpec) -> ResearcherProfile:
             paper_no += 1
             mass = max(spec.cites_per_paper * rng.jitter(_CITE_JITTER) * scale, 1.0)
             offsets = _enforce_peak(_floor_carry([mass * w for w in kernel]), peak_offset)
-            by_year = {year + d: c for d, c in enumerate(offsets) if c > 0}
-            # start_year bounds every pub_year, and the counts are positive ints
-            records.append(PublicationRecord._checked_by_caller(
-                f"Synthetic study {paper_no:04d}", year, sum(offsets), by_year
+            # start_year bounds every pub_year, and the counts are non-negative ints
+            records.append(PublicationRecord._from_row(
+                f"Synthetic study {paper_no:04d}", year, sum(offsets),
+                range(year, year + len(offsets)), offsets,
             ))
 
     return ResearcherProfile(

@@ -6,6 +6,7 @@ seeds so the gate is deterministic.
 """
 
 import json
+import math
 import random
 import statistics
 import time
@@ -241,10 +242,10 @@ def test_criterion_7_cohort_pipeline(tmp_path):
         assert summary.inside_fraction == len(inside) / (len(inside) + len(outside))
         assert summary.inside.total_pubs == sum(p.total_pubs for p in inside) / len(inside)
         assert summary.inside.max_pubs_year == sum(p.max_pubs_year for p in inside) / len(inside)
-        assert summary.inside.avg_pubs_year == sum(p.avg_pubs_year for p in inside) / len(inside)
+        assert summary.inside.avg_pubs_year == math.fsum(p.avg_pubs_year for p in inside) / len(inside)
         assert summary.outside.total_pubs == sum(p.total_pubs for p in outside) / len(outside)
         assert summary.outside.max_pubs_year == sum(p.max_pubs_year for p in outside) / len(outside)
-        assert summary.outside.avg_pubs_year == sum(p.avg_pubs_year for p in outside) / len(outside)
+        assert summary.outside.avg_pubs_year == math.fsum(p.avg_pubs_year for p in outside) / len(outside)
 
         # every synthetic papermill lands inside, every conscientious outside
         for p in points:

@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import collections
 import dataclasses
 import json
@@ -77,6 +78,14 @@ class TestAnalyze:
         path = tmp_path / "r.data"
         path.write_bytes(b"Title,Publication Year,Total Citations,2020\np,2020,1,1\n")
         assert main(["analyze", str(path), "--format", "csv"]) == 0
+
+    def test_csv_field_over_the_csv_module_limit_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_bytes(b'Title,Publication Year,Total Citations\n"' + b"x" * 131_073
+                         + b'",2000,0\n')
+        assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr().err == (f"error: {path}: CSV structure error: "
+                                           "field larger than field limit (131072)\n")
 
     def test_year_column_far_from_the_publication_years_exit_1(self, tmp_path, capsys):
         # the annual series would need one slot per year from 2000 to 3000000
@@ -263,6 +272,20 @@ class TestThresholdValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["analyze", "cohort"])
+    def test_config_file_may_start_with_a_bom(self, command, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_bytes(codecs.BOM_UTF8 + b"r_min = 0.4\n")
+        args = build_parser().parse_args([command, "input", "--config", str(cfg)])
+        assert _resolve_analysis_config(args).r_min == 0.4
+
+    def test_config_file_with_a_bom_not_utf8_names_the_line(self, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_bytes(codecs.BOM_UTF8 + b"a = 1\n\xff\n")
+        with pytest.raises(ValueError) as exc_info:
+            cli.load_config_file(str(cfg))
+        assert str(exc_info.value).startswith(f"{cfg}:2: not valid UTF-8")
+
+    @pytest.mark.parametrize("command", ["analyze", "cohort"])
     def test_config_file_not_utf8_exit_2_naming_line(self, command, inputs, tmp_path, capsys):
         cfg = tmp_path / "cfg"
         cfg.write_bytes(b"# thresholds\nr_min = 0.4\ni_max = 0.\xff\n")
@@ -367,6 +390,18 @@ class TestCohort:
 
     def test_missing_manifest_exit_1(self, tmp_path, capsys):
         assert main(["cohort", str(tmp_path / "none.tsv")]) == 1
+
+    def test_manifest_may_start_with_a_bom(self, tmp_path, capsys):
+        write_synth(tmp_path, "r.tsv", papermill_spec(0))
+        manifest = tmp_path / "cohort.tsv"
+        manifest.write_bytes(codecs.BOM_UTF8 + b"PM\tr.tsv\n")
+        assert main(["cohort", str(manifest)]) == 0
+        assert [p["label"] for p in json.loads(capsys.readouterr().out)["points"]] == ["PM"]
+        manifest.write_bytes(codecs.BOM_UTF8 + b"# the cohort\nPM\tr.tsv\n")
+        assert main(["cohort", str(manifest)]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["diagnostics"] == []
+        assert captured.err == ""
 
     def five_profiles(self, tmp_path, *extra):
         entries = []

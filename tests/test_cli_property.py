@@ -5,6 +5,7 @@ no other exception escapes.  A non-zero return writes stderr starting with
 ``error: ``, and the JSON document exists exactly when the run succeeded.
 """
 
+import codecs
 import io
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
@@ -28,9 +29,13 @@ BOOLEAN_KEYS = {f.name for f in fields(AnalysisConfig) if isinstance(f.default, 
 values = (st.sampled_from(["0.2", "0.5", "3", "0", "true", "off"]) | st.text(max_size=8)
           | st.integers(-3, 40).map(str) | st.floats(-2, 2).map(str))
 
-config_files = st.none() | st.binary(max_size=40) | st.lists(
-    st.builds("{} = {}".format, st.sampled_from(list(CONFIG_KEYS)), values), max_size=4,
-).map(lambda lines: "\n".join(lines).encode("utf-8"))
+# a file may start with a BOM, as spreadsheet converters write one
+config_files = st.none() | st.builds(
+    bytes.__add__, st.sampled_from([b"", codecs.BOM_UTF8]),
+    st.binary(max_size=40) | st.lists(
+        st.builds("{} = {}".format, st.sampled_from(list(CONFIG_KEYS)), values), max_size=4,
+    ).map(lambda lines: "\n".join(lines).encode("utf-8")),
+)
 
 manifests = st.binary(max_size=40) | st.lists(
     st.builds("{}\t{}".format, st.sampled_from(["A", "B", " "]),
@@ -96,10 +101,10 @@ valid_lines = (
 
 
 @settings(max_examples=100, deadline=None)
-@given(before=st.lists(valid_lines, max_size=5))
-def test_config_error_names_the_line_counted_by_newlines(workdir, before):
+@given(before=st.lists(valid_lines, max_size=5), bom=st.sampled_from([b"", codecs.BOM_UTF8]))
+def test_config_error_names_the_line_counted_by_newlines(workdir, before, bom):
     text = "\n".join([*before, "bogus", ""])
-    (workdir / "cfg").write_bytes(text.encode("utf-8"))
+    (workdir / "cfg").write_bytes(bom + text.encode("utf-8"))
     err = io.StringIO()
     with redirect_stderr(err), redirect_stdout(io.StringIO()):
         code = main(["analyze", str(workdir / "r.tsv"), "--config", str(workdir / "cfg")])

@@ -26,6 +26,16 @@ def point(label="x", r=0.0, i=0.5, p=10, m=3, avg=1.0):
     return CohortPoint(label=label, r=r, i_index=i, total_pubs=p, max_pubs_year=m, avg_pubs_year=avg)
 
 
+@pytest.mark.parametrize("i,p,message", [
+    (-0.1, 10, r"i_index must lie in \[0, 1\]"),
+    (1.5, 10, r"i_index must lie in \[0, 1\]"),
+    (0.5, 0, "total_pubs must be at least 1"),
+])
+def test_point_rejects_invalid_coordinates(i, p, message):
+    with pytest.raises(ValueError, match=message):
+        point(i=i, p=p)
+
+
 class TestClassifyRegion:
     def test_papermill_style_point_inside(self):
         assert classify_region(point(r=0.94, i=0.08)) is RegionClass.INSIDE
@@ -73,6 +83,12 @@ class TestCohortSummary:
         with pytest.raises(EmptyCohortError):
             cohort_summary([])
 
+    def test_mean_is_exactly_rounded(self):
+        # before Python 3.12, builtin sum of ten 0.1s is 0.9999999999999999
+        s = cohort_summary([point(r=0.9, i=0.1, avg=0.1) for _ in range(10)])
+        assert s.n_inside == 10
+        assert s.inside.avg_pubs_year == 0.1
+
     def test_matches_group_by_oracle_on_random_cohorts(self):
         rng = random.Random(314)
         for trial in range(20):
@@ -95,7 +111,7 @@ class TestCohortSummary:
                 assert s.inside_fraction == len(inside) / (len(inside) + len(outside))
             if inside:
                 assert s.inside.total_pubs == sum(p.total_pubs for p in inside) / len(inside)
-                assert s.inside.avg_pubs_year == sum(p.avg_pubs_year for p in inside) / len(inside)
+                assert s.inside.avg_pubs_year == math.fsum(p.avg_pubs_year for p in inside) / len(inside)
             if outside:
                 assert s.outside.max_pubs_year == sum(p.max_pubs_year for p in outside) / len(outside)
 

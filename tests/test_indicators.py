@@ -103,6 +103,11 @@ class TestBestLag:
         with pytest.raises(TooShortError):
             best_lag(series, 2)
 
+    def test_negative_max_lag_rejected(self):
+        series = AnnualSeries(2000, (1, 2, 3, 4), (1, 2, 3, 4))
+        with pytest.raises(ValueError, match="max_lag must be non-negative"):
+            best_lag(series, -1)
+
     def test_tie_breaks_to_smallest_lag(self):
         # constant-by-shift series: every lag correlates identically
         series = AnnualSeries(2000, (1, 2) * 5, (1, 2) * 5)

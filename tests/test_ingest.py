@@ -69,6 +69,9 @@ class TestParse:
         profile = parse_report(two_record_tsv, default_name="r2_export")
         assert profile.name == "r2_export"
 
+    def test_empty_default_name_gives_unknown(self, two_record_tsv):
+        assert parse_report(two_record_tsv, default_name="").name == "unknown"
+
     def test_order_preserved(self):
         lines = ["Title\tPublication Year\tTotal Citations"]
         for k in range(20):
@@ -164,6 +167,9 @@ class TestParseErrors:
         data = tsv("# h-index\tforty", "Title\tPublication Year\tTotal Citations")
         with pytest.raises(MalformedHeaderError):
             parse_report(data)
+        negative = tsv("# h-index\t-1", "Title\tPublication Year\tTotal Citations")
+        with pytest.raises(MalformedHeaderError, match="h-index must be non-negative"):
+            parse_report(negative)
 
     def test_garbage_before_header(self):
         with pytest.raises(MalformedHeaderError):
@@ -182,6 +188,17 @@ class TestParseErrors:
 def test_record_rejects_cited_year_out_of_range(year):
     with pytest.raises(ValueError, match=f"cited year {year} outside 1900..2100"):
         PublicationRecord("p", 2000, 1, {year: 1})
+
+
+@pytest.mark.parametrize("pub_year,total,by_year,message", [
+    (1899, 1, {}, "publication year 1899 outside 1900..2100"),
+    (2101, 1, {}, "publication year 2101 outside 1900..2100"),
+    (2000, -1, {}, "total citations must be non-negative"),
+    (2000, 1, {2001: -1}, "negative citation count for year 2001"),
+])
+def test_record_rejects_invalid_fields(pub_year, total, by_year, message):
+    with pytest.raises(ValueError, match=message):
+        PublicationRecord("p", pub_year, total, by_year)
 
 
 class TestSerialize:

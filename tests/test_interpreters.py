@@ -1,0 +1,92 @@
+"""Every supported CPython writes the same documents and charts.
+
+Runs ``analyze --svg``, ``synth`` and ``cohort --svg-dir`` on this
+checkout's ``src`` under the running interpreter and under each other
+``python3.10`` .. ``python3.13`` on PATH, and compares the JSON documents
+(without ``generated_at``) and every other output byte for byte.  The
+cohort of 14 synth reports is one whose group means builtin ``sum`` rounds
+differently on 3.11 and 3.13.
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from papertrail.ingest import serialize_report
+from papertrail.synth import conscientious_spec, generate, papermill_spec
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SUPPORTED = ("3.10", "3.11", "3.12", "3.13")
+
+
+def other_interpreters() -> list[str]:
+    """The supported CPythons on PATH, other than this one's version, that start."""
+    running = "{}.{}".format(*sys.version_info[:2])
+    found = []
+    for version in SUPPORTED:
+        exe = shutil.which(f"python{version}")
+        if version == running or exe is None:
+            continue
+        try:
+            probe = subprocess.run([exe, "--version"], capture_output=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if probe.returncode == 0:
+            found.append(exe)
+    return found
+
+
+def outputs(python: str, inputs: Path, out: Path) -> dict[str, object]:
+    """Each output file of the three commands under ``python``, by name."""
+    out.mkdir()
+    runs = [
+        ["analyze", inputs / "pm3.tsv", "--json", out / "analyze.json",
+         "--svg", out / "analyze.svg"],
+        ["synth", "--archetype", "papermill", "--seed", "4", "-o", out / "pm.tsv"],
+        ["synth", "--archetype", "conscientious", "--seed", "4", "--format", "csv",
+         "-o", out / "cs.csv"],
+        ["cohort", inputs / "cohort.tsv", "--json", out / "cohort.json", "--svg-dir", out / "figs"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for argv in runs:
+        result = subprocess.run([python, "-m", "papertrail.cli", *map(str, argv)], env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, (python, argv, result.stderr)
+    files: dict[str, object] = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        name = path.relative_to(out).as_posix()
+        if path.suffix == ".json":
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            del doc["generated_at"]
+            files[name] = doc
+        else:
+            files[name] = path.read_bytes()
+    return files
+
+
+def test_every_interpreter_writes_the_same_outputs(tmp_path):
+    others = other_interpreters()
+    if not others:
+        pytest.skip("no other CPython 3.10-3.13 runs here")
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    lines = []
+    for seed in range(7):
+        for stem, spec in ((f"pm{seed}", papermill_spec(seed)),
+                           (f"cs{seed}", conscientious_spec(seed))):
+            (inputs / f"{stem}.tsv").write_bytes(serialize_report(generate(spec)))
+            lines.append(f"{stem}\t{stem}.tsv\n")
+    (inputs / "cohort.tsv").write_text("".join(lines), encoding="utf-8")
+
+    expected = outputs(sys.executable, inputs, tmp_path / "running")
+    assert len(expected) == 9
+    for n, python in enumerate(others):
+        actual = outputs(python, inputs, tmp_path / f"other{n}")
+        assert actual.keys() == expected.keys(), python
+        for name in expected:
+            assert actual[name] == expected[name], (python, name)

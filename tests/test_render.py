@@ -180,9 +180,16 @@ class TestScatterChart:
         with pytest.raises(EmptyCohortError):
             scatter_chart([], ScatterAxes.I_VS_R)
 
+    def test_equal_coordinates_get_a_unit_pad_and_one_radius(self):
+        points = [CohortPoint(f"p{k}", 0.1 * k, 0.5, 40, 6, 2.0) for k in range(3)]
+        xt, yt = scatter_axes_transforms(points, ScatterAxes.M_VS_P_LINFIT)
+        assert (xt.data_lo, xt.data_hi, yt.data_lo, yt.data_hi) == (39.0, 41.0, 5.0, 7.0)
+        root = svg_root(scatter_chart(points, ScatterAxes.I_VS_R_BUBBLE))
+        radii = [float(m.get("r")) for m in find_class(root, "circle", "marker")]
+        assert radii == [8.5, 8.5, 8.5]  # midway between the smallest and largest bubble
+
     def test_shade_region_flag_off(self):
-        style = ChartStyle(shade_region=False)
-        root = svg_root(scatter_chart(cohort_points(), ScatterAxes.I_VS_R, region=Region(), style=style))
+        root = svg_root(scatter_chart(cohort_points(), ScatterAxes.I_VS_R, region=None))
         assert find_class(root, "rect", "region") == []
 
 

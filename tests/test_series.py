@@ -4,7 +4,7 @@ import pytest
 
 from papertrail.errors import EmptyProfileError
 from papertrail.ingest import PublicationRecord, ResearcherProfile
-from papertrail.series import build_series
+from papertrail.series import AnnualSeries, build_series
 
 from conftest import random_profile
 
@@ -60,4 +60,13 @@ class TestBuildSeries:
         rng = random.Random(7)
         profile = random_profile(rng)
         assert build_series(profile) == build_series(profile)
+
+
+@pytest.mark.parametrize("pubs,cites,message", [
+    ((1, 2), (1,), "pubs and cites must have the same length"),
+    ((), (), "series must cover at least one year"),
+])
+def test_series_rejects_invalid_shapes(pubs, cites, message):
+    with pytest.raises(ValueError, match=message):
+        AnnualSeries(2000, pubs, cites)
 
