@@ -127,18 +127,22 @@ def _now_iso() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def load_config_file(path: str) -> dict[str, Any]:
-    """Parse a `key = value` config file; '#' starts a comment line."""
-    values: dict[str, Any] = {}
+def _read_text(path: str) -> str:
+    """A UTF-8 file's text without its BOM; a decode error names ``path:line``."""
     # strip a BOM from the bytes (not by decoding utf-8-sig), so a UTF-8 error's offset indexes data
     data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line_no = data[:exc.start].count(b"\n") + 1
         raise ValueError(f"{path}:{line_no}: not valid UTF-8: {exc.reason}") from None
-    # split on "\n" only, so line numbers agree with editors and the UTF-8 error above
-    for line_no, raw in enumerate(text.split("\n"), start=1):
+
+
+def load_config_file(path: str) -> dict[str, Any]:
+    """Parse a `key = value` config file; '#' starts a comment line."""
+    values: dict[str, Any] = {}
+    # split on "\n" only, so line numbers agree with editors and the UTF-8 error of _read_text
+    for line_no, raw in enumerate(_read_text(path).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -352,7 +356,7 @@ def cmd_cohort(args: argparse.Namespace) -> None:
     config = _resolve_analysis_config(args)
     manifest = Path(args.manifest)
     try:
-        manifest_text = manifest.read_text(encoding="utf-8").removeprefix("\ufeff")
+        manifest_text = _read_text(args.manifest)
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL byte in the path
         raise _Failure(EXIT_DATA_ERROR, f"cannot read {args.manifest}: {exc}") from None
 

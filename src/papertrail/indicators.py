@@ -242,7 +242,6 @@ def flag_profile(ind: IndicatorSet, config: AnalysisConfig = AnalysisConfig()) -
     fires together with HighCorrelation; MonotoneGrowth looks at the
     trailing ``growth_window`` years of the publication counts.
     """
-    series = ind.series
     signals: list[Signal] = []
 
     high_corr = ind.r is not None and ind.r > config.r_min
@@ -271,16 +270,15 @@ def flag_profile(ind: IndicatorSet, config: AnalysisConfig = AnalysisConfig()) -
             f"(limit {config.pubs_per_year_limit})",
         ))
 
-    window = series.pubs[-config.growth_window:] if config.growth_window > 0 else ()
+    window = ind.series.pubs[-config.growth_window:] if config.growth_window > 0 else ()
     if len(window) >= 2:
         non_decreasing = all(b >= a for a, b in zip(window, window[1:]))
         strict_rise = any(b > a for a, b in zip(window, window[1:]))
-        career_mean = math.fsum(series.pubs) / len(series.pubs)
-        if non_decreasing and strict_rise and window[-1] > career_mean:
+        if non_decreasing and strict_rise and window[-1] > ind.avg_pubs_year:
             signals.append(Signal(
                 SignalKind.MONOTONE_GROWTH,
                 f"publication counts non-decreasing over the last {len(window)} "
-                f"years, ending at {window[-1]} (career mean {career_mean:.2f})",
+                f"years, ending at {window[-1]} (career mean {ind.avg_pubs_year:.2f})",
             ))
 
     return signals

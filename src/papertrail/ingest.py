@@ -290,7 +290,9 @@ def parse_report(
 
 def _sanitize(value: str, fmt: ReportFormat, what: str) -> str:
     if fmt is ReportFormat.CSV:
-        # RFC-4180 quoting already round-trips delimiters and newlines
+        # RFC-4180 quoting round-trips delimiters and newlines, within the csv reader's field limit
+        if len(value) > csv.field_size_limit():
+            raise ValueError(f"{what} is longer than the CSV field limit ({csv.field_size_limit()})")
         return value
     cleaned = _TSV_UNSAFE.sub(" ", value)
     if cleaned != value:
@@ -309,14 +311,11 @@ def serialize_report(profile: ResearcherProfile, fmt: ReportFormat = ReportForma
     cited year across all records (empty when nothing was ever cited).
     ``parse_report(serialize_report(p))`` reproduces ``p`` in every field
     except ``warnings``; titles holding tab or newline characters are
-    sanitized for the TSV flavor (a ReportWarning is emitted).
+    sanitized for the TSV flavor (a ReportWarning is emitted).  CSV raises ValueError for
+    a title, name or id longer than ``csv.field_size_limit()``: ``parse_report`` rejects it.
     """
-    # the year window, from one min/max pair per cited record
-    cited = [rec.citations_by_year for rec in profile.records if rec.citations_by_year]
-    year_cols = range(0)
-    if cited:
-        year_cols = range(min(min(by_year) for by_year in cited),
-                          max(max(by_year) for by_year in cited) + 1)
+    cited = set().union(*(rec.citations_by_year for rec in profile.records))
+    year_cols = range(min(cited), max(cited) + 1) if cited else range(0)
 
     # each row becomes its line at once; the per-row cell strings do not outlive it
     buffer = io.StringIO()

@@ -273,9 +273,12 @@ def generate(spec: SynthSpec) -> ResearcherProfile:
     """Produce a synthetic profile; identical specs yield identical output."""
     rng = Xorshift64Star(spec.seed)
 
+    # the kernel takes no random draw, so building it here leaves the draw order as it was
     if spec.archetype is Archetype.CONSCIENTIOUS:
         targets = _conscientious_pub_targets(spec)
         pub_counts = _floor_carry([t * rng.jitter(_PUB_JITTER) for t in targets])
+        kernel = _conscientious_kernel(spec)
+        peak_offset = spec.kernel_peak_lag
     else:
         # output sits exactly at the base rate until the onset; only the
         # growth years are jittered, then forced monotone from the onset on
@@ -285,15 +288,10 @@ def generate(spec: SynthSpec) -> ResearcherProfile:
         pub_counts += _floor_carry([t * rng.jitter(_PUB_JITTER) for t in targets[onset:]])
         for i in range(max(onset, 1), spec.n_years):
             pub_counts[i] = max(pub_counts[i], pub_counts[i - 1])
-    if sum(pub_counts) == 0:
-        raise InvalidSpecError("rates too low: zero publications generated")
-
-    if spec.archetype is Archetype.CONSCIENTIOUS:
-        kernel = _conscientious_kernel(spec)
-        peak_offset = spec.kernel_peak_lag
-    else:
         kernel = list(_PAPERMILL_KERNEL)
         peak_offset = 0
+    if sum(pub_counts) == 0:
+        raise InvalidSpecError("rates too low: zero publications generated")
 
     records: list[PublicationRecord] = []
     paper_no = 0

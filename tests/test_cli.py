@@ -563,6 +563,23 @@ class TestWriteFailures:
         assert main(["cohort", str(manifest)]) == 1
         assert capsys.readouterr().err.startswith(f"error: cannot read {manifest}: ")
 
+    @pytest.mark.parametrize("data,line_no", [
+        (b"R0\tr\xff0.tsv\n", 1),
+        (codecs.BOM_UTF8 + b"R0\tr\xff0.tsv\n", 1),
+        (b"R0\tr0.tsv\nR1\tr\xff1.tsv\n", 2),
+    ], ids=["line-1", "bom-line-1", "line-2"])
+    def test_manifest_not_utf8_names_the_line(self, data, line_no, tmp_path, monkeypatch,
+                                              capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.tsv").write_bytes(data)
+        assert main(["cohort", "m.tsv"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot read m.tsv: m.tsv:{line_no}: not valid UTF-8: invalid start byte\n")
+
+    def test_manifest_path_with_a_nul_byte_exit_1(self, capsys):
+        assert main(["cohort", "m\x00.tsv"]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read m\x00.tsv: ")
+
 
 @pytest.mark.parametrize("seed,code", [("-1", 2), ("0", 0), (str(2 ** 64 - 1), 0),
                                        (str(2 ** 64), 2)])

@@ -1,3 +1,4 @@
+import csv
 import random
 
 import pytest
@@ -238,6 +239,34 @@ class TestSerialize:
             records=[PublicationRecord('has "quotes", commas', 2018, 1, {2018: 1})],
         )
         again = parse_report(serialize_report(profile, ReportFormat.CSV), ReportFormat.CSV)
+        assert profiles_equal_modulo_warnings(profile, again)
+
+    def test_csv_field_at_the_limit_round_trips(self):
+        limit = csv.field_size_limit()
+        profile = ResearcherProfile(
+            name="n" * limit, source_id="i" * limit,
+            records=[PublicationRecord("t" * limit, 2018, 1, {2018: 1})],
+        )
+        again = parse_report(serialize_report(profile, ReportFormat.CSV), ReportFormat.CSV)
+        assert profiles_equal_modulo_warnings(profile, again)
+
+    @pytest.mark.parametrize("field,what", [("title", "record title"),
+                                            ("name", "researcher name"),
+                                            ("source_id", "researcher id")])
+    def test_csv_field_over_the_limit_raises(self, field, what):
+        values = {"title": "t", "name": "n", "source_id": "i"}
+        values[field] *= csv.field_size_limit() + 1
+        profile = ResearcherProfile(
+            name=values["name"], source_id=values["source_id"],
+            records=[PublicationRecord(values["title"], 2018, 1, {2018: 1})],
+        )
+        with pytest.raises(ValueError, match=f"^{what} is longer than the CSV field limit"):
+            serialize_report(profile, ReportFormat.CSV)
+
+    def test_tsv_field_over_the_csv_limit_round_trips(self):
+        long = "t" * (csv.field_size_limit() + 1)
+        profile = ResearcherProfile(name=long, records=[PublicationRecord(long, 2018, 1, {2018: 1})])
+        again = parse_report(serialize_report(profile, ReportFormat.TSV), ReportFormat.TSV)
         assert profiles_equal_modulo_warnings(profile, again)
 
     def test_window_covers_all_cited_years(self):

@@ -36,13 +36,18 @@ class TestBuildSeries:
         for _ in range(50):
             profile = random_profile(rng)
             s = build_series(profile)
-            # independent per-year summation over records
+            # independent per-year counts and sums over records
             expected = {}
+            expected_pubs = {}
             for rec in profile.records:
+                expected_pubs[rec.pub_year] = expected_pubs.get(rec.pub_year, 0) + 1
                 for year, count in rec.citations_by_year.items():
                     expected[year] = expected.get(year, 0) + count
             for i, year in enumerate(s.years):
                 assert s.cites[i] == expected.get(year, 0)
+                assert s.pubs[i] == expected_pubs.get(year, 0)
+            all_years = set(expected_pubs) | set(expected)
+            assert (s.start_year, s.end_year) == (min(all_years), max(all_years))
             assert sum(s.pubs) == len(profile.records)
             assert sum(s.cites) == sum(r.window_sum for r in profile.records)
 
