@@ -41,6 +41,8 @@ from .errors import (
 
 MIN_YEAR = 1900
 MAX_YEAR = 2100
+# largest count a cell or record may carry; it keeps the analysis's sums and squares finite floats
+MAX_COUNT = 10**12
 
 META_RESEARCHER = "# researcher"
 META_ID = "# id"
@@ -50,6 +52,11 @@ _HEADER_PREFIX = ("Title", "Publication Year", "Total Citations")
 
 # characters that would break the line/field structure of a TSV file
 _TSV_UNSAFE = re.compile(r"[\t\r\n]")
+
+
+def _require_int(value: object, what: str) -> None:
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an int, got {type(value).__name__}")
 
 
 class ReportFormat(str, Enum):
@@ -72,28 +79,33 @@ class PublicationRecord:
     citations_by_year: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        _require_int(self.pub_year, "publication year")
+        _require_int(self.total_citations, "total citations")
         if not MIN_YEAR <= self.pub_year <= MAX_YEAR:
             raise ValueError(f"publication year {self.pub_year} outside {MIN_YEAR}..{MAX_YEAR}")
         if self.total_citations < 0:
             raise ValueError("total citations must be non-negative")
-        cleaned: dict[int, int] = {}
+        if self.total_citations > MAX_COUNT:
+            raise ValueError(f"total citations must be at most {MAX_COUNT}")
         for year, count in self.citations_by_year.items():
-            if not MIN_YEAR <= int(year) <= MAX_YEAR:
+            _require_int(year, "cited year")
+            _require_int(count, f"citation count for year {year}")
+            if not MIN_YEAR <= year <= MAX_YEAR:
                 raise ValueError(f"cited year {year} outside {MIN_YEAR}..{MAX_YEAR}")
             if count < 0:
                 raise ValueError(f"negative citation count for year {year}")
-            if count > 0:
-                cleaned[int(year)] = int(count)
-        self.citations_by_year = cleaned
+            if count > MAX_COUNT:
+                raise ValueError(f"citation count for year {year} must be at most {MAX_COUNT}")
+        self.citations_by_year = {year: count for year, count in self.citations_by_year.items() if count}
 
     @classmethod
     def _from_row(cls, title: str, pub_year: int, total_citations: int,
                   years: Iterable[int], counts: Iterable[int]) -> PublicationRecord:
         """Build a record from already validated row fields, without ``__post_init__``.
 
-        The caller guarantees what ``__post_init__`` would check: the year lies
-        in MIN_YEAR..MAX_YEAR, the total is non-negative, and ``counts`` are
-        non-negative ints for ``years``, which lie in MIN_YEAR..MAX_YEAR.  The
+        The caller guarantees what ``__post_init__`` would check: every field
+        is an int, the year lies in MIN_YEAR..MAX_YEAR, the total and ``counts``
+        lie in 0..MAX_COUNT, and ``years`` lie in MIN_YEAR..MAX_YEAR.  The
         zero counts are dropped here, as ``__post_init__`` drops them.
         """
         record = cls.__new__(cls)
@@ -165,6 +177,8 @@ def _parse_count(cell: str, what: str, row_no: int) -> int:
         raise MalformedRowError(f"row {row_no}: {what} {cell!r} is not an integer") from None
     if value < 0:
         raise MalformedRowError(f"row {row_no}: {what} must be non-negative, got {value}")
+    if value > MAX_COUNT:
+        raise MalformedRowError(f"row {row_no}: {what} is above {MAX_COUNT} ({len(str(value))} digits)")
     return value
 
 
@@ -185,6 +199,7 @@ def parse_report(
 
     ``default_name`` (typically the source file stem) is used when the file
     carries no ``# researcher`` metadata line.  Record order is preserved.
+    Count cells (the total and the year columns) must lie in 0..MAX_COUNT.
 
     Raises EncodingError, MalformedHeaderError, MalformedRowError or
     EmptyProfileError; any byte input lands in exactly one of those or in
@@ -194,48 +209,46 @@ def parse_report(
     name: str | None = None
     source_id: str | None = None
     reported_h: int | None = None
-    year_cols: list[int] | None = None
-    records: list[PublicationRecord] = []
-    parse_warnings: list[str] = []
+    rows = ((row_no, cells) for row_no, cells in enumerate(_rows(text, fmt), start=1)
+            if cells not in ([], [""]))  # skip blank lines
 
-    for row_no, cells in enumerate(_rows(text, fmt), start=1):
-        if not cells or (len(cells) == 1 and cells[0] == ""):
-            continue  # blank line
-
-        if year_cols is None:
-            key = cells[0]
-            if key == _HEADER_PREFIX[0]:
-                if tuple(cells[:3]) != _HEADER_PREFIX:
-                    raise MalformedHeaderError(
-                        f"row {row_no}: header must start with {', '.join(_HEADER_PREFIX)}"
-                    )
-                year_cols = _parse_year_columns(cells[3:])
-                continue
-            if key == META_RESEARCHER or key == META_ID or key == META_H_INDEX:
-                if len(cells) != 2:
-                    raise MalformedHeaderError(
-                        f"row {row_no}: metadata line {key!r} must have exactly one value"
-                    )
-                if key == META_RESEARCHER:
-                    name = cells[1]
-                elif key == META_ID:
-                    source_id = cells[1]
-                else:
-                    try:
-                        reported_h = int(cells[1].strip())
-                    except ValueError:
-                        raise MalformedHeaderError(
-                            f"row {row_no}: h-index {cells[1]!r} is not an integer"
-                        ) from None
-                    if reported_h < 0:
-                        raise MalformedHeaderError(f"row {row_no}: h-index must be non-negative")
-                continue
+    for row_no, cells in rows:
+        key = cells[0]
+        if key == _HEADER_PREFIX[0]:
+            if tuple(cells[:3]) != _HEADER_PREFIX:
+                raise MalformedHeaderError(
+                    f"row {row_no}: header must start with {', '.join(_HEADER_PREFIX)}"
+                )
+            year_cols = _parse_year_columns(cells[3:])
+            break
+        if key not in (META_RESEARCHER, META_ID, META_H_INDEX):
             raise MalformedHeaderError(
                 f"row {row_no}: expected metadata or header row, got {key!r}"
             )
+        if len(cells) != 2:
+            raise MalformedHeaderError(
+                f"row {row_no}: metadata line {key!r} must have exactly one value"
+            )
+        if key == META_RESEARCHER:
+            name = cells[1]
+        elif key == META_ID:
+            source_id = cells[1]
+        else:
+            try:
+                reported_h = int(cells[1].strip())
+            except ValueError:
+                raise MalformedHeaderError(
+                    f"row {row_no}: h-index {cells[1]!r} is not an integer"
+                ) from None
+            if reported_h < 0:
+                raise MalformedHeaderError(f"row {row_no}: h-index must be non-negative")
+    else:
+        raise MalformedHeaderError("no header row found")
 
-        # record row
-        expected = 3 + len(year_cols)
+    records: list[PublicationRecord] = []
+    parse_warnings: list[str] = []
+    expected = 3 + len(year_cols)
+    for row_no, cells in rows:
         if len(cells) != expected:
             raise MalformedRowError(
                 f"row {row_no}: expected {expected} columns, got {len(cells)}"
@@ -258,11 +271,11 @@ def parse_report(
             counts = list(map(int, cells[2:]))
         except ValueError:
             counts = _parse_counts(cells, year_cols, row_no)
-        else:
-            if min(counts) < 0:
-                counts = _parse_counts(cells, year_cols, row_no)
         total = counts[0]
         window_sum = sum(counts) - total
+        # when no cell is negative, total and window_sum bound every cell
+        if min(counts) < 0 or total > MAX_COUNT or window_sum > MAX_COUNT:
+            _parse_counts(cells, year_cols, row_no)  # raises for the first cell out of range, if any
         if window_sum != total:
             parse_warnings.append(
                 f"record {len(records) + 1} ({title!r}): year columns sum to "
@@ -271,16 +284,11 @@ def parse_report(
             )
         records.append(PublicationRecord._from_row(title, pub_year, total, year_cols, counts[1:]))
 
-    if year_cols is None:
-        raise MalformedHeaderError("no header row found")
     if not records:
         raise EmptyProfileError("report contains no publication records")
 
-    final_name = name if name else default_name
-    if not final_name:
-        final_name = "unknown"
     return ResearcherProfile(
-        name=final_name,
+        name=name or default_name or "unknown",
         source_id=source_id,
         reported_h=reported_h,
         records=records,

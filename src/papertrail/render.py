@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 from xml.sax.saxutils import escape
 
 from .cohort import CohortPoint, LinearFit, PowerLawFit, Region
@@ -87,15 +87,32 @@ def _nice_step(span: float, target_ticks: int = 5) -> float:
     return 10.0 * mag
 
 
-def _axis_ticks(t: AxisTransform) -> list[float]:
+def _axis_ticks(t: AxisTransform) -> Iterator[float]:
     step = _nice_step(t.data_hi - t.data_lo)
-    first = math.ceil(t.data_lo / step) * step
-    ticks = []
-    v = first
+    v = math.ceil(t.data_lo / step) * step
     while v <= t.data_hi + 1e-9:
-        ticks.append(round(v, 9))
+        yield round(v, 9)
         v += step
-    return ticks
+
+
+def _line(x1: float, y1: float, x2: float, y2: float) -> str:
+    return f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" stroke="black"/>'
+
+
+def _y_ticks(t: AxisTransform, edge: float, side: int, fill: str | None = None) -> Iterator[str]:
+    """Tick marks and labels of a vertical axis at ``edge``, drawn on ``side`` (-1 left, 1 right)."""
+    x1, x2 = sorted((edge, edge + 4 * side))
+    anchor = "end" if side < 0 else "start"
+    for v in _axis_ticks(t):
+        y = t.to_px(v)
+        yield _line(x1, y, x2, y)
+        yield _label(edge + 7 * side, y + 4, anchor, f"{v:g}", fill)
+
+
+def _label(x: float, y: float, anchor: str, text: object, fill: str | None = None) -> str:
+    """An 11 px axis label: a tick value or a year."""
+    paint = f' fill="{fill}"' if fill else ""
+    return f'<text x="{_fmt(x)}" y="{_fmt(y)}" text-anchor="{anchor}" {_FONT} font-size="11"{paint}>{text}</text>'
 
 
 def _svg_open(style: ChartStyle) -> list[str]:
@@ -181,39 +198,20 @@ def profile_chart(series: AnnualSeries, ind: IndicatorSet, style: ChartStyle = C
     )
 
     # axes
-    parts.append(f'<line x1="{_fmt(left)}" y1="{_fmt(top)}" x2="{_fmt(left)}" y2="{_fmt(bottom)}" stroke="black"/>')
-    parts.append(f'<line x1="{_fmt(right)}" y1="{_fmt(top)}" x2="{_fmt(right)}" y2="{_fmt(bottom)}" stroke="black"/>')
-    parts.append(f'<line x1="{_fmt(left)}" y1="{_fmt(bottom)}" x2="{_fmt(right)}" y2="{_fmt(bottom)}" stroke="black"/>')
-    for v in _axis_ticks(pub_t):
-        y = pub_t.to_px(v)
-        parts.append(f'<line x1="{_fmt(left - 4)}" y1="{_fmt(y)}" x2="{_fmt(left)}" y2="{_fmt(y)}" stroke="black"/>')
-        parts.append(
-            f'<text x="{_fmt(left - 7)}" y="{_fmt(y + 4)}" text-anchor="end" {_FONT} '
-            f'font-size="11" fill="{BAR_COLOR}">{v:g}</text>'
-        )
-    for v in _axis_ticks(cite_t):
-        y = cite_t.to_px(v)
-        parts.append(f'<line x1="{_fmt(right)}" y1="{_fmt(y)}" x2="{_fmt(right + 4)}" y2="{_fmt(y)}" stroke="black"/>')
-        parts.append(
-            f'<text x="{_fmt(right + 7)}" y="{_fmt(y + 4)}" text-anchor="start" {_FONT} '
-            f'font-size="11" fill="{LINE_COLOR}">{v:g}</text>'
-        )
+    parts.append(_line(left, top, left, bottom))
+    parts.append(_line(right, top, right, bottom))
+    parts.append(_line(left, bottom, right, bottom))
+    parts += _y_ticks(pub_t, left, -1, BAR_COLOR)
+    parts += _y_ticks(cite_t, right, 1, LINE_COLOR)
     year_step = max(1, round(len(series) / 12))
-    for i, year in enumerate(series.years):
-        if i % year_step:
-            continue
-        x = left + (i + 0.5) * slot
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(bottom + 16)}" text-anchor="middle" {_FONT} '
-            f'font-size="11">{year}</text>'
-        )
+    for i in range(0, len(series), year_step):
+        parts.append(_label(left + (i + 0.5) * slot, bottom + 16, "middle", series.years[i]))
 
     parts.append(
         f'<text class="caption" x="{_fmt(left)}" y="{_fmt(style.height - 8)}" {_FONT} '
         f'font-size="13">{escape(_caption(ind))}</text>'
     )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return "\n".join(parts) + "\n</svg>\n"
 
 
 _AXIS_FIELDS = {
@@ -329,20 +327,13 @@ def scatter_chart(
         )
 
     # frame and ticks
-    parts.append(f'<line x1="{_fmt(left)}" y1="{_fmt(top)}" x2="{_fmt(left)}" y2="{_fmt(bottom)}" stroke="black"/>')
-    parts.append(f'<line x1="{_fmt(left)}" y1="{_fmt(bottom)}" x2="{_fmt(right)}" y2="{_fmt(bottom)}" stroke="black"/>')
+    parts.append(_line(left, top, left, bottom))
+    parts.append(_line(left, bottom, right, bottom))
     for v in _axis_ticks(xt):
         x = xt.to_px(v)
-        parts.append(f'<line x1="{_fmt(x)}" y1="{_fmt(bottom)}" x2="{_fmt(x)}" y2="{_fmt(bottom + 4)}" stroke="black"/>')
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(bottom + 16)}" text-anchor="middle" {_FONT} font-size="11">{v:g}</text>'
-        )
-    for v in _axis_ticks(yt):
-        y = yt.to_px(v)
-        parts.append(f'<line x1="{_fmt(left - 4)}" y1="{_fmt(y)}" x2="{_fmt(left)}" y2="{_fmt(y)}" stroke="black"/>')
-        parts.append(
-            f'<text x="{_fmt(left - 7)}" y="{_fmt(y + 4)}" text-anchor="end" {_FONT} font-size="11">{v:g}</text>'
-        )
+        parts.append(_line(x, bottom, x, bottom + 4))
+        parts.append(_label(x, bottom + 16, "middle", f"{v:g}"))
+    parts += _y_ticks(yt, left, -1)
     parts.append(
         f'<text x="{_fmt((left + right) / 2)}" y="{_fmt(style.height - 8)}" text-anchor="middle" '
         f'{_FONT} font-size="12">{escape(x_label)}</text>'
@@ -351,5 +342,4 @@ def scatter_chart(
         f'<text x="14" y="{_fmt((top + bottom) / 2)}" {_FONT} font-size="12" '
         f'transform="rotate(-90 14 {_fmt((top + bottom) / 2)})" text-anchor="middle">{escape(y_label)}</text>'
     )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return "\n".join(parts) + "\n</svg>\n"

@@ -95,6 +95,20 @@ class TestAnalyze:
         assert capsys.readouterr().err == (
             f"error: {report}: year columns 3000000..3000000 outside 1900..2100\n")
 
+    @pytest.mark.parametrize("digits", [201, 401])
+    def test_count_cell_above_max_count_exit_1(self, digits, tmp_path, capsys):
+        # at 401 digits pearson raised OverflowError; at 201 the correlation
+        # silently came out null with a false reason
+        report = tmp_path / "huge.tsv"
+        huge = "9" * digits
+        report.write_text("Title\tPublication Year\tTotal Citations\t2010\t2011\t2012\n"
+                          f"a\t2010\t{huge}\t{huge}\t0\t0\nb\t2011\t3\t1\t1\t1\n")
+        out = tmp_path / "out.json"
+        assert main(["analyze", str(report), "--json", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {report}: row 2: total citations is above 1000000000000 ({digits} digits)\n")
+        assert not out.exists()
+
     def test_unknown_flag_exit_2_and_no_partial_output(self, report_path, tmp_path, capsys):
         out = tmp_path / "never.json"
         with pytest.raises(SystemExit) as exc:
@@ -381,6 +395,20 @@ class TestCohort:
         captured = capsys.readouterr()
         assert [p["label"] for p in json.loads(captured.out)["points"]] == ["R0"]
         assert captured.err == "warning: skipped BAD: embedded null byte\n"
+
+    def test_count_cell_above_max_count_is_skipped(self, tmp_path, capsys):
+        good = write_synth(tmp_path, "r0.tsv", papermill_spec(0))
+        huge = tmp_path / "huge.tsv"
+        huge.write_text("Title\tPublication Year\tTotal Citations\t2010\n"
+                        f"a\t2010\t1\t{'9' * 401}\n")
+        manifest = self.make_manifest(tmp_path, [("R0", good.name), ("BIG", huge.name)])
+        out = tmp_path / "c.json"
+        assert main(["cohort", str(manifest), "--json", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: skipped BIG: row 2: citation count for 2010 is above 1000000000000 (401 digits)\n")
+        doc = json.loads(out.read_text())
+        assert [p["label"] for p in doc["points"]] == ["R0"]
+        assert [d["label"] for d in doc["diagnostics"]] == ["BIG"]
 
     def test_nul_byte_in_the_only_entry_path_exit_1(self, tmp_path, capsys):
         manifest = self.make_manifest(tmp_path, [("BAD", "p\x00m.tsv")])

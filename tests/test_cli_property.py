@@ -3,10 +3,13 @@
 ``main`` either returns one of the documented codes or argparse exits 2;
 no other exception escapes.  A non-zero return writes stderr starting with
 ``error: ``, and the JSON document exists exactly when the run succeeded.
+The same holds for ``analyze`` over reports whose count cells may be far
+larger than a float can hold.
 """
 
 import codecs
 import io
+import json
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 
@@ -111,3 +114,37 @@ def test_config_error_names_the_line_counted_by_newlines(workdir, before, bom):
     assert code == 2
     line_no = text[:text.index("bogus")].count("\n") + 1
     assert err.getvalue().startswith(f"error: {workdir / 'cfg'}:{line_no}: ")
+
+
+# small counts, and counts of 1-500 digits: past 308 digits a count is no longer a finite float
+count_cells = st.integers(0, 40).map(str) | st.integers(1, 500).flatmap(
+    lambda n: st.text(alphabet="0123456789", min_size=n, max_size=n))
+
+
+@st.composite
+def count_reports(draw):
+    """A TSV report of 1-4 records over 1-4 year columns, every count cell drawn."""
+    years = range(2010, 2010 + draw(st.integers(1, 4)))
+    rows = ["\t".join(["Title", "Publication Year", "Total Citations", *map(str, years)])]
+    for k in range(draw(st.integers(1, 4))):
+        cells = draw(st.lists(count_cells, min_size=len(years) + 1, max_size=len(years) + 1))
+        rows.append("\t".join([f"p{k}", str(draw(st.sampled_from(years))), *cells]))
+    return ("\n".join(rows) + "\n").encode("utf-8")
+
+
+@settings(max_examples=150, deadline=None)
+@given(report=count_reports())
+def test_analyze_is_total_over_count_cells(workdir, report):
+    (workdir / "counts.tsv").write_bytes(report)
+    out = workdir / "counts.json"
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = main(["analyze", str(workdir / "counts.tsv"), "--json", str(out)])
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        json.dumps(json.loads(out.read_text()), allow_nan=False)

@@ -1,0 +1,69 @@
+"""No code path in the package is dead.
+
+Read with the stdlib ``ast`` module: in every module but ``__init__.py``
+each imported name is used in that module, and each private module-level
+function, class or constant is referenced somewhere in the package.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import papertrail
+
+PACKAGE = Path(papertrail.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TREES = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+         for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def loaded_names(tree: ast.AST) -> set[str]:
+    """Every name the code reads, as a bare name or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def imported_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def private_definitions(tree: ast.Module) -> set[str]:
+    """Module-level functions, classes and constants named with one leading underscore."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = TREES[path]
+    assert imported_names(tree) - loaded_names(tree) == set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_definition_is_referenced(path):
+    referenced = set().union(*map(loaded_names, TREES.values()))
+    assert private_definitions(TREES[path]) - referenced == set()
+
+
+def test_the_checks_see_the_package():
+    assert {p.name for p in MODULES} >= {"cli.py", "ingest.py", "render.py"}
+    assert "_parse_count" in private_definitions(TREES[PACKAGE / "ingest.py"])
+    assert "escape" in imported_names(TREES[PACKAGE / "render.py"])

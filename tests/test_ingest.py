@@ -14,6 +14,7 @@ from papertrail.errors import (
     ReportWarning,
 )
 from papertrail.ingest import (
+    MAX_COUNT,
     PublicationRecord,
     ReportFormat,
     ResearcherProfile,
@@ -131,6 +132,25 @@ class TestParseErrors:
         with pytest.raises(MalformedRowError):
             parse_report(data)
 
+    @pytest.mark.parametrize("cells,message", [
+        ([str(MAX_COUNT + 1), "0", "0"], "row 2: total citations is above 1000000000000 (13 digits)"),
+        (["1", "0", "9" * 4000], "row 2: citation count for 2011 is above 1000000000000 (4000 digits)"),
+        (["-1", "9" * 30, "0"], "row 2: total citations must be non-negative, got -1"),
+        (["9" * 30, "-1", "0"], "row 2: total citations is above 1000000000000 (30 digits)"),
+    ])
+    def test_count_above_max_count_names_the_cell_without_echoing_it(self, cells, message):
+        data = tsv("Title\tPublication Year\tTotal Citations\t2010\t2011", "\t".join(["x", "2010", *cells]))
+        with pytest.raises(MalformedRowError) as exc:
+            parse_report(data)
+        assert str(exc.value) == message
+
+    def test_counts_at_max_count_are_accepted_even_when_their_sum_is_above(self):
+        top = str(MAX_COUNT)
+        data = tsv("Title\tPublication Year\tTotal Citations\t2010\t2011", f"x\t2010\t{top}\t{top}\t{top}")
+        profile = parse_report(data)
+        assert profile.records[0].citations_by_year == {2010: MAX_COUNT, 2011: MAX_COUNT}
+        assert len(profile.warnings) == 1
+
     def test_unparseable_year(self):
         data = tsv("Title\tPublication Year\tTotal Citations\t2010", "x\tMMX\t0\t0")
         with pytest.raises(MalformedRowError):
@@ -196,10 +216,24 @@ def test_record_rejects_cited_year_out_of_range(year):
     (2101, 1, {}, "publication year 2101 outside 1900..2100"),
     (2000, -1, {}, "total citations must be non-negative"),
     (2000, 1, {2001: -1}, "negative citation count for year 2001"),
+    (2010.0, 1, {}, "publication year must be an int, got float"),
+    ("2010", 1, {}, "publication year must be an int, got str"),
+    (2000, 2.5, {}, "total citations must be an int, got float"),
+    (2000, True, {}, "total citations must be an int, got bool"),
+    (2000, MAX_COUNT + 1, {}, "total citations must be at most 1000000000000"),
+    (2000, 1, {2010.9: 1}, "cited year must be an int, got float"),
+    (2000, 1, {"2011": 2}, "cited year must be an int, got str"),
+    (2000, 1, {2001: 1.7}, "citation count for year 2001 must be an int, got float"),
+    (2000, 1, {2001: MAX_COUNT + 1}, "citation count for year 2001 must be at most 1000000000000"),
 ])
 def test_record_rejects_invalid_fields(pub_year, total, by_year, message):
     with pytest.raises(ValueError, match=message):
         PublicationRecord("p", pub_year, total, by_year)
+
+
+def test_record_accepts_counts_at_max_count():
+    record = PublicationRecord("p", 2000, MAX_COUNT, {2000: MAX_COUNT, 2001: MAX_COUNT})
+    assert record.citations_by_year == {2000: MAX_COUNT, 2001: MAX_COUNT}
 
 
 class TestSerialize:
