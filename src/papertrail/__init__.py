@@ -36,7 +36,6 @@ from .errors import (
     MalformedHeaderError,
     MalformedRowError,
     PapertrailError,
-    ReportWarning,
     TooFewPointsError,
     TooShortError,
     ZeroPublicationsError,

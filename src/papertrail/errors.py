@@ -1,4 +1,4 @@
-"""Exception hierarchy and warning categories shared across the package."""
+"""Exception hierarchy shared across the package."""
 
 
 class PapertrailError(Exception):
@@ -63,7 +63,3 @@ class DegenerateAbscissaError(PapertrailError):
 
 class InvalidSpecError(PapertrailError):
     """Synthetic profile parameters violate their constraints."""
-
-
-class ReportWarning(UserWarning):
-    """Non-fatal data issue, such as a title sanitized for the TSV flavor."""

@@ -26,7 +26,6 @@ from __future__ import annotations
 import csv
 import io
 import re
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
@@ -36,13 +35,16 @@ from .errors import (
     EncodingError,
     MalformedHeaderError,
     MalformedRowError,
-    ReportWarning,
+    PapertrailError,
 )
 
 MIN_YEAR = 1900
 MAX_YEAR = 2100
 # largest count a cell or record may carry; it keeps the analysis's sums and squares finite floats
 MAX_COUNT = 10**12
+# an error names a longer cell by its length, and a number of more digits by its digit count,
+# also one that int() refuses for its length (over 4,300 digits on Python 3.11, and 3.10.7 on)
+_ECHO_LIMIT = 40
 
 META_RESEARCHER = "# researcher"
 META_ID = "# id"
@@ -50,8 +52,8 @@ META_H_INDEX = "# h-index"
 
 _HEADER_PREFIX = ("Title", "Publication Year", "Total Citations")
 
-# characters that would break the line/field structure of a TSV file
-_TSV_UNSAFE = re.compile(r"[\t\r\n]")
+# the decimal integers int() reads; each part ends where the next begins, so matching is linear
+_INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")
 
 
 def _require_int(value: object, what: str) -> None:
@@ -150,13 +152,24 @@ def _rows(text: str, fmt: ReportFormat) -> list[list[str]]:
         raise MalformedRowError(f"CSV structure error: {exc}") from None
 
 
+def _int(cell: str, what: str, error: type[PapertrailError], most: int) -> int:
+    """Read ``cell`` as ``int(cell.strip())``, or raise ``error`` naming ``what`` and its bound ``most``."""
+    text = cell.strip()
+    try:
+        digits = str(abs(int(text)))
+    except ValueError:
+        if not _INTEGER.fullmatch(text):
+            shown = repr(cell) if len(cell) <= _ECHO_LIMIT else f"({len(cell)} characters)"
+            raise error(f"{what} {shown} is not an integer") from None
+        digits = text.lstrip("+-0_").replace("_", "") or "0"  # int() refused the length
+    negative = text[0] == "-"
+    if len(digits) > _ECHO_LIMIT:
+        raise error(f"{what} is {'negative' if negative else f'above {most}'} ({len(digits)} digits)")
+    return -int(digits) if negative else int(digits)
+
+
 def _parse_year_columns(cells: list[str]) -> list[int]:
-    years: list[int] = []
-    for cell in cells:
-        try:
-            years.append(int(cell.strip()))
-        except ValueError:
-            raise MalformedHeaderError(f"year column {cell!r} is not an integer") from None
+    years = [_int(cell, "year column", MalformedHeaderError, MAX_YEAR) for cell in cells]
     for prev, cur in zip(years, years[1:]):
         if cur != prev + 1:
             raise MalformedHeaderError(
@@ -171,10 +184,7 @@ def _parse_year_columns(cells: list[str]) -> list[int]:
 
 
 def _parse_count(cell: str, what: str, row_no: int) -> int:
-    try:
-        value = int(cell.strip())
-    except ValueError:
-        raise MalformedRowError(f"row {row_no}: {what} {cell!r} is not an integer") from None
+    value = _int(cell, f"row {row_no}: {what}", MalformedRowError, MAX_COUNT)
     if value < 0:
         raise MalformedRowError(f"row {row_no}: {what} must be non-negative, got {value}")
     if value > MAX_COUNT:
@@ -182,12 +192,13 @@ def _parse_count(cell: str, what: str, row_no: int) -> int:
     return value
 
 
-def _parse_counts(cells: list[str], year_cols: list[int], row_no: int) -> list[int]:
-    """Convert a record row's total and year cells one by one, in column order."""
-    counts = [_parse_count(cells[2], "total citations", row_no)]
-    for year, cell in zip(year_cols, cells[3:]):
-        counts.append(_parse_count(cell, f"citation count for {year}", row_no))
-    return counts
+def _parse_row(cells: list[str], year_cols: list[int], row_no: int) -> list[int]:
+    """Convert a record row's cells one by one, raising for the first bad one in column order."""
+    pub_year = _int(cells[1], f"row {row_no}: publication year", MalformedRowError, MAX_YEAR)
+    if not MIN_YEAR <= pub_year <= MAX_YEAR:
+        raise MalformedRowError(f"row {row_no}: publication year {pub_year} outside {MIN_YEAR}..{MAX_YEAR}")
+    whats = ["total citations", *(f"citation count for {year}" for year in year_cols)]
+    return [pub_year, *(_parse_count(cell, what, row_no) for what, cell in zip(whats, cells[2:]))]
 
 
 def parse_report(
@@ -199,7 +210,7 @@ def parse_report(
 
     ``default_name`` (typically the source file stem) is used when the file
     carries no ``# researcher`` metadata line.  Record order is preserved.
-    Count cells (the total and the year columns) must lie in 0..MAX_COUNT.
+    Count cells (the total and the year columns) and ``# h-index`` lie in 0..MAX_COUNT.
 
     Raises EncodingError, MalformedHeaderError, MalformedRowError or
     EmptyProfileError; any byte input lands in exactly one of those or in
@@ -234,14 +245,13 @@ def parse_report(
         elif key == META_ID:
             source_id = cells[1]
         else:
-            try:
-                reported_h = int(cells[1].strip())
-            except ValueError:
-                raise MalformedHeaderError(
-                    f"row {row_no}: h-index {cells[1]!r} is not an integer"
-                ) from None
+            reported_h = _int(cells[1], f"row {row_no}: h-index", MalformedHeaderError, MAX_COUNT)
             if reported_h < 0:
                 raise MalformedHeaderError(f"row {row_no}: h-index must be non-negative")
+            if reported_h > MAX_COUNT:
+                raise MalformedHeaderError(
+                    f"row {row_no}: h-index is above {MAX_COUNT} ({len(str(reported_h))} digits)"
+                )
     else:
         raise MalformedHeaderError("no header row found")
 
@@ -254,35 +264,24 @@ def parse_report(
                 f"row {row_no}: expected {expected} columns, got {len(cells)}"
             )
         title = cells[0]
+        # one step and one bound test for the common row (with no negative cell, a sum within
+        # MAX_COUNT bounds every count); a row failing either goes cell by cell, which raises for
+        # the first bad cell or accepts cells such as "\x1c7" that str.strip() cleans
         try:
-            pub_year = int(cells[1].strip())
+            values = list(map(int, cells[1:]))
         except ValueError:
-            raise MalformedRowError(
-                f"row {row_no}: publication year {cells[1]!r} is not an integer"
-            ) from None
-        if not MIN_YEAR <= pub_year <= MAX_YEAR:
-            raise MalformedRowError(
-                f"row {row_no}: publication year {pub_year} outside {MIN_YEAR}..{MAX_YEAR}"
-            )
-        # one step for the common row; a row it rejects goes through the
-        # cell-by-cell path, which names the first bad cell or accepts
-        # cells such as "\x1c7" that int() rejects but str.strip() cleans
-        try:
-            counts = list(map(int, cells[2:]))
-        except ValueError:
-            counts = _parse_counts(cells, year_cols, row_no)
-        total = counts[0]
-        window_sum = sum(counts) - total
-        # when no cell is negative, total and window_sum bound every cell
-        if min(counts) < 0 or total > MAX_COUNT or window_sum > MAX_COUNT:
-            _parse_counts(cells, year_cols, row_no)  # raises for the first cell out of range, if any
+            values = []
+        if not (values and MIN_YEAR <= values[0] <= MAX_YEAR and 0 <= min(values) and sum(values) <= MAX_COUNT):
+            values = _parse_row(cells, year_cols, row_no)
+        pub_year, total, counts = values[0], values[1], values[2:]
+        window_sum = sum(counts)
         if window_sum != total:
             parse_warnings.append(
                 f"record {len(records) + 1} ({title!r}): year columns sum to "
                 f"{window_sum} but total citations is {total}; "
                 "keeping the declared total as authoritative"
             )
-        records.append(PublicationRecord._from_row(title, pub_year, total, year_cols, counts[1:]))
+        records.append(PublicationRecord._from_row(title, pub_year, total, year_cols, counts))
 
     if not records:
         raise EmptyProfileError("report contains no publication records")
@@ -296,20 +295,18 @@ def parse_report(
     )
 
 
-def _sanitize(value: str, fmt: ReportFormat, what: str) -> str:
-    if fmt is ReportFormat.CSV:
-        # RFC-4180 quoting round-trips delimiters and newlines, within the csv reader's field limit
-        if len(value) > csv.field_size_limit():
-            raise ValueError(f"{what} is longer than the CSV field limit ({csv.field_size_limit()})")
-        return value
-    cleaned = _TSV_UNSAFE.sub(" ", value)
-    if cleaned != value:
-        warnings.warn(
-            f"{what} contained delimiter/control characters; replaced with spaces",
-            ReportWarning,
-            stacklevel=3,
-        )
-    return cleaned
+# TSV has no quoting; the csv writer leaves a lone CR unquoted, and Python 3.10's reader refuses NUL
+_UNSAFE = {ReportFormat.TSV: re.compile(r"[\t\r\n]"), ReportFormat.CSV: re.compile(r"[\r\0]")}
+
+
+def _field(value: str, fmt: ReportFormat, what: str) -> str:
+    """``value`` as written, or ValueError if ``parse_report`` would not read it back."""
+    unsafe = _UNSAFE[fmt].search(value)
+    if unsafe:
+        raise ValueError(f"{what} holds {unsafe[0]!r}, which the {fmt.name} flavor cannot carry")
+    if fmt is ReportFormat.CSV and len(value) > csv.field_size_limit():
+        raise ValueError(f"{what} is longer than the CSV field limit ({csv.field_size_limit()})")
+    return value
 
 
 def serialize_report(profile: ResearcherProfile, fmt: ReportFormat = ReportFormat.TSV) -> bytes:
@@ -318,10 +315,16 @@ def serialize_report(profile: ResearcherProfile, fmt: ReportFormat = ReportForma
     The year-column window is the smallest contiguous range covering every
     cited year across all records (empty when nothing was ever cited).
     ``parse_report(serialize_report(p))`` reproduces ``p`` in every field
-    except ``warnings``; titles holding tab or newline characters are
-    sanitized for the TSV flavor (a ReportWarning is emitted).  CSV raises ValueError for
-    a title, name or id longer than ``csv.field_size_limit()``: ``parse_report`` rejects it.
+    except ``warnings``.  A profile it would not reproduce raises ValueError
+    naming the field: no records, an empty name, a reported h-index outside
+    0..MAX_COUNT, or a title, name or id that the flavor cannot carry.
     """
+    if not profile.records:
+        raise ValueError("profile has no records; parse_report rejects a report without any")
+    if not profile.name:
+        raise ValueError("researcher name is empty; parse_report would read the file's name")
+    if profile.reported_h is not None and not 0 <= profile.reported_h <= MAX_COUNT:
+        raise ValueError(f"reported h-index must lie in 0..{MAX_COUNT}")
     cited = set().union(*(rec.citations_by_year for rec in profile.records))
     year_cols = range(min(cited), max(cited) + 1) if cited else range(0)
 
@@ -334,9 +337,9 @@ def serialize_report(profile: ResearcherProfile, fmt: ReportFormat = ReportForma
     else:
         write_row = csv.writer(buffer, lineterminator="\n").writerow
 
-    write_row([META_RESEARCHER, _sanitize(profile.name, fmt, "researcher name")])
+    write_row([META_RESEARCHER, _field(profile.name, fmt, "researcher name")])
     if profile.source_id is not None:
-        write_row([META_ID, _sanitize(profile.source_id, fmt, "researcher id")])
+        write_row([META_ID, _field(profile.source_id, fmt, "researcher id")])
     if profile.reported_h is not None:
         write_row([META_H_INDEX, str(profile.reported_h)])
     write_row([*_HEADER_PREFIX, *map(str, year_cols)])
@@ -345,7 +348,7 @@ def serialize_report(profile: ResearcherProfile, fmt: ReportFormat = ReportForma
     offset = 3 - year_cols.start
     for rec in profile.records:
         row = template.copy()
-        row[0] = _sanitize(rec.title, fmt, "record title")
+        row[0] = _field(rec.title, fmt, "record title")
         row[1] = str(rec.pub_year)
         row[2] = str(rec.total_citations)
         for year, count in rec.citations_by_year.items():

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from html import escape
 from typing import Iterator, Sequence
-from xml.sax.saxutils import escape
 
 from .cohort import CohortPoint, LinearFit, PowerLawFit, Region
 from .errors import EmptyCohortError
@@ -125,7 +125,7 @@ def _svg_open(style: ChartStyle) -> list[str]:
     if style.title:
         parts.append(
             f'<text x="{style.width / 2:.1f}" y="24" text-anchor="middle" '
-            f'{_FONT} font-size="16">{escape(style.title)}</text>'
+            f'{_FONT} font-size="16">{escape(style.title, quote=False)}</text>'
         )
     return parts
 
@@ -209,7 +209,7 @@ def profile_chart(series: AnnualSeries, ind: IndicatorSet, style: ChartStyle = C
 
     parts.append(
         f'<text class="caption" x="{_fmt(left)}" y="{_fmt(style.height - 8)}" {_FONT} '
-        f'font-size="13">{escape(_caption(ind))}</text>'
+        f'font-size="13">{escape(_caption(ind), quote=False)}</text>'
     )
     return "\n".join(parts) + "\n</svg>\n"
 
@@ -323,7 +323,7 @@ def scatter_chart(
         parts.append(
             f'<circle class="marker" cx="{_fmt(xt.to_px(x))}" cy="{_fmt(yt.to_px(y))}" '
             f'r="{_fmt(radius)}" fill="{BAR_COLOR}" fill-opacity="0.75">'
-            f'<title>{escape(p.label)}</title></circle>'
+            f'<title>{escape(p.label, quote=False)}</title></circle>'
         )
 
     # frame and ticks
@@ -336,10 +336,11 @@ def scatter_chart(
     parts += _y_ticks(yt, left, -1)
     parts.append(
         f'<text x="{_fmt((left + right) / 2)}" y="{_fmt(style.height - 8)}" text-anchor="middle" '
-        f'{_FONT} font-size="12">{escape(x_label)}</text>'
+        f'{_FONT} font-size="12">{escape(x_label, quote=False)}</text>'
     )
     parts.append(
         f'<text x="14" y="{_fmt((top + bottom) / 2)}" {_FONT} font-size="12" '
-        f'transform="rotate(-90 14 {_fmt((top + bottom) / 2)})" text-anchor="middle">{escape(y_label)}</text>'
+        f'transform="rotate(-90 14 {_fmt((top + bottom) / 2)})" text-anchor="middle">'
+        f'{escape(y_label, quote=False)}</text>'
     )
     return "\n".join(parts) + "\n</svg>\n"

@@ -4,9 +4,10 @@ These are the versions that the fast write path replaced, kept verbatim so
 tests can check that the package still generates the same records and
 writes the same bytes: ``generate`` validates each record through the
 public constructor and picks the rival bin with a keyed ``max``, and
-``serialize_report`` converts every cell of every row.  The helpers that
-did not change (spec targets, kernels, the PRNG, title sanitizing) are
-shared with the package.
+``serialize_report`` converts every cell of every row.  It also keeps the
+old write rule, which the package replaced with a ValueError: for the TSV
+flavor it replaces tab, CR and LF with spaces and warns.  The helpers that
+did not change (spec targets, kernels, the PRNG) are shared with the package.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
+import warnings
 
 from papertrail.errors import InvalidSpecError
 from papertrail.ingest import (
@@ -24,7 +27,6 @@ from papertrail.ingest import (
     PublicationRecord,
     ReportFormat,
     ResearcherProfile,
-    _sanitize,
 )
 from papertrail.synth import (
     _CITE_JITTER,
@@ -124,6 +126,27 @@ def generate(spec: SynthSpec) -> ResearcherProfile:
         source_id=f"SYNTH-{spec.archetype.value.upper()}-{spec.seed}",
         records=records,
     )
+
+
+# characters that would break the line/field structure of a TSV file
+_TSV_UNSAFE = re.compile(r"[\t\r\n]")
+
+
+class ReportWarning(UserWarning):
+    """Non-fatal data issue, such as a title sanitized for the TSV flavor."""
+
+
+def _sanitize(value: str, fmt: ReportFormat, what: str) -> str:
+    if fmt is ReportFormat.CSV:
+        return value
+    cleaned = _TSV_UNSAFE.sub(" ", value)
+    if cleaned != value:
+        warnings.warn(
+            f"{what} contained delimiter/control characters; replaced with spaces",
+            ReportWarning,
+            stacklevel=3,
+        )
+    return cleaned
 
 
 def serialize_report(profile: ResearcherProfile, fmt: ReportFormat = ReportFormat.TSV) -> bytes:

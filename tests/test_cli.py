@@ -109,6 +109,17 @@ class TestAnalyze:
             f"error: {report}: row 2: total citations is above 1000000000000 ({digits} digits)\n")
         assert not out.exists()
 
+    def test_reported_h_above_max_count_exit_1(self, tmp_path, capsys):
+        # it used to pass, and the 400 digits came back in a warning
+        report = tmp_path / "h.tsv"
+        report.write_text(f"# h-index\t{'9' * 400}\nTitle\tPublication Year\tTotal Citations\n"
+                          "a\t2010\t3\n")
+        out = tmp_path / "out.json"
+        assert main(["analyze", str(report), "--prefer-reported-h", "--json", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {report}: row 1: h-index is above 1000000000000 (400 digits)\n")
+        assert not out.exists()
+
     def test_unknown_flag_exit_2_and_no_partial_output(self, report_path, tmp_path, capsys):
         out = tmp_path / "never.json"
         with pytest.raises(SystemExit) as exc:

@@ -2,7 +2,9 @@
 
 Read with the stdlib ``ast`` module: in every module but ``__init__.py``
 each imported name is used in that module, and each private module-level
-function, class or constant is referenced somewhere in the package.
+function, class or constant is referenced somewhere in the package.  No
+module imports ``warnings``: its registry is process-wide state, so the
+package reports data issues as values or errors instead.
 """
 
 import ast
@@ -61,6 +63,22 @@ def test_every_imported_name_is_used(path):
 def test_every_private_definition_is_referenced(path):
     referenced = set().union(*map(loaded_names, TREES.values()))
     assert private_definitions(TREES[path]) - referenced == set()
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.split(".")[0])
+    return modules
+
+
+def test_no_module_imports_warnings():
+    imports = {path.name: imported_modules(tree) for path, tree in TREES.items()}
+    assert {"csv", "re"} <= imports["ingest.py"]  # the walk sees the imports
+    assert [name for name, modules in imports.items() if "warnings" in modules] == []
 
 
 def test_the_checks_see_the_package():

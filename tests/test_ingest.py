@@ -11,7 +11,6 @@ from papertrail.errors import (
     MalformedHeaderError,
     MalformedRowError,
     PapertrailError,
-    ReportWarning,
 )
 from papertrail.ingest import (
     MAX_COUNT,
@@ -144,6 +143,39 @@ class TestParseErrors:
             parse_report(data)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("cell,named_as", [
+        ("9" * 5000, "is above {most} (5000 digits)"),  # int() refuses it for its length
+        ("-" + "9" * 5000, "is negative (5000 digits)"),
+        ("9" * 4000, "is above {most} (4000 digits)"),  # int() takes it
+        ("x" * 5000, "(5000 characters) is not an integer"),
+    ], ids=["5000-digits", "negative", "4000-digits", "5000-characters"])
+    @pytest.mark.parametrize("lines,error,what,most", [
+        (["Title\tPublication Year\tTotal Citations\t{}", "x\t2010\t1\t1"],
+         MalformedHeaderError, "year column", 2100),
+        (["# h-index\t{}", "Title\tPublication Year\tTotal Citations", "x\t2010\t1"],
+         MalformedHeaderError, "row 1: h-index", MAX_COUNT),
+        (["Title\tPublication Year\tTotal Citations\t2010", "x\t{}\t1\t1"],
+         MalformedRowError, "row 2: publication year", 2100),
+        (["Title\tPublication Year\tTotal Citations\t2010", "x\t2010\t{}\t1"],
+         MalformedRowError, "row 2: total citations", MAX_COUNT),
+        (["Title\tPublication Year\tTotal Citations\t2010\t2011", "x\t2010\t1\t1\t{}"],
+         MalformedRowError, "row 2: citation count for 2011", MAX_COUNT),
+    ], ids=["year-column", "h-index", "publication-year", "total", "year-cell"])
+    def test_cell_over_the_echo_bound_is_named_by_its_size(self, lines, error, what, most,
+                                                           cell, named_as):
+        with pytest.raises(error) as exc:
+            parse_report(tsv(*(line.format(cell) for line in lines)))
+        message = str(exc.value)
+        # a short message that names the row and the column, on every Python
+        assert len(message) < 200
+        assert message == f"{what} {named_as.format(most=most)}"
+
+    def test_zero_padding_over_the_int_limit_reads_as_the_number(self):
+        padding = "0" * 5000
+        data = tsv("Title\tPublication Year\tTotal Citations\t2010", f"x\t{padding}2010\t{padding}7\t7")
+        record = parse_report(data).records[0]
+        assert (record.pub_year, record.total_citations, record.citations_by_year) == (2010, 7, {2010: 7})
+
     def test_counts_at_max_count_are_accepted_even_when_their_sum_is_above(self):
         top = str(MAX_COUNT)
         data = tsv("Title\tPublication Year\tTotal Citations\t2010\t2011", f"x\t2010\t{top}\t{top}\t{top}")
@@ -191,6 +223,13 @@ class TestParseErrors:
         negative = tsv("# h-index\t-1", "Title\tPublication Year\tTotal Citations")
         with pytest.raises(MalformedHeaderError, match="h-index must be non-negative"):
             parse_report(negative)
+
+    def test_reported_h_bounded_like_the_count_cells(self):
+        header = "Title\tPublication Year\tTotal Citations"
+        assert parse_report(tsv(f"# h-index\t{MAX_COUNT}", header, "x\t2010\t1")).reported_h == MAX_COUNT
+        with pytest.raises(MalformedHeaderError) as exc:
+            parse_report(tsv(f"# h-index\t{MAX_COUNT + 1}", header, "x\t2010\t1"))
+        assert str(exc.value) == "row 1: h-index is above 1000000000000 (13 digits)"
 
     def test_garbage_before_header(self):
         with pytest.raises(MalformedHeaderError):
@@ -257,15 +296,42 @@ class TestSerialize:
         assert again.records[0].title == ""
         assert profiles_equal_modulo_warnings(profile, again)
 
-    def test_tab_in_title_sanitized_with_warning(self):
+    def test_tab_in_title_raises(self):
         profile = ResearcherProfile(
             name="n",
             records=[PublicationRecord("bad\ttitle", 2018, 1, {2018: 1})],
         )
-        with pytest.warns(ReportWarning):
-            data = serialize_report(profile, ReportFormat.TSV)
-        again = parse_report(data)
-        assert again.records[0].title == "bad title"
+        with pytest.raises(ValueError) as exc:
+            serialize_report(profile, ReportFormat.TSV)
+        assert str(exc.value) == "record title holds '\\t', which the TSV flavor cannot carry"
+
+    @pytest.mark.parametrize("fmt,char", [
+        (ReportFormat.TSV, "\n"), (ReportFormat.TSV, "\r"), (ReportFormat.CSV, "\r"),
+    ])
+    def test_field_the_flavor_cannot_carry_raises(self, fmt, char):
+        profile = ResearcherProfile(name="n", records=[PublicationRecord(f"a{char}b", 2018, 1, {2018: 1})])
+        with pytest.raises(ValueError) as exc:
+            serialize_report(profile, fmt)
+        assert str(exc.value) == f"record title holds {char!r}, which the {fmt.name} flavor cannot carry"
+
+    @pytest.mark.parametrize("fmt", list(ReportFormat))
+    @pytest.mark.parametrize("changes,message", [
+        ({"name": ""}, "researcher name is empty"),
+        ({"reported_h": -1}, "reported h-index must lie in 0..1000000000000"),
+        ({"reported_h": MAX_COUNT + 1}, "reported h-index must lie in 0..1000000000000"),
+        ({"records": []}, "profile has no records"),
+    ], ids=["empty-name", "negative-h", "h-above-max-count", "no-records"])
+    def test_profile_that_would_not_read_back_raises(self, changes, message, fmt):
+        # parse_report would read each of these back as another profile, or as none
+        fields = {"name": "n", "records": [PublicationRecord("t", 2018, 1, {2018: 1})], **changes}
+        with pytest.raises(ValueError, match=f"^{message}"):
+            serialize_report(ResearcherProfile(**fields), fmt)
+
+    @pytest.mark.parametrize("fmt", list(ReportFormat))
+    def test_reported_h_at_max_count_round_trips(self, fmt):
+        profile = ResearcherProfile(name="n", reported_h=MAX_COUNT,
+                                    records=[PublicationRecord("t", 2018, 1, {2018: 1})])
+        assert parse_report(serialize_report(profile, fmt), fmt).reported_h == MAX_COUNT
 
     def test_csv_keeps_tabs_and_commas_exactly(self):
         profile = ResearcherProfile(
@@ -323,6 +389,35 @@ class TestSerialize:
         for fmt in ReportFormat:
             again = parse_report(serialize_report(profile, fmt), fmt)
             assert profiles_equal_modulo_warnings(profile, again)
+
+
+# field text with the characters TSV cannot carry, CR, and any other character
+field_text = st.text(st.sampled_from("\t\r\n,\"") | st.characters(blacklist_categories=("Cs",)), max_size=8)
+
+
+@st.composite
+def write_rule_profiles(draw):
+    records = []
+    for _ in range(draw(st.integers(0, 3))):
+        pub_year = draw(st.integers(2000, 2010))
+        by_year = draw(st.dictionaries(st.integers(pub_year, pub_year + 3), st.integers(0, 5), max_size=3))
+        records.append(PublicationRecord(draw(field_text), pub_year, sum(by_year.values()), by_year))
+    return ResearcherProfile(
+        name=draw(field_text),
+        source_id=draw(st.none() | field_text),
+        reported_h=draw(st.none() | st.integers(-2, MAX_COUNT + 2)),
+        records=records,
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(write_rule_profiles(), st.sampled_from(list(ReportFormat)))
+def test_serialize_writes_only_what_parse_reads_back(profile, fmt):
+    try:
+        data = serialize_report(profile, fmt)
+    except ValueError:
+        return
+    assert profiles_equal_modulo_warnings(parse_report(data, fmt, default_name=""), profile)
 
 
 class TestTotality:

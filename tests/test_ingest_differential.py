@@ -2,21 +2,33 @@
 
 Every input must give the same outcome from both: equal profiles (name, id,
 reported h, records with their per-year dicts in order, warnings), or the
-same exception type with the same message.  The one intended difference:
+same exception type with the same message.  Two differences are intended:
 when the header the reference accepts has year columns outside
-MIN_YEAR..MAX_YEAR, ``parse_report`` rejects that header instead.
+MIN_YEAR..MAX_YEAR, ``parse_report`` rejects that header instead; and where
+the reference echoes a cell longer than the echo bound, ``parse_report``
+names it by its length, or a number by its digit count.
 """
 
+import ast
 import csv
 import io
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from papertrail.errors import MalformedHeaderError, PapertrailError
-from papertrail.ingest import MAX_YEAR, MIN_YEAR, ReportFormat, parse_report, serialize_report
+from papertrail.ingest import (
+    _ECHO_LIMIT,
+    MAX_COUNT,
+    MAX_YEAR,
+    MIN_YEAR,
+    ReportFormat,
+    parse_report,
+    serialize_report,
+)
 
 from conftest import random_profile
 from reference_ingest import _parse_year_columns as reference_year_columns
@@ -59,6 +71,28 @@ def accepted_year_columns(data: bytes, fmt: ReportFormat) -> list[int] | None:
     raise AssertionError("the reference parsed a report without reaching a header")
 
 
+# "<what> <repr of the cell> is not an integer"; <what> holds no quote, so matching is linear
+NOT_AN_INTEGER = re.compile(r"([^'\"]*) (['\"].*) is not an integer", re.DOTALL)
+
+
+def echo_bounded(expected):
+    """The reference's outcome with a cell over the echo bound named as the package names it.
+
+    The reference echoes every cell it cannot read, however long.  The package
+    names a longer cell by its length, and a number that int() refuses for its
+    length by its sign or the column's bound and its digit count.
+    """
+    match = NOT_AN_INTEGER.fullmatch(expected[2]) if expected[0] == "error" else None
+    if match is None or len(cell := ast.literal_eval(match[2])) <= _ECHO_LIMIT:
+        return expected
+    what, text = match[1], cell.strip()
+    if not re.fullmatch(r"[+-]?\d+", text):
+        return (*expected[:2], f"{what} ({len(cell)} characters) is not an integer")
+    most = MAX_YEAR if what.endswith(("year column", "publication year")) else MAX_COUNT
+    side = "negative" if text[0] == "-" else f"above {most}"
+    return (*expected[:2], f"{what} is {side} ({len(text.lstrip('+-0'))} digits)")
+
+
 def assert_same_outcome(data: bytes, fmt: ReportFormat):
     actual = outcome(parse_report, data, fmt)
     years = accepted_year_columns(data, fmt)
@@ -66,7 +100,7 @@ def assert_same_outcome(data: bytes, fmt: ReportFormat):
         expected = ("error", MalformedHeaderError,
                     f"year columns {years[0]}..{years[-1]} outside {MIN_YEAR}..{MAX_YEAR}")
     else:
-        expected = outcome(reference_parse_report, data, fmt)
+        expected = echo_bounded(outcome(reference_parse_report, data, fmt))
     assert actual == expected
     return expected
 
@@ -191,3 +225,22 @@ def test_out_of_range_year_columns_are_the_one_difference(years, fmt):
     assert outcome(reference_parse_report, data, fmt)[0] == "profile"
     result = assert_same_outcome(data, fmt)
     assert result[:2] == ("error", MalformedHeaderError)
+
+
+# cells the reference echoes in full: text just over the bound, long text, and
+# numbers that int() refuses for their length (over 4,300 digits)
+LONG_CELLS = ["x" * (_ECHO_LIMIT + 1), " x" * 2500, "9" * 5000, "-" + "9" * 5000, "+0" + "1" * 4400]
+
+
+@pytest.mark.parametrize("fmt", list(ReportFormat))
+@pytest.mark.parametrize("row,column", [(0, 1), (1, 3), (2, 1), (2, 2), (2, 4)],
+                         ids=["h-index", "year-column", "publication-year", "total", "year-cell"])
+@pytest.mark.parametrize("cell", LONG_CELLS, ids=["41-characters", "5000-characters", "5000-digits",
+                                                  "negative", "signed-4400-digits"])
+def test_cell_over_the_echo_bound_is_the_other_difference(cell, row, column, fmt):
+    rows = [["# h-index", "3"],
+            ["Title", "Publication Year", "Total Citations", "2010", "2011"],
+            ["p", "2010", "3", "1", "2"]]
+    rows[row][column] = cell
+    result = assert_same_outcome(report(rows, fmt), fmt)
+    assert result[0] == "error" and len(result[2]) < 200

@@ -1,8 +1,10 @@
 """Differential tests: the fast write path against the reference ``generate`` and ``serialize_report``.
 
 ``generate`` must give the same records as the reference, and
-``serialize_report`` the same bytes in both formats and the same
-ReportWarnings, pointing at the same caller.
+``serialize_report`` the same bytes in both formats.  The one intended
+difference: where the reference sanitizes a field with a warning, writes a
+file that does not read back as the profile, or writes a CR in a CSV field,
+``serialize_report`` raises ValueError instead.
 """
 
 import warnings
@@ -11,9 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from papertrail.ingest import PublicationRecord, ReportFormat, ResearcherProfile, serialize_report
+from papertrail.errors import PapertrailError
+from papertrail.ingest import (
+    PublicationRecord,
+    ReportFormat,
+    ResearcherProfile,
+    parse_report,
+    serialize_report,
+)
 from papertrail.synth import _enforce_peak, conscientious_spec, generate, papermill_spec
 
+from conftest import profiles_equal_modulo_warnings
 import reference_synth
 
 # the synth-write benchmark profile: 11,703 records over 76 year columns
@@ -69,24 +79,30 @@ def profiles(draw):
     )
 
 
-def serialized_with_warnings(serialize, profile, fmt):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        data = serialize(profile, fmt)
-    return data, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+def reads_back(data: bytes, profile: ResearcherProfile, fmt: ReportFormat) -> bool:
+    try:
+        return profiles_equal_modulo_warnings(parse_report(data, fmt, default_name=""), profile)
+    except PapertrailError:
+        return False
 
 
 @settings(max_examples=400, deadline=None)
 @given(profiles(), st.sampled_from(list(ReportFormat)))
 def test_serialize_matches_reference(profile, fmt):
-    data, caught = serialized_with_warnings(serialize_report, profile, fmt)
-    expected, expected_caught = serialized_with_warnings(
-        reference_synth.serialize_report, profile, fmt
-    )
-    assert data == expected
-    # same count and text; both point at this file, the caller of serialize_report
-    assert [w[:3] for w in caught] == [w[:3] for w in expected_caught]
-    assert all(w[2] == __file__ for w in caught)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        expected = reference_synth.serialize_report(profile, fmt)
+    try:
+        data = serialize_report(profile, fmt)
+    except ValueError:
+        # a CR in a CSV field reads back only where the csv writer happens to quote the field
+        cr_in_csv = fmt is ReportFormat.CSV and any(
+            "\r" in field for field in [profile.name, profile.source_id or "",
+                                        *(rec.title for rec in profile.records)])
+        assert caught or cr_in_csv or not reads_back(expected, profile, fmt)
+    else:
+        assert data == expected
+        assert not caught
 
 
 @pytest.mark.parametrize("fmt", list(ReportFormat))
