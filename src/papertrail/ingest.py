@@ -28,7 +28,9 @@ import io
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from itertools import chain, compress, repeat
+from operator import add, ne
+from typing import Iterator, Mapping
 
 from .errors import (
     EmptyProfileError,
@@ -42,8 +44,8 @@ MIN_YEAR = 1900
 MAX_YEAR = 2100
 # largest count a cell or record may carry; it keeps the analysis's sums and squares finite floats
 MAX_COUNT = 10**12
-# an error names a longer cell by its length, and a number of more digits by its digit count,
-# also one that int() refuses for its length (over 4,300 digits on Python 3.11, and 3.10.7 on)
+# a message names a longer cell or title by its length, and a number of more digits by its digit
+# count, also one that int() refuses for its length (over 4,300 digits on Python 3.11, and 3.10.7 on)
 _ECHO_LIMIT = 40
 
 META_RESEARCHER = "# researcher"
@@ -51,6 +53,14 @@ META_ID = "# id"
 META_H_INDEX = "# h-index"
 
 _HEADER_PREFIX = ("Title", "Publication Year", "Total Citations")
+
+# the year window of a record that cites nothing, or of a header without year columns
+_NO_YEARS = range(MIN_YEAR, MIN_YEAR)
+
+# the value of each cell text "0".."255" and of each year, read without int(): an import-time
+# constant, never changed.  Its values are shared objects (CPython caches the ints to 256), so
+# a report's count matrix holds no int object of its own for such cells.
+_CELL = {str(n): n for n in chain(range(256), range(MIN_YEAR, MAX_YEAR + 1))}
 
 # the decimal integers int() reads; each part ends where the next begins, so matching is linear
 _INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")
@@ -66,30 +76,32 @@ class ReportFormat(str, Enum):
     CSV = "csv"
 
 
-@dataclass
 class PublicationRecord:
     """One indexed paper: publication year, totals, per-year citations.
 
-    ``citations_by_year`` is stored in canonical form: zero-count years
-    are dropped, so two records compare equal regardless of how many
+    The per-year counts are one row of a count matrix over a contiguous
+    window of years.  The records of a parsed report are the rows of that
+    report's one matrix; a record built here owns a one-row matrix over its
+    cited years.  ``citations_by_year`` is derived from the row on each
+    access, in canonical form: a new dict in year order with the zero-count
+    years dropped, so two records compare equal regardless of how many
     explicit zeros their source files carried.
     """
 
-    title: str
-    pub_year: int
-    total_citations: int
-    citations_by_year: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("title", "pub_year", "total_citations", "_years", "_matrix", "_row")
 
-    def __post_init__(self) -> None:
-        _require_int(self.pub_year, "publication year")
-        _require_int(self.total_citations, "total citations")
-        if not MIN_YEAR <= self.pub_year <= MAX_YEAR:
-            raise ValueError(f"publication year {self.pub_year} outside {MIN_YEAR}..{MAX_YEAR}")
-        if self.total_citations < 0:
+    def __init__(self, title: str, pub_year: int, total_citations: int,
+                 citations_by_year: Mapping[int, int] | None = None) -> None:
+        by_year = citations_by_year or {}
+        _require_int(pub_year, "publication year")
+        _require_int(total_citations, "total citations")
+        if not MIN_YEAR <= pub_year <= MAX_YEAR:
+            raise ValueError(f"publication year {pub_year} outside {MIN_YEAR}..{MAX_YEAR}")
+        if total_citations < 0:
             raise ValueError("total citations must be non-negative")
-        if self.total_citations > MAX_COUNT:
+        if total_citations > MAX_COUNT:
             raise ValueError(f"total citations must be at most {MAX_COUNT}")
-        for year, count in self.citations_by_year.items():
+        for year, count in by_year.items():
             _require_int(year, "cited year")
             _require_int(count, f"citation count for year {year}")
             if not MIN_YEAR <= year <= MAX_YEAR:
@@ -98,29 +110,85 @@ class PublicationRecord:
                 raise ValueError(f"negative citation count for year {year}")
             if count > MAX_COUNT:
                 raise ValueError(f"citation count for year {year} must be at most {MAX_COUNT}")
-        self.citations_by_year = {year: count for year, count in self.citations_by_year.items() if count}
+        cited = {year: count for year, count in by_year.items() if count}
+        self.title = title
+        self.pub_year = pub_year
+        self.total_citations = total_citations
+        self._years = range(min(cited), max(cited) + 1) if cited else _NO_YEARS
+        self._matrix = [cited.get(year, 0) for year in self._years]
+        self._row = 0
 
     @classmethod
     def _from_row(cls, title: str, pub_year: int, total_citations: int,
-                  years: Iterable[int], counts: Iterable[int]) -> PublicationRecord:
-        """Build a record from already validated row fields, without ``__post_init__``.
+                  years: range, matrix: list[int], row: int = 0) -> PublicationRecord:
+        """Build the record of row ``row`` of ``matrix`` from validated fields, without checks.
 
-        The caller guarantees what ``__post_init__`` would check: every field
-        is an int, the year lies in MIN_YEAR..MAX_YEAR, the total and ``counts``
-        lie in 0..MAX_COUNT, and ``years`` lie in MIN_YEAR..MAX_YEAR.  The
-        zero counts are dropped here, as ``__post_init__`` drops them.
+        ``matrix`` is row-major with one column per year of ``years``.  The
+        caller guarantees what ``__init__`` would check: every field is an
+        int, the year lies in MIN_YEAR..MAX_YEAR, the total and the counts lie
+        in 0..MAX_COUNT, and ``years`` lie in MIN_YEAR..MAX_YEAR.  The record
+        reads ``matrix`` and never changes it; nor may the caller.
         """
         record = cls.__new__(cls)
         record.title = title
         record.pub_year = pub_year
         record.total_citations = total_citations
-        record.citations_by_year = {year: count for year, count in zip(years, counts) if count}
+        record._years = years
+        record._matrix = matrix
+        record._row = row
         return record
+
+    def _cells(self) -> list[int]:
+        """This record's row of its matrix: one count per year of ``_years``."""
+        width = len(self._years)
+        return self._matrix[self._row * width:(self._row + 1) * width]
+
+    def _cited(self) -> Iterator[tuple[int, int]]:
+        """The (year, count) pairs with a nonzero count, in year order."""
+        cells = self._cells()
+        return compress(zip(self._years, cells), cells)
+
+    @property
+    def citations_by_year(self) -> dict[int, int]:
+        """Citations per cited year, in year order, without zero-count years; a new dict on each access."""
+        return dict(self._cited())
 
     @property
     def window_sum(self) -> int:
         """Sum of the per-year citation columns (may differ from the total)."""
-        return sum(self.citations_by_year.values())
+        return sum(self._cells())
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.title, self.pub_year, self.total_citations, self.citations_by_year)
+                == (other.title, other.pub_year, other.total_citations, other.citations_by_year))
+
+    def __repr__(self) -> str:
+        return (f"PublicationRecord(title={self.title!r}, pub_year={self.pub_year!r}, "
+                f"total_citations={self.total_citations!r}, "
+                f"citations_by_year={self.citations_by_year!r})")
+
+
+def _citation_totals(records: list[PublicationRecord]) -> tuple[range, list[int]]:
+    """The citations of ``records`` summed per year: a window of years and a total for each.
+
+    Records that are the rows of one matrix, each once and in order (the
+    records of a parsed report), give the sums of its columns; any others are
+    added row by row into the window MIN_YEAR..MAX_YEAR.
+    """
+    years, matrix = records[0]._years, records[0]._matrix
+    width = len(years)
+    if len(matrix) == width * len(records) and all(
+            rec._matrix is matrix and rec._row == row for row, rec in enumerate(records)):
+        return years, [sum(matrix[column::width]) for column in range(width)]
+    window = range(MIN_YEAR, MAX_YEAR + 1)
+    totals = [0] * len(window)
+    for rec in records:
+        start = rec._years.start - MIN_YEAR
+        end = start + len(rec._years)
+        totals[start:end] = map(add, totals[start:end], rec._cells())
+    return window, totals
 
 
 @dataclass
@@ -142,14 +210,25 @@ def _decode(data: bytes) -> str:
         raise EncodingError(f"input is not valid UTF-8: {exc}") from None
 
 
-def _rows(text: str, fmt: ReportFormat) -> list[list[str]]:
+def _lines(text: str, fmt: ReportFormat) -> list[str] | list[list[str]]:
+    """The report's lines: a TSV line as its text, a CSV line as its cells."""
     if fmt is ReportFormat.TSV:
-        # tolerate CRLF endings without letting \r leak into the last cell
-        return [line.rstrip("\r").split("\t") for line in text.split("\n")]
+        return text.split("\n")
     try:
         return list(csv.reader(io.StringIO(text, newline="")))
     except csv.Error as exc:
         raise MalformedRowError(f"CSV structure error: {exc}") from None
+
+
+def _split(line: str | list[str]) -> list[str]:
+    """The cells of one of ``_lines``."""
+    # tolerate CRLF endings without letting \r leak into the last cell
+    return line.rstrip("\r").split("\t") if isinstance(line, str) else line
+
+
+def _echo(cell: str) -> str:
+    """``cell`` as a message shows it: quoted, or named by its length if longer than _ECHO_LIMIT."""
+    return repr(cell) if len(cell) <= _ECHO_LIMIT else f"({len(cell)} characters)"
 
 
 def _int(cell: str, what: str, error: type[PapertrailError], most: int) -> int:
@@ -159,8 +238,7 @@ def _int(cell: str, what: str, error: type[PapertrailError], most: int) -> int:
         digits = str(abs(int(text)))
     except ValueError:
         if not _INTEGER.fullmatch(text):
-            shown = repr(cell) if len(cell) <= _ECHO_LIMIT else f"({len(cell)} characters)"
-            raise error(f"{what} {shown} is not an integer") from None
+            raise error(f"{what} {_echo(cell)} is not an integer") from None
         digits = text.lstrip("+-0_").replace("_", "") or "0"  # int() refused the length
     negative = text[0] == "-"
     if len(digits) > _ECHO_LIMIT:
@@ -168,19 +246,21 @@ def _int(cell: str, what: str, error: type[PapertrailError], most: int) -> int:
     return -int(digits) if negative else int(digits)
 
 
-def _parse_year_columns(cells: list[str]) -> list[int]:
+def _parse_year_columns(cells: list[str]) -> range:
     years = [_int(cell, "year column", MalformedHeaderError, MAX_YEAR) for cell in cells]
     for prev, cur in zip(years, years[1:]):
         if cur != prev + 1:
             raise MalformedHeaderError(
                 f"year columns must be contiguous ascending; found {prev} followed by {cur}"
             )
+    if not years:
+        return _NO_YEARS
     # every cited year then lies in the range, which bounds the annual series
-    if years and not (MIN_YEAR <= years[0] and years[-1] <= MAX_YEAR):
+    if not (MIN_YEAR <= years[0] and years[-1] <= MAX_YEAR):
         raise MalformedHeaderError(
             f"year columns {years[0]}..{years[-1]} outside {MIN_YEAR}..{MAX_YEAR}"
         )
-    return years
+    return range(years[0], years[-1] + 1)
 
 
 def _parse_count(cell: str, what: str, row_no: int) -> int:
@@ -192,13 +272,89 @@ def _parse_count(cell: str, what: str, row_no: int) -> int:
     return value
 
 
-def _parse_row(cells: list[str], year_cols: list[int], row_no: int) -> list[int]:
+def _parse_row(cells: list[str], year_cols: range, row_no: int) -> list[int]:
     """Convert a record row's cells one by one, raising for the first bad one in column order."""
     pub_year = _int(cells[1], f"row {row_no}: publication year", MalformedRowError, MAX_YEAR)
     if not MIN_YEAR <= pub_year <= MAX_YEAR:
         raise MalformedRowError(f"row {row_no}: publication year {pub_year} outside {MIN_YEAR}..{MAX_YEAR}")
     whats = ["total citations", *(f"citation count for {year}" for year in year_cols)]
     return [pub_year, *(_parse_count(cell, what, row_no) for what, cell in zip(whats, cells[2:]))]
+
+
+def _read_block(lines: list[str] | list[list[str]], fmt: ReportFormat,
+                columns: int) -> tuple[list[str], list[int]] | None:
+    """The titles and the numeric cells, row by row, of a clean record block, or None.
+
+    ``lines`` follow the header, which has ``columns`` cells.  The block is
+    read in one pass: one split, one tab count per line, one conversion of
+    every numeric cell and one bound test per kind of cell.  Clean means
+    that, blank lines aside, every line has ``columns`` cells, ``int()`` reads
+    every numeric cell, and every publication year lies in MIN_YEAR..MAX_YEAR
+    and every count in 0..MAX_COUNT.  A CRLF ending leaves a carriage return
+    at the end of a line's last cell, a count, which ``int()`` ignores as
+    ``_split`` strips it.  Anything else, and a block without records, is left to
+    ``_read_rows``: it raises for the first bad row, or accepts what only
+    ``str.strip()`` cleans, such as "\x1c7".
+    """
+    lines = list(filter(None, lines))  # blank lines
+    if not lines:
+        return None
+    if fmt is ReportFormat.TSV:
+        if list(map(str.count, lines, repeat("\t"))).count(columns - 1) != len(lines):
+            return None
+        cells = "\t".join(lines).split("\t")
+    else:
+        if list(map(len, lines)).count(columns) != len(lines):
+            return None
+        cells = list(chain.from_iterable(lines))
+    titles = cells[0::columns]
+    del cells[0::columns]
+    try:
+        values = list(map(_CELL.__getitem__, cells))  # all within 0..MAX_COUNT
+    except KeyError:
+        try:
+            values = list(map(int, cells))
+        except ValueError:
+            return None
+        if not (0 <= min(values) and max(values) <= MAX_COUNT):
+            return None
+    pub_years = values[0::columns - 1]
+    if MIN_YEAR <= min(pub_years) and max(pub_years) <= MAX_YEAR:
+        return titles, values
+    return None
+
+
+def _read_rows(rows: Iterator[tuple[int, list[str]]], year_cols: range) -> tuple[list[str], list[int]]:
+    """The titles and the numeric cells, row by row, of numbered record rows read one at a time.
+
+    Raises MalformedRowError for the first row with a wrong column count or a bad cell.
+    """
+    titles: list[str] = []
+    values: list[int] = []
+    expected = 3 + len(year_cols)
+    for row_no, cells in rows:
+        if len(cells) != expected:
+            raise MalformedRowError(
+                f"row {row_no}: expected {expected} columns, got {len(cells)}"
+            )
+        # one step and one bound test for the common row (with no negative cell, a sum within
+        # MAX_COUNT bounds every count); a row failing either goes cell by cell, which raises for
+        # the first bad cell or accepts cells such as "\x1c7" that str.strip() cleans
+        try:
+            row = list(map(int, cells[1:]))
+        except ValueError:
+            row = []
+        if not (row and MIN_YEAR <= row[0] <= MAX_YEAR and 0 <= min(row) and sum(row) <= MAX_COUNT):
+            row = _parse_row(cells, year_cols, row_no)
+        titles.append(cells[0])
+        values += row
+    return titles, values
+
+
+def _mismatch_warning(number: int, title: str, window_sum: int, total: int) -> str:
+    """The warning for record ``number``, whose year columns do not sum to its declared total."""
+    return (f"record {number} ({_echo(title)}): year columns sum to {window_sum} but total "
+            f"citations is {total}; keeping the declared total as authoritative")
 
 
 def parse_report(
@@ -220,7 +376,8 @@ def parse_report(
     name: str | None = None
     source_id: str | None = None
     reported_h: int | None = None
-    rows = ((row_no, cells) for row_no, cells in enumerate(_rows(text, fmt), start=1)
+    lines = _lines(text, fmt)
+    rows = ((row_no, cells) for row_no, cells in enumerate(map(_split, lines), start=1)
             if cells not in ([], [""]))  # skip blank lines
 
     for row_no, cells in rows:
@@ -234,7 +391,7 @@ def parse_report(
             break
         if key not in (META_RESEARCHER, META_ID, META_H_INDEX):
             raise MalformedHeaderError(
-                f"row {row_no}: expected metadata or header row, got {key!r}"
+                f"row {row_no}: expected metadata or header row, got {_echo(key)}"
             )
         if len(cells) != 2:
             raise MalformedHeaderError(
@@ -255,43 +412,29 @@ def parse_report(
     else:
         raise MalformedHeaderError("no header row found")
 
-    records: list[PublicationRecord] = []
-    parse_warnings: list[str] = []
-    expected = 3 + len(year_cols)
-    for row_no, cells in rows:
-        if len(cells) != expected:
-            raise MalformedRowError(
-                f"row {row_no}: expected {expected} columns, got {len(cells)}"
-            )
-        title = cells[0]
-        # one step and one bound test for the common row (with no negative cell, a sum within
-        # MAX_COUNT bounds every count); a row failing either goes cell by cell, which raises for
-        # the first bad cell or accepts cells such as "\x1c7" that str.strip() cleans
-        try:
-            values = list(map(int, cells[1:]))
-        except ValueError:
-            values = []
-        if not (values and MIN_YEAR <= values[0] <= MAX_YEAR and 0 <= min(values) and sum(values) <= MAX_COUNT):
-            values = _parse_row(cells, year_cols, row_no)
-        pub_year, total, counts = values[0], values[1], values[2:]
-        window_sum = sum(counts)
-        if window_sum != total:
-            parse_warnings.append(
-                f"record {len(records) + 1} ({title!r}): year columns sum to "
-                f"{window_sum} but total citations is {total}; "
-                "keeping the declared total as authoritative"
-            )
-        records.append(PublicationRecord._from_row(title, pub_year, total, year_cols, counts))
-
-    if not records:
+    # the lines after the header (row_no counts from 1) in one pass, or one by one
+    titles, values = (_read_block(lines[row_no:], fmt, 3 + len(year_cols))
+                      or _read_rows(rows, year_cols))
+    if not titles:
         raise EmptyProfileError("report contains no publication records")
 
+    # ``values`` holds each row's publication year, total and counts; taking out the first two
+    # columns leaves the count matrix, one row per record.  The records are views into it, not
+    # owners of a tuple each: CPython keeps up to 2,000 freed tuples of each short length for
+    # reuse, so the tuples of one report's records would stay allocated after it is dropped.
+    width = len(year_cols)
+    pub_years, totals = values[0::width + 2], values[1::width + 2]
+    del values[0::width + 2]
+    del values[0::width + 1]
+    window_sums = list(map(sum, zip(*[iter(values)] * width))) if width else [0] * len(titles)
+    mismatched = compress(range(len(titles)), map(ne, window_sums, totals))
     return ResearcherProfile(
         name=name or default_name or "unknown",
         source_id=source_id,
         reported_h=reported_h,
-        records=records,
-        warnings=parse_warnings,
+        records=list(map(PublicationRecord._from_row, titles, pub_years, totals,
+                         repeat(year_cols), repeat(values), range(len(titles)))),
+        warnings=[_mismatch_warning(i + 1, titles[i], window_sums[i], totals[i]) for i in mismatched],
     )
 
 
@@ -325,8 +468,8 @@ def serialize_report(profile: ResearcherProfile, fmt: ReportFormat = ReportForma
         raise ValueError("researcher name is empty; parse_report would read the file's name")
     if profile.reported_h is not None and not 0 <= profile.reported_h <= MAX_COUNT:
         raise ValueError(f"reported h-index must lie in 0..{MAX_COUNT}")
-    cited = set().union(*(rec.citations_by_year for rec in profile.records))
-    year_cols = range(min(cited), max(cited) + 1) if cited else range(0)
+    cited = list(compress(*_citation_totals(profile.records)))
+    year_cols = range(cited[0], cited[-1] + 1) if cited else range(0)
 
     # each row becomes its line at once; the per-row cell strings do not outlive it
     buffer = io.StringIO()
@@ -351,7 +494,7 @@ def serialize_report(profile: ResearcherProfile, fmt: ReportFormat = ReportForma
         row[0] = _field(rec.title, fmt, "record title")
         row[1] = str(rec.pub_year)
         row[2] = str(rec.total_citations)
-        for year, count in rec.citations_by_year.items():
+        for year, count in rec._cited():
             row[year + offset] = str(count)
         write_row(row)
     return buffer.getvalue().encode("utf-8")

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import EmptyProfileError
-from .ingest import ResearcherProfile
+from .ingest import ResearcherProfile, _citation_totals
 
 
 @dataclass(frozen=True)
@@ -48,12 +49,14 @@ def build_series(profile: ResearcherProfile) -> AnnualSeries:
         raise EmptyProfileError("cannot build a series from a profile with no records")
 
     pubs = Counter(rec.pub_year for rec in profile.records)
-    # one walk over the cited cells; a plain dict adds faster than a Counter
-    cites: dict[int, int] = {}
-    for rec in profile.records:
-        for year, count in rec.citations_by_year.items():
-            cites[year] = cites.get(year, 0) + count
+    # citations per year (a parsed report's column sums), kept where nonzero
+    window, totals = _citation_totals(profile.records)
+    cites = dict(compress(zip(window, totals), totals))
     years = pubs.keys() | cites.keys()
     span = range(min(years), max(years) + 1)
-    return AnnualSeries(start_year=span.start, pubs=tuple(pubs[y] for y in span),
-                        cites=tuple(cites.get(y, 0) for y in span))
+    # a tuple made from a list is allocated at its final length, so it reuses a freed tuple of
+    # that length; tuple(generator) starts at 10 items and grows, so each result would add one to
+    # CPython's free list for its length (up to 2,000 tuples each) until a full garbage
+    # collection, which parsing into a count matrix makes too little garbage to trigger
+    return AnnualSeries(start_year=span.start, pubs=tuple([pubs[y] for y in span]),
+                        cites=tuple([cites.get(y, 0) for y in span]))

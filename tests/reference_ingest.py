@@ -22,7 +22,8 @@ from papertrail.ingest import (
     ReportFormat,
     ResearcherProfile,
     _decode,
-    _rows,
+    _lines,
+    _split,
 )
 
 
@@ -76,7 +77,7 @@ def parse_report(
     records: list[PublicationRecord] = []
     parse_warnings: list[str] = []
 
-    for row_no, cells in enumerate(_rows(text, fmt), start=1):
+    for row_no, cells in enumerate(map(_split, _lines(text, fmt)), start=1):
         if not cells or (len(cells) == 1 and cells[0] == ""):
             continue  # blank line
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from papertrail import ingest
 from papertrail.errors import (
     EmptyProfileError,
     EncodingError,
@@ -13,6 +14,7 @@ from papertrail.errors import (
     PapertrailError,
 )
 from papertrail.ingest import (
+    _ECHO_LIMIT,
     MAX_COUNT,
     PublicationRecord,
     ReportFormat,
@@ -46,6 +48,20 @@ class TestParse:
         assert "7" in profile.warnings[0]
         # the declared total stays authoritative
         assert profile.records[0].total_citations == 7
+
+    @pytest.mark.parametrize("title,shown", [
+        ("t" * _ECHO_LIMIT, repr("t" * _ECHO_LIMIT)),
+        ("t" * 5000, "(5000 characters)"),
+    ], ids=["at-the-bound", "5000-characters"])
+    @pytest.mark.parametrize("read_block", [ingest._read_block, lambda *args: None],
+                             ids=["block", "row-by-row"])
+    def test_mismatch_warning_names_a_long_title_by_its_length(self, title, shown, read_block, monkeypatch):
+        monkeypatch.setattr(ingest, "_read_block", read_block)
+        lines = ["Title\tPublication Year\tTotal Citations\t2010", "ok\t2010\t1\t1", f"{title}\t2010\t2\t1"]
+        profile = parse_report(tsv(*lines))
+        assert profile.records[1].title == title
+        assert profile.warnings == [f"record 2 ({shown}): year columns sum to 1 but total citations "
+                                    "is 2; keeping the declared total as authoritative"]
 
     def test_header_but_no_records(self):
         data = tsv("Title\tPublication Year\tTotal Citations\t2010\t2011")
@@ -234,6 +250,15 @@ class TestParseErrors:
     def test_garbage_before_header(self):
         with pytest.raises(MalformedHeaderError):
             parse_report(tsv("just some text"))
+
+    @pytest.mark.parametrize("cell,shown", [
+        ("c" * _ECHO_LIMIT, repr("c" * _ECHO_LIMIT)),
+        ("c" * 5000, "(5000 characters)"),
+    ], ids=["at-the-bound", "5000-characters"])
+    def test_cell_before_the_header_is_echoed_within_the_bound(self, cell, shown):
+        with pytest.raises(MalformedHeaderError) as exc:
+            parse_report(tsv(cell, "Title\tPublication Year\tTotal Citations"))
+        assert str(exc.value) == f"row 1: expected metadata or header row, got {shown}"
 
     def test_missing_header_entirely(self):
         with pytest.raises(MalformedHeaderError):

@@ -5,8 +5,11 @@ reported h, records with their per-year dicts in order, warnings), or the
 same exception type with the same message.  Two differences are intended:
 when the header the reference accepts has year columns outside
 MIN_YEAR..MAX_YEAR, ``parse_report`` rejects that header instead; and where
-the reference echoes a cell longer than the echo bound, ``parse_report``
-names it by its length, or a number by its digit count.
+the reference echoes a cell or a warning's title longer than the echo bound,
+``parse_report`` names it by its length, or a number by its digit count.
+
+``parse_report`` reads a clean record block in one pass and any other one
+row by row; the two paths must also agree with each other on every input.
 """
 
 import ast
@@ -14,12 +17,14 @@ import csv
 import io
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from papertrail.errors import MalformedHeaderError, PapertrailError
+from papertrail import ingest
+from papertrail.errors import MalformedHeaderError, MalformedRowError, PapertrailError
 from papertrail.ingest import (
     _ECHO_LIMIT,
     MAX_COUNT,
@@ -30,7 +35,9 @@ from papertrail.ingest import (
     serialize_report,
 )
 
-from conftest import random_profile
+from papertrail.synth import conscientious_spec, generate, papermill_spec
+
+from conftest import TWO_RECORD_TSV, random_profile
 from reference_ingest import _parse_year_columns as reference_year_columns
 from reference_ingest import parse_report as reference_parse_report
 
@@ -73,21 +80,39 @@ def accepted_year_columns(data: bytes, fmt: ReportFormat) -> list[int] | None:
 
 # "<what> <repr of the cell> is not an integer"; <what> holds no quote, so matching is linear
 NOT_AN_INTEGER = re.compile(r"([^'\"]*) (['\"].*) is not an integer", re.DOTALL)
+# "row <n>: expected metadata or header row, got <repr of the cell>"
+NOT_A_HEADER = re.compile(r"(row \d+: expected metadata or header row, got )(.*)", re.DOTALL)
+# "record <n> (<repr of the title>): year columns sum to ..."; the tail holds digits only
+MISMATCH = re.compile(r"(record \d+ \()(.*)(\): year columns sum to \d+ but total citations "
+                      r"is \d+; keeping the declared total as authoritative)", re.DOTALL)
+
+
+def shown(echo: str) -> str:
+    """A repr the reference shows, as the package shows it: quoted, or by its length if longer."""
+    text = ast.literal_eval(echo)
+    return echo if len(text) <= _ECHO_LIMIT else f"({len(text)} characters)"
 
 
 def echo_bounded(expected):
-    """The reference's outcome with a cell over the echo bound named as the package names it.
+    """The reference's outcome with a cell or title over the echo bound named as the package names it.
 
-    The reference echoes every cell it cannot read, however long.  The package
-    names a longer cell by its length, and a number that int() refuses for its
-    length by its sign or the column's bound and its digit count.
+    The reference echoes every cell it cannot read and every title in a
+    mismatch warning, however long.  The package names a longer cell or title
+    by its length, and a number that int() refuses for its length by its sign
+    or the column's bound and its digit count.
     """
-    match = NOT_AN_INTEGER.fullmatch(expected[2]) if expected[0] == "error" else None
+    if expected[0] == "profile":
+        warnings = [match[1] + shown(match[2]) + match[3] if (match := MISMATCH.fullmatch(w)) else w
+                    for w in expected[5]]
+        return (*expected[:5], warnings)
+    if match := NOT_A_HEADER.fullmatch(expected[2]):
+        return (*expected[:2], match[1] + shown(match[2]))
+    match = NOT_AN_INTEGER.fullmatch(expected[2])
     if match is None or len(cell := ast.literal_eval(match[2])) <= _ECHO_LIMIT:
         return expected
     what, text = match[1], cell.strip()
     if not re.fullmatch(r"[+-]?\d+", text):
-        return (*expected[:2], f"{what} ({len(cell)} characters) is not an integer")
+        return (*expected[:2], f"{what} {shown(match[2])} is not an integer")
     most = MAX_YEAR if what.endswith(("year column", "publication year")) else MAX_COUNT
     side = "negative" if text[0] == "-" else f"above {most}"
     return (*expected[:2], f"{what} is {side} ({len(text.lstrip('+-0'))} digits)")
@@ -233,8 +258,9 @@ LONG_CELLS = ["x" * (_ECHO_LIMIT + 1), " x" * 2500, "9" * 5000, "-" + "9" * 5000
 
 
 @pytest.mark.parametrize("fmt", list(ReportFormat))
-@pytest.mark.parametrize("row,column", [(0, 1), (1, 3), (2, 1), (2, 2), (2, 4)],
-                         ids=["h-index", "year-column", "publication-year", "total", "year-cell"])
+@pytest.mark.parametrize("row,column", [(0, 0), (0, 1), (1, 3), (2, 1), (2, 2), (2, 4)],
+                         ids=["first-cell", "h-index", "year-column", "publication-year", "total",
+                              "year-cell"])
 @pytest.mark.parametrize("cell", LONG_CELLS, ids=["41-characters", "5000-characters", "5000-digits",
                                                   "negative", "signed-4400-digits"])
 def test_cell_over_the_echo_bound_is_the_other_difference(cell, row, column, fmt):
@@ -244,3 +270,104 @@ def test_cell_over_the_echo_bound_is_the_other_difference(cell, row, column, fmt
     rows[row][column] = cell
     result = assert_same_outcome(report(rows, fmt), fmt)
     assert result[0] == "error" and len(result[2]) < 200
+
+
+def row_by_row(data: bytes, fmt: ReportFormat):
+    """The outcome of ``parse_report`` with the one-pass read of the record block turned off."""
+    with mock.patch.object(ingest, "_read_block", return_value=None):
+        return outcome(parse_report, data, fmt)
+
+
+def assert_paths_agree(data: bytes, fmt: ReportFormat):
+    assert outcome(parse_report, data, fmt) == row_by_row(data, fmt)
+
+
+# cells at the edges of the block pass: what only str.strip() cleans, what int() reads
+# but the lookup table does not, and counts past the table and past MAX_COUNT
+BLOCK_CELLS = ["\x1c7", "+5", "1_0", "05", "٣", " 7", "-0", "255", "256", "1899", "2101",
+               str(MAX_COUNT), str(MAX_COUNT + 1), "-1", "x", "", "\r"]
+
+
+@st.composite
+def block_reports(draw):
+    """A serialized random profile with cells replaced, rows cut short or lengthened,
+    blank lines inserted, and possibly CRLF endings."""
+    fmt = draw(st.sampled_from(list(ReportFormat)))
+    profile = random_profile(draw(st.randoms(use_true_random=False)))
+    rows = split_report(serialize_report(profile, fmt), fmt)[:-1]
+    for _ in range(draw(st.integers(0, 3))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        change = draw(st.sampled_from(["cell", "short", "long", "blank"]))
+        if change == "blank":
+            rows.insert(draw(st.integers(0, len(rows))), [])
+        elif change == "long":
+            row.append(draw(st.sampled_from(BLOCK_CELLS)))
+        elif row and change == "short":
+            row.pop()
+        elif row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(BLOCK_CELLS) | cell_text)
+    data = report(rows, fmt)
+    return data.replace(b"\n", b"\r\n") if draw(st.booleans()) else data, fmt
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_reports())
+def test_block_pass_agrees_with_the_row_by_row_path(case):
+    assert_paths_agree(*case)
+
+
+BLOCK_ROWS = [["# researcher", "R"],
+              ["Title", "Publication Year", "Total Citations", "2010", "2011"],
+              ["first", "2010", "3", "1", "2"],
+              ["second", "2011", "300", "0", "255"],
+              ["third", "2011", "1", "0", "1"]]
+
+
+@pytest.mark.parametrize("fmt", list(ReportFormat))
+@pytest.mark.parametrize("change", [
+    lambda rows: rows[:3] + [[]] + rows[3:] + [[]],
+    lambda rows: rows[:4] + [["short", "2011", "1", "1"]] + rows[4:],
+    lambda rows: rows[:4] + [["long", "2011", "1", "1", "0", "0"]] + rows[4:],
+    lambda rows: rows[:4] + [["sum", "2011", str(MAX_COUNT), str(MAX_COUNT), "0"]] + rows[4:],
+    lambda rows: rows[:4] + [["above", "2011", "256", "1899", "2101"]] + rows[4:],
+    lambda rows: rows[:4] + [["table", "2100", "2100", "1900", "200"]] + rows[4:],
+    *(lambda rows, cell=cell: rows[:4] + [["tricky", "2011", cell, "0", cell]] + rows[4:]
+      for cell in ["\x1c7", "+5", "1_0", "05", "٣"]),
+], ids=["blank-lines", "short-row", "long-row", "sum-over-max-count", "above-the-table",
+        "table-edges", "x1c7", "plus", "underscore", "leading-zero", "arabic-indic"])
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+def test_block_pass_edge_cases(change, ending, fmt):
+    data = report(change([row.copy() for row in BLOCK_ROWS]), fmt).replace(b"\n", ending)
+    assert_paths_agree(data, fmt)
+    assert_same_outcome(data, fmt)
+
+
+def well_formed_reports(fmt: ReportFormat):
+    """Reports whose counts lie in the lookup table, and reports with counts past it."""
+    yield "two-record", report(split_report(TWO_RECORD_TSV, ReportFormat.TSV)[:-1], fmt)
+    for seed in range(3):
+        yield f"random-{seed}", serialize_report(random_profile(random.Random(seed)), fmt)
+        yield f"papermill-{seed}", serialize_report(generate(papermill_spec(seed)), fmt)
+        yield f"conscientious-{seed}", serialize_report(generate(conscientious_spec(seed)), fmt)
+
+
+def with_bad_last_cell(data: bytes, fmt: ReportFormat) -> tuple[bytes, str]:
+    """``data`` with the last cell of its last row replaced by "x", and the error that names it."""
+    sep = b"," if fmt is ReportFormat.CSV else b"\t"
+    bad = data.rstrip(b"\n").rpartition(sep)[0] + sep + b"x\n"
+    header = next(row for row in split_report(data, fmt) if row[0] == "Title")
+    what = f"citation count for {header[-1]}" if len(header) > 3 else "total citations"
+    last_row = bad.count(b"\n")
+    return bad, f"row {last_row}: {what} 'x' is not an integer"
+
+
+@pytest.mark.parametrize("fmt", list(ReportFormat))
+def test_well_formed_reports_take_the_block_pass(fmt):
+    for label, data in well_formed_reports(fmt):
+        expected = row_by_row(data, fmt)
+        with mock.patch.object(ingest, "_read_rows", side_effect=AssertionError(label)):
+            assert outcome(parse_report, data, fmt) == expected
+        bad, message = with_bad_last_cell(data, fmt)
+        with pytest.raises(MalformedRowError) as exc:
+            parse_report(bad, fmt)
+        assert str(exc.value) == message

@@ -1,12 +1,21 @@
 import random
+from collections import Counter
 
 import pytest
 
 from papertrail.errors import EmptyProfileError
-from papertrail.ingest import PublicationRecord, ResearcherProfile
+from papertrail.ingest import (
+    PublicationRecord,
+    ReportFormat,
+    ResearcherProfile,
+    _citation_totals,
+    parse_report,
+    serialize_report,
+)
 from papertrail.series import AnnualSeries, build_series
+from papertrail.synth import conscientious_spec, generate, papermill_spec
 
-from conftest import random_profile
+from conftest import random_profile, tsv
 
 
 def profile_with(records):
@@ -75,3 +84,68 @@ def test_series_rejects_invalid_shapes(pubs, cites, message):
     with pytest.raises(ValueError, match=message):
         AnnualSeries(2000, pubs, cites)
 
+
+
+def walked_series(records) -> AnnualSeries:
+    """The series by one walk over each record's per-year dict, as build_series made it before
+    it summed the columns of a parsed report's count matrix."""
+    pubs = Counter(rec.pub_year for rec in records)
+    cites: dict[int, int] = {}
+    for rec in records:
+        for year, count in rec.citations_by_year.items():
+            cites[year] = cites.get(year, 0) + count
+    years = pubs.keys() | cites.keys()
+    span = range(min(years), max(years) + 1)
+    return AnnualSeries(span.start, tuple(pubs[y] for y in span), tuple(cites.get(y, 0) for y in span))
+
+
+def takes_column_sums(records) -> bool:
+    return _citation_totals(records)[0] is records[0]._years
+
+
+def record_lists(seed: int):
+    """Parsed, generated, hand-built and mixed record lists, with whether they share one matrix."""
+    rng = random.Random(seed)
+    built = random_profile(rng).records
+    fmt = ReportFormat.CSV if seed % 2 else ReportFormat.TSV
+    spec = papermill_spec(seed) if seed % 2 else conscientious_spec(seed)
+    parsed = parse_report(serialize_report(profile_with(built), fmt), fmt).records
+    generated = generate(spec).records
+    parsed_generated = parse_report(serialize_report(profile_with(generated))).records
+    yield "parsed", parsed, True
+    yield "parsed-synth", parsed_generated, True
+    yield "synth", generated, False
+    yield "built", built, len(built) == 1
+    yield "mixed", parsed_generated[:5] + built, False
+    yield "two-reports", parsed + parsed_generated, False
+    if len(parsed) > 1:
+        yield "reordered", parsed[::-1], False
+        yield "subset", parsed[1:], False
+    yield "repeated", parsed * 2, False
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_column_sums_match_the_record_walk(seed):
+    for label, records, shared in record_lists(seed):
+        assert takes_column_sums(records) == shared, label
+        assert build_series(profile_with(records)) == walked_series(records), label
+
+
+@pytest.mark.parametrize("fmt", list(ReportFormat))
+def test_column_sums_extend_the_range_before_the_first_publication(fmt):
+    report = tsv("Title\tPublication Year\tTotal Citations\t2006\t2007\t2008\t2009\t2010\t2011",
+                 "a\t2010\t3\t0\t1\t0\t0\t2\t0",
+                 "b\t2011\t1\t0\t0\t0\t0\t0\t0")
+    if fmt is ReportFormat.CSV:
+        report = report.replace(b"\t", b",")
+    records = parse_report(report, fmt).records
+    assert takes_column_sums(records)
+    s = build_series(profile_with(records))
+    assert (s.start_year, s.pubs, s.cites) == (2007, (0, 0, 0, 1, 1), (1, 0, 0, 2, 0))
+    assert s == walked_series(records)
+
+
+def test_column_sums_of_a_report_without_year_columns():
+    records = parse_report(tsv("Title\tPublication Year\tTotal Citations", "a\t2010\t3", "b\t2012\t0")).records
+    assert takes_column_sums(records)
+    assert build_series(profile_with(records)) == walked_series(records) == AnnualSeries(2010, (1, 0, 1), (0, 0, 0))
