@@ -78,7 +78,7 @@ from .cohort import (
 )
 from .errors import DegenerateAbscissaError, PapertrailError, TooFewPointsError
 from .indicators import AnalysisConfig, IndicatorSet, analyze_profile
-from .ingest import ReportFormat, ResearcherProfile, parse_report, serialize_report
+from .ingest import ReportFormat, ResearcherProfile, _echo, parse_report, serialize_report
 from .render import ChartStyle, ScatterAxes, profile_chart, scatter_chart
 from .synth import Archetype, conscientious_spec, generate, papermill_spec
 
@@ -150,12 +150,25 @@ def load_config_file(path: str) -> dict[str, Any]:
         key = key.strip()
         if not sep or key not in CONFIG_KEYS:
             raise ValueError(f"{path}:{line_no}: expected '<key> = <value>' with key in "
-                             f"{sorted(CONFIG_KEYS)}, got {line!r}")
+                             f"{sorted(CONFIG_KEYS)}, got {_echo(line)}")
         try:
             values[key] = CONFIG_KEYS[key](value.strip())
         except ValueError:
-            raise ValueError(f"{path}:{line_no}: bad value for {key}: {value.strip()!r}") from None
+            raise ValueError(
+                f"{path}:{line_no}: bad value for {key}: {_echo(value.strip())}") from None
     return values
+
+
+# the longest report path that a cohort diagnostic's error repeats; a longer one is named by its
+# length (the diagnostic's ``path`` holds it), which keeps each ``warning: skipped`` line short
+_PATH_ECHO_LIMIT = 200
+
+
+def _read_failure(exc: OSError) -> str:
+    """``str(exc)`` of a failed read, with a file name over _PATH_ECHO_LIMIT named by its length."""
+    if exc.filename is None:  # a NUL byte in the path
+        return str(exc)
+    return f"[Errno {exc.errno}] {exc.strerror}: {_echo(exc.filename, _PATH_ECHO_LIMIT)}"
 
 
 class _Failure(Exception):
@@ -367,7 +380,9 @@ def cmd_cohort(args: argparse.Namespace) -> None:
         resolved = manifest.parent / path  # an absolute path replaces the parent
         try:
             _, ind = _load_report(resolved, args.format, config)
-        except (OSError, PapertrailError) as exc:
+        except OSError as exc:
+            diagnostics.append({"label": label, "path": str(resolved), "error": _read_failure(exc)})
+        except PapertrailError as exc:
             diagnostics.append({"label": label, "path": str(resolved), "error": str(exc)})
         else:
             points.append(point_from_indicators(label, ind))

@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, compress, repeat
-from operator import add, ne
+from operator import add, attrgetter, ne
 from typing import Iterator, Mapping
 
 from .errors import (
@@ -61,6 +61,8 @@ _NO_YEARS = range(MIN_YEAR, MIN_YEAR)
 # constant, never changed.  Its values are shared objects (CPython caches the ints to 256), so
 # a report's count matrix holds no int object of its own for such cells.
 _CELL = {str(n): n for n in chain(range(256), range(MIN_YEAR, MAX_YEAR + 1))}
+# its mirror for writing: the text of each count 0..255, an import-time constant as well
+_TEXT = tuple(map(str, range(256)))
 
 # the decimal integers int() reads; each part ends where the next begins, so matching is linear
 _INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")
@@ -81,11 +83,12 @@ class PublicationRecord:
 
     The per-year counts are one row of a count matrix over a contiguous
     window of years.  The records of a parsed report are the rows of that
-    report's one matrix; a record built here owns a one-row matrix over its
-    cited years.  ``citations_by_year`` is derived from the row on each
-    access, in canonical form: a new dict in year order with the zero-count
-    years dropped, so two records compare equal regardless of how many
-    explicit zeros their source files carried.
+    report's one matrix, whose edge columns may hold zeros; a record built
+    here, and a ``synth`` record, owns a one-row matrix trimmed to its cited
+    years (empty if it cites nothing).  ``citations_by_year`` is derived
+    from the row on each access, in canonical form: a new dict in year order
+    with the zero-count years dropped, so two records compare equal
+    regardless of how many explicit zeros their source files carried.
     """
 
     __slots__ = ("title", "pub_year", "total_citations", "_years", "_matrix", "_row")
@@ -137,6 +140,16 @@ class PublicationRecord:
         record._matrix = matrix
         record._row = row
         return record
+
+    def _span(self) -> range:
+        """The years from this record's first to its last cited year; empty if it cites nothing."""
+        years = self._years
+        width = len(years)
+        first = self._row * width
+        if width and self._matrix[first] and self._matrix[first + width - 1]:
+            return years
+        cited = list(compress(years, self._cells()))
+        return range(cited[0], cited[-1] + 1) if cited else _NO_YEARS
 
     def _cells(self) -> list[int]:
         """This record's row of its matrix: one count per year of ``_years``."""
@@ -226,9 +239,9 @@ def _split(line: str | list[str]) -> list[str]:
     return line.rstrip("\r").split("\t") if isinstance(line, str) else line
 
 
-def _echo(cell: str) -> str:
-    """``cell`` as a message shows it: quoted, or named by its length if longer than _ECHO_LIMIT."""
-    return repr(cell) if len(cell) <= _ECHO_LIMIT else f"({len(cell)} characters)"
+def _echo(cell: str, limit: int = _ECHO_LIMIT) -> str:
+    """``cell`` as a message shows it: quoted, or named by its length if longer than ``limit``."""
+    return repr(cell) if len(cell) <= limit else f"({len(cell)} characters)"
 
 
 def _int(cell: str, what: str, error: type[PapertrailError], most: int) -> int:
@@ -455,23 +468,31 @@ def _field(value: str, fmt: ReportFormat, what: str) -> str:
 def serialize_report(profile: ResearcherProfile, fmt: ReportFormat = ReportFormat.TSV) -> bytes:
     """Render a profile back into canonical bytes.
 
-    The year-column window is the smallest contiguous range covering every
-    cited year across all records (empty when nothing was ever cited).
-    ``parse_report(serialize_report(p))`` reproduces ``p`` in every field
-    except ``warnings``.  A profile it would not reproduce raises ValueError
-    naming the field: no records, an empty name, a reported h-index outside
-    0..MAX_COUNT, or a title, name or id that the flavor cannot carry.
+    The year-column window is the union of the records' cited spans: the
+    smallest contiguous range covering every cited year across all records
+    (empty when nothing was ever cited).  Each record row is written clipped
+    to it.  ``parse_report(serialize_report(p))`` reproduces ``p`` in every
+    field except ``warnings``.  A profile it would not reproduce raises
+    ValueError naming the field: no records, an empty name, a reported
+    h-index outside 0..MAX_COUNT, or a title, name or id that the flavor
+    cannot carry.
     """
-    if not profile.records:
+    records = profile.records
+    if not records:
         raise ValueError("profile has no records; parse_report rejects a report without any")
     if not profile.name:
         raise ValueError("researcher name is empty; parse_report would read the file's name")
     if profile.reported_h is not None and not 0 <= profile.reported_h <= MAX_COUNT:
         raise ValueError(f"reported h-index must lie in 0..{MAX_COUNT}")
-    cited = list(compress(*_citation_totals(profile.records)))
-    year_cols = range(cited[0], cited[-1] + 1) if cited else range(0)
+    # the window in one pass over the records, holding no list of their spans
+    lo, hi = MAX_YEAR + 1, MIN_YEAR
+    for span in map(PublicationRecord._span, records):
+        if span:
+            lo = span.start if span.start < lo else lo
+            hi = span.stop if span.stop > hi else hi
+    if lo >= hi:
+        lo = hi = MIN_YEAR
 
-    # each row becomes its line at once; the per-row cell strings do not outlive it
     buffer = io.StringIO()
     if fmt is ReportFormat.TSV:
         def write_row(row: list[str]) -> None:
@@ -485,16 +506,36 @@ def serialize_report(profile: ResearcherProfile, fmt: ReportFormat = ReportForma
         write_row([META_ID, _field(profile.source_id, fmt, "researcher id")])
     if profile.reported_h is not None:
         write_row([META_H_INDEX, str(profile.reported_h)])
-    write_row([*_HEADER_PREFIX, *map(str, year_cols)])
-    # a record row is a template of zero cells with only its cited years filled in
-    template = ["", "", ""] + ["0"] * len(year_cols)
-    offset = 3 - year_cols.start
-    for rec in profile.records:
-        row = template.copy()
-        row[0] = _field(rec.title, fmt, "record title")
-        row[1] = str(rec.pub_year)
-        row[2] = str(rec.total_citations)
-        for year, count in rec._cited():
-            row[year + offset] = str(count)
-        write_row(row)
+    write_row([*_HEADER_PREFIX, *map(str, range(lo, hi))])
+    # every title checked at once; _field then names the first one the flavor cannot carry
+    if (_UNSAFE[fmt].search("".join(map(attrgetter("title"), records)))
+            or fmt is ReportFormat.CSV
+            and max(map(len, map(attrgetter("title"), records))) > csv.field_size_limit()):
+        for rec in records:
+            _field(rec.title, fmt, "record title")
+    # a record row is its cells within the window between two runs of zero cells, cut from one
+    # string of TSV zeros or one list of CSV ones; each row becomes its line at once
+    tsv = fmt is ReportFormat.TSV
+    zeros = "\t0" * (hi - lo) if tsv else ["0"] * (hi - lo)
+    step = 2 if tsv else 1  # the length of one zero cell in ``zeros``
+    write, text = buffer.write, _TEXT.__getitem__
+    for rec in records:
+        years = rec._years
+        start = years.start if years.start > lo else lo
+        stop = years.stop if years.stop < hi else hi
+        if start >= stop:  # the record cites nothing: all of its row is zeros
+            start = stop = hi
+        first = rec._row * len(years) - years.start
+        cells = rec._matrix[first + start:first + stop]
+        try:
+            texts = list(map(text, cells))
+        except IndexError:  # a count above 255
+            texts = list(map(str, cells))
+        before, after = zeros[:step * (start - lo)], zeros[step * (stop - lo):]
+        if tsv:
+            cited = "\t" + "\t".join(texts) if texts else ""
+            write(f"{rec.title}\t{rec.pub_year}\t{rec.total_citations}{before}{cited}{after}\n")
+        else:
+            write_row([rec.title, str(rec.pub_year), str(rec.total_citations),
+                       *before, *texts, *after])
     return buffer.getvalue().encode("utf-8")

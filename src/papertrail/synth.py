@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidSpecError
-from .ingest import MAX_YEAR, MIN_YEAR, PublicationRecord, ResearcherProfile
+from .ingest import MAX_YEAR, MIN_YEAR, PublicationRecord, ResearcherProfile, _NO_YEARS
 
 _MASK64 = (1 << 64) - 1
 
@@ -303,10 +303,17 @@ def generate(spec: SynthSpec) -> ResearcherProfile:
             paper_no += 1
             mass = max(spec.cites_per_paper * rng.jitter(_CITE_JITTER) * scale, 1.0)
             offsets = _enforce_peak(_floor_carry([mass * w for w in kernel]), peak_offset)
+            # the row runs from the first to the last cited year, as the public constructor
+            # keeps it; a row that cites nothing is empty
+            lo, hi = 0, len(offsets)
+            while lo < hi and not offsets[lo]:
+                lo += 1
+            while hi > lo and not offsets[hi - 1]:
+                hi -= 1
             # start_year bounds every pub_year, and the counts are non-negative ints
             records.append(PublicationRecord._from_row(
                 f"Synthetic study {paper_no:04d}", year, sum(offsets),
-                range(year, year + len(offsets)), offsets,
+                range(year + lo, year + hi) if lo < hi else _NO_YEARS, offsets[lo:hi],
             ))
 
     return ResearcherProfile(

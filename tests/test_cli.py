@@ -164,6 +164,23 @@ class TestConfig:
         cfg.write_text("nonsense = 1\n")
         assert main(["analyze", str(report_path), "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("line,shown", [
+        ("nonsense = 1", "got 'nonsense = 1'"),
+        ("x" * 40, f"got '{'x' * 40}'"),
+        ("x" * 41, "got (41 characters)"),
+        ("x" * 5000, "got (5000 characters)"),
+        ("r_min = " + "x" * 5000, "bad value for r_min: (5000 characters)"),
+        ("r_min = nine", "bad value for r_min: 'nine'"),
+    ], ids=["key", "40", "41", "5000", "value-5000", "value"])
+    def test_config_line_is_echoed_within_the_bound(self, report_path, tmp_path, capsys,
+                                                      line, shown):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(line + "\n")
+        assert main(["analyze", str(report_path), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:1: ") and err.endswith(f"{shown}\n")
+        assert all(len(text) < 300 for text in err.splitlines())
+
     def test_growth_window_flag(self, tmp_path, capsys):
         # the last 3 years grow monotonically, the last 5 do not
         path = tmp_path / "g.tsv"
@@ -406,6 +423,29 @@ class TestCohort:
         captured = capsys.readouterr()
         assert [p["label"] for p in json.loads(captured.out)["points"]] == ["R0"]
         assert captured.err == "warning: skipped BAD: embedded null byte\n"
+
+    @pytest.mark.parametrize("length", [20, 300, 20_000])
+    def test_entry_path_is_repeated_in_the_error_within_the_bound(self, tmp_path, capsys,
+                                                                  length):
+        good = write_synth(tmp_path, "r0.tsv", papermill_spec(0))
+        manifest = self.make_manifest(tmp_path, [("R0", good.name), ("GONE", "p" * length)])
+        out = tmp_path / "c.json"
+        assert main(["cohort", str(manifest), "--json", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert all(len(line) < 300 for line in err.splitlines())
+        (diagnostic,) = json.loads(out.read_text())["diagnostics"]
+        path = str(tmp_path / ("p" * length))
+        assert diagnostic["path"] == path
+        try:
+            open(path, "rb")
+        except OSError as exc:
+            failure = exc
+        if len(path) <= cli._PATH_ECHO_LIMIT:
+            assert diagnostic["error"] == str(failure)
+        else:
+            assert diagnostic["error"] == (
+                f"[Errno {failure.errno}] {failure.strerror}: ({len(path)} characters)")
+        assert err == f"warning: skipped GONE: {diagnostic['error']}\n"
 
     def test_count_cell_above_max_count_is_skipped(self, tmp_path, capsys):
         good = write_synth(tmp_path, "r0.tsv", papermill_spec(0))

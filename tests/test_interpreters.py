@@ -1,6 +1,7 @@
 """Every supported CPython writes the same documents and charts.
 
-Runs ``analyze --svg``, ``synth`` and ``cohort --svg-dir`` on this
+Runs ``analyze --svg``, ``synth`` (the default profiles and the wide
+``synth-write`` benchmark profile in both formats) and ``cohort --svg-dir`` on this
 checkout's ``src`` under the running interpreter and under each other
 ``python3.10`` .. ``python3.13`` on PATH, and compares the JSON documents
 (without ``generated_at``) and every other output byte for byte.  The
@@ -50,6 +51,10 @@ def outputs(python: str, inputs: Path, out: Path) -> dict[str, object]:
         ["synth", "--archetype", "papermill", "--seed", "4", "-o", out / "pm.tsv"],
         ["synth", "--archetype", "conscientious", "--seed", "4", "--format", "csv",
          "-o", out / "cs.csv"],
+        # the synth-write benchmark profile, in both formats
+        *(["synth", "--archetype", "conscientious", "--seed", "1", "--n-years", "60",
+           "--peak-rate", "400", "--start-year", "1960", "--format", fmt, "-o", out / f"wide.{fmt}"]
+          for fmt in ("tsv", "csv")),
         ["cohort", inputs / "cohort.tsv", "--json", out / "cohort.json", "--svg-dir", out / "figs"],
     ]
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -84,7 +89,7 @@ def test_every_interpreter_writes_the_same_outputs(tmp_path):
     (inputs / "cohort.tsv").write_text("".join(lines), encoding="utf-8")
 
     expected = outputs(sys.executable, inputs, tmp_path / "running")
-    assert len(expected) == 9
+    assert len(expected) == 11
     for n, python in enumerate(others):
         actual = outputs(python, inputs, tmp_path / f"other{n}")
         assert actual.keys() == expected.keys(), python
