@@ -70,6 +70,7 @@ from .cohort import (
     LinearFit,
     PowerLawFit,
     Region,
+    ScatterAxes,
     cohort_summary,
     fit_linear,
     fit_power_law,
@@ -79,8 +80,6 @@ from .cohort import (
 from .errors import DegenerateAbscissaError, PapertrailError, TooFewPointsError
 from .indicators import AnalysisConfig, IndicatorSet, analyze_profile
 from .ingest import ReportFormat, ResearcherProfile, _echo, parse_report, serialize_report
-from .render import ChartStyle, ScatterAxes, profile_chart, scatter_chart
-from .synth import Archetype, conscientious_spec, generate, papermill_spec
 
 SCHEMA_VERSION = "1.0"
 CONFIG_ENV_VAR = "PAPERTRAIL_CONFIG"
@@ -111,6 +110,9 @@ CONFIG_FLAGS = {
     "prefer_reported_h": ("--prefer-reported-h", "use a file's reported h-index when present"),
 }
 
+# the values of synth.Archetype, spelled here so that building the parser does not import synth
+ARCHETYPES = ("conscientious", "papermill")
+
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
 EXIT_USAGE_ERROR = 2
@@ -121,6 +123,23 @@ COHORT_CHARTS = (
     ("i_vs_p_powerfit.svg", ScatterAxes.I_VS_P_POWERFIT),
     ("m_vs_p_linfit.svg", ScatterAxes.M_VS_P_LINFIT),
 )
+
+
+# the longest path or manifest label that a message repeats; a longer one is named by its length
+# (a cohort diagnostic's ``label`` and ``path`` hold it in full), which keeps each stderr line short
+_PATH_ECHO_LIMIT = 200
+
+
+def _name(text: str) -> str:
+    """A path or label as a message names it: as is, or by its length if over _PATH_ECHO_LIMIT."""
+    return text if len(text) <= _PATH_ECHO_LIMIT else f"({len(text)} characters)"
+
+
+def _reason(exc: Exception) -> str:
+    """``str(exc)`` of a failed read or write, with a file name over the limit named by its length."""
+    if not isinstance(exc, OSError) or exc.filename is None:  # e.g. a NUL byte in the path
+        return str(exc)
+    return f"[Errno {exc.errno}] {exc.strerror}: {_echo(exc.filename, _PATH_ECHO_LIMIT)}"
 
 
 def _now_iso() -> str:
@@ -135,7 +154,7 @@ def _read_text(path: str) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line_no = data[:exc.start].count(b"\n") + 1
-        raise ValueError(f"{path}:{line_no}: not valid UTF-8: {exc.reason}") from None
+        raise ValueError(f"{_name(path)}:{line_no}: not valid UTF-8: {exc.reason}") from None
 
 
 def load_config_file(path: str) -> dict[str, Any]:
@@ -149,26 +168,14 @@ def load_config_file(path: str) -> dict[str, Any]:
         key, sep, value = line.partition("=")
         key = key.strip()
         if not sep or key not in CONFIG_KEYS:
-            raise ValueError(f"{path}:{line_no}: expected '<key> = <value>' with key in "
+            raise ValueError(f"{_name(path)}:{line_no}: expected '<key> = <value>' with key in "
                              f"{sorted(CONFIG_KEYS)}, got {_echo(line)}")
         try:
             values[key] = CONFIG_KEYS[key](value.strip())
         except ValueError:
             raise ValueError(
-                f"{path}:{line_no}: bad value for {key}: {_echo(value.strip())}") from None
+                f"{_name(path)}:{line_no}: bad value for {key}: {_echo(value.strip())}") from None
     return values
-
-
-# the longest report path that a cohort diagnostic's error repeats; a longer one is named by its
-# length (the diagnostic's ``path`` holds it), which keeps each ``warning: skipped`` line short
-_PATH_ECHO_LIMIT = 200
-
-
-def _read_failure(exc: OSError) -> str:
-    """``str(exc)`` of a failed read, with a file name over _PATH_ECHO_LIMIT named by its length."""
-    if exc.filename is None:  # a NUL byte in the path
-        return str(exc)
-    return f"[Errno {exc.errno}] {exc.strerror}: {_echo(exc.filename, _PATH_ECHO_LIMIT)}"
 
 
 class _Failure(Exception):
@@ -188,7 +195,7 @@ def _resolve_analysis_config(args: argparse.Namespace) -> AnalysisConfig:
                       if getattr(args, key) is not None)
         return AnalysisConfig(**values)
     except (OSError, ValueError) as exc:
-        raise _Failure(EXIT_USAGE_ERROR, str(exc)) from None
+        raise _Failure(EXIT_USAGE_ERROR, _reason(exc)) from None
 
 
 def _detect_format(path: str, explicit: str | None) -> ReportFormat:
@@ -332,7 +339,7 @@ def _writing(path: str | Path):
     try:
         yield
     except (OSError, ValueError) as exc:
-        raise _Failure(EXIT_DATA_ERROR, f"cannot write {path}: {exc}") from None
+        raise _Failure(EXIT_DATA_ERROR, f"cannot write {_name(str(path))}: {_reason(exc)}") from None
 
 
 def _write(*outputs: tuple[str | Path | None, str | bytes]) -> None:
@@ -354,12 +361,14 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     try:
         profile, ind = _load_report(Path(args.report), args.format, config)
     except OSError as exc:
-        raise _Failure(EXIT_DATA_ERROR, f"cannot read {args.report}: {exc}") from None
+        raise _Failure(EXIT_DATA_ERROR, f"cannot read {_name(args.report)}: {_reason(exc)}") from None
     except PapertrailError as exc:
-        raise _Failure(EXIT_DATA_ERROR, f"{args.report}: {exc}") from None
+        raise _Failure(EXIT_DATA_ERROR, f"{_name(args.report)}: {exc}") from None
 
     outputs = []
     if args.svg:
+        from .render import ChartStyle, profile_chart
+
         style = ChartStyle(title=f"Times cited and publications over time: {profile.name}")
         outputs.append((args.svg, profile_chart(ind.series, ind, style)))
     _write(*outputs, (args.json or None, _json_text(build_report(profile, ind))))
@@ -371,7 +380,7 @@ def cmd_cohort(args: argparse.Namespace) -> None:
     try:
         manifest_text = _read_text(args.manifest)
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL byte in the path
-        raise _Failure(EXIT_DATA_ERROR, f"cannot read {args.manifest}: {exc}") from None
+        raise _Failure(EXIT_DATA_ERROR, f"cannot read {_name(args.manifest)}: {_reason(exc)}") from None
 
     entries, problems = parse_manifest(manifest_text)
     diagnostics = [{"label": "", "path": "", "error": p} for p in problems]
@@ -381,7 +390,7 @@ def cmd_cohort(args: argparse.Namespace) -> None:
         try:
             _, ind = _load_report(resolved, args.format, config)
         except OSError as exc:
-            diagnostics.append({"label": label, "path": str(resolved), "error": _read_failure(exc)})
+            diagnostics.append({"label": label, "path": str(resolved), "error": _reason(exc)})
         except PapertrailError as exc:
             diagnostics.append({"label": label, "path": str(resolved), "error": str(exc)})
         else:
@@ -390,10 +399,10 @@ def cmd_cohort(args: argparse.Namespace) -> None:
     if not points:
         raise _Failure(EXIT_DATA_ERROR, "\n".join(
             ["no profile in the manifest could be processed"]
-            + [f"  {d['label'] or d['path'] or 'manifest'}: {d['error']}" for d in diagnostics]
+            + [f"  {_name(d['label'] or d['path'] or 'manifest')}: {d['error']}" for d in diagnostics]
         ))
     for d in diagnostics:
-        print(f"warning: skipped {d['label'] or 'entry'}: {d['error']}", file=sys.stderr)
+        print(f"warning: skipped {_name(d['label'] or 'entry')}: {d['error']}", file=sys.stderr)
 
     region = config.region
     document = build_cohort_document(points, region, diagnostics)
@@ -403,6 +412,8 @@ def cmd_cohort(args: argparse.Namespace) -> None:
               "non-positive coordinates from the power-law fit", file=sys.stderr)
     charts = []
     if args.svg_dir:
+        from .render import ChartStyle, scatter_chart
+
         # the charts draw the fits the document reports
         fits = {ScatterAxes.I_VS_P_POWERFIT: power_fit and PowerLawFit(**power_fit),
                 ScatterAxes.M_VS_P_LINFIT: linear_fit and LinearFit(**linear_fit)}
@@ -416,6 +427,8 @@ def cmd_cohort(args: argparse.Namespace) -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> None:
+    from .synth import Archetype, conscientious_spec, generate, papermill_spec
+
     if Archetype(args.archetype) is Archetype.PAPERMILL:
         make_spec, own, other = papermill_spec, "onset_offset", "kernel_peak_lag"
     else:
@@ -473,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic citation report")
     p_synth.add_argument("--archetype", required=True,
-                         choices=[a.value for a in Archetype])
+                         choices=ARCHETYPES)
     p_synth.add_argument("--seed", type=int, default=0, metavar="N")
     p_synth.add_argument("-o", "--output", required=True, metavar="PATH")
     p_synth.add_argument("--format", choices=[f.value for f in ReportFormat])

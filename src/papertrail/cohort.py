@@ -26,6 +26,15 @@ class RegionClass(str, Enum):
     UNCLASSIFIABLE = "unclassifiable"
 
 
+class ScatterAxes(str, Enum):
+    """The four cohort scatter charts, by what they plot."""
+
+    I_VS_R = "i_vs_r"
+    I_VS_P_POWERFIT = "i_vs_p_powerfit"
+    M_VS_P_LINFIT = "m_vs_p_linfit"
+    I_VS_R_BUBBLE = "i_vs_r_bubble"
+
+
 @dataclass(frozen=True)
 class CohortPoint:
     """One researcher's coordinates in the cohort scatter plots."""

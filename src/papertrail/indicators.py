@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
@@ -144,6 +143,8 @@ class YearlyStats(NamedTuple):
 
 def round_half_up(value: float, ndigits: int = 2) -> float:
     """Round for display with ties away from zero (0.085 -> 0.09)."""
+    from decimal import ROUND_HALF_UP, Decimal  # only charts round for display
+
     q = Decimal(1).scaleb(-ndigits)
     return float(Decimal(repr(value)).quantize(q, rounding=ROUND_HALF_UP))
 

@@ -240,8 +240,10 @@ def _split(line: str | list[str]) -> list[str]:
 
 
 def _echo(cell: str, limit: int = _ECHO_LIMIT) -> str:
-    """``cell`` as a message shows it: quoted, or named by its length if longer than ``limit``."""
-    return repr(cell) if len(cell) <= limit else f"({len(cell)} characters)"
+    """``cell`` as a message shows it: quoted, or named by its length if the quotes would hold
+    more than ``limit`` characters (an escape such as ``\\x1c`` counts as its four)."""
+    shown = repr(cell)
+    return shown if len(shown) <= limit + 2 else f"({len(cell)} characters)"
 
 
 def _int(cell: str, what: str, error: type[PapertrailError], most: int) -> int:

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from html import escape
 from typing import Iterator, Sequence
 
-from .cohort import CohortPoint, LinearFit, PowerLawFit, Region
+from .cohort import CohortPoint, LinearFit, PowerLawFit, Region, ScatterAxes
 from .errors import EmptyCohortError
 from .indicators import IndicatorSet, round_half_up
 from .series import AnnualSeries
@@ -32,13 +31,6 @@ BAR_COLOR = "#4682b4"
 LINE_COLOR = "#8b0000"
 
 _FONT = "font-family=\"sans-serif\""
-
-
-class ScatterAxes(str, Enum):
-    I_VS_R = "i_vs_r"
-    I_VS_P_POWERFIT = "i_vs_p_powerfit"
-    M_VS_P_LINFIT = "m_vs_p_linfit"
-    I_VS_R_BUBBLE = "i_vs_r_bubble"
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from papertrail import cli, cohort
 from papertrail.cli import CONFIG_KEYS, _parse_bool, _resolve_analysis_config, build_parser, main
 from papertrail.indicators import AnalysisConfig
 from papertrail.ingest import serialize_report
-from papertrail.synth import conscientious_spec, generate, papermill_spec
+from papertrail.synth import Archetype, conscientious_spec, generate, papermill_spec
 
 from conftest import TWO_RECORD_TSV
 
@@ -49,6 +49,21 @@ class TestAnalyze:
         missing = tmp_path / "missing.tsv"
         assert main(["analyze", str(missing)]) == 1
         assert str(missing) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("length", [20, 300, 20_000])
+    def test_report_path_is_echoed_within_the_bound(self, tmp_path, capsys, length):
+        path = str(tmp_path / ("p" * length))
+        assert main(["analyze", path]) == 1
+        try:
+            open(path, "rb")
+        except OSError as exc:
+            failure = exc
+        if len(path) <= cli._PATH_ECHO_LIMIT:
+            expected = f"error: cannot read {path}: {failure}\n"
+        else:
+            shown = f"({len(path)} characters)"
+            expected = f"error: cannot read {shown}: [Errno {failure.errno}] {failure.strerror}: {shown}\n"
+        assert capsys.readouterr().err == expected
 
     def test_unparseable_file_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
@@ -168,10 +183,12 @@ class TestConfig:
         ("nonsense = 1", "got 'nonsense = 1'"),
         ("x" * 40, f"got '{'x' * 40}'"),
         ("x" * 41, "got (41 characters)"),
+        ("\x01" * 10, "got " + repr("\x01" * 10)),
+        ("\x01" * 11, "got (11 characters)"),
         ("x" * 5000, "got (5000 characters)"),
         ("r_min = " + "x" * 5000, "bad value for r_min: (5000 characters)"),
         ("r_min = nine", "bad value for r_min: 'nine'"),
-    ], ids=["key", "40", "41", "5000", "value-5000", "value"])
+    ], ids=["key", "40", "41", "escaped-10", "escaped-11", "5000", "value-5000", "value"])
     def test_config_line_is_echoed_within_the_bound(self, report_path, tmp_path, capsys,
                                                       line, shown):
         cfg = tmp_path / "cfg"
@@ -447,6 +464,34 @@ class TestCohort:
                 f"[Errno {failure.errno}] {failure.strerror}: ({len(path)} characters)")
         assert err == f"warning: skipped GONE: {diagnostic['error']}\n"
 
+    @pytest.mark.parametrize("length", [20, 300, 20_000])
+    def test_entry_label_is_echoed_within_the_bound(self, tmp_path, capsys, length):
+        good = write_synth(tmp_path, "r0.tsv", papermill_spec(0))
+        label = "L" * length
+        shown = label if length <= cli._PATH_ECHO_LIMIT else f"({length} characters)"
+        manifest = self.make_manifest(tmp_path, [("R0", good.name), (label, "missing.tsv")])
+        out = tmp_path / "c.json"
+        assert main(["cohort", str(manifest), "--json", str(out)]) == 0
+        (diagnostic,) = json.loads(out.read_text())["diagnostics"]
+        assert diagnostic["label"] == label
+        assert capsys.readouterr().err == f"warning: skipped {shown}: {diagnostic['error']}\n"
+
+        manifest = self.make_manifest(tmp_path, [(label, "missing.tsv")])
+        assert main(["cohort", str(manifest)]) == 1
+        assert capsys.readouterr().err == (f"error: no profile in the manifest could be processed\n"
+                                           f"  {shown}: {diagnostic['error']}\n")
+
+    def test_manifest_path_is_echoed_within_the_bound(self, tmp_path, capsys):
+        path = str(tmp_path / ("m" * 20_000))
+        assert main(["cohort", path]) == 1
+        try:
+            open(path, "rb")
+        except OSError as exc:
+            failure = exc
+        shown = f"({len(path)} characters)"
+        assert capsys.readouterr().err == (
+            f"error: cannot read {shown}: [Errno {failure.errno}] {failure.strerror}: {shown}\n")
+
     def test_count_cell_above_max_count_is_skipped(self, tmp_path, capsys):
         good = write_synth(tmp_path, "r0.tsv", papermill_spec(0))
         huge = tmp_path / "huge.tsv"
@@ -539,6 +584,12 @@ class TestSynth:
         assert main(["analyze", str(out)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert "LowIntegrity" not in {f["kind"] for f in doc["indicators"]["flags"]}
+
+    def test_archetype_choices_are_the_archetypes(self):
+        # the parser spells the choices itself, so that it does not import synth
+        assert cli.ARCHETYPES == tuple(a.value for a in Archetype)
+        (action,) = [a for a in subcommand_parser("synth")._actions if a.dest == "archetype"]
+        assert action.choices == cli.ARCHETYPES
 
     def test_missing_output_flag_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,12 +4,14 @@
 no other exception escapes.  A non-zero return writes stderr starting with
 ``error: ``, and the JSON document exists exactly when the run succeeded.
 The same holds for ``analyze`` over reports whose count cells may be far
-larger than a float can hold.
+larger than a float can hold.  A path, manifest label or config line of up
+to 10**5 characters gives no stderr line over a fixed size.
 """
 
 import codecs
 import io
 import json
+import operator
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 
@@ -148,3 +150,59 @@ def test_analyze_is_total_over_count_cells(workdir, report):
         assert len(lines) == 1 and lines[0].startswith("error: ")
     else:
         json.dumps(json.loads(out.read_text()), allow_nan=False)
+
+
+# the most characters a stderr line or a cohort diagnostic's error may hold, whatever the input: a
+# failed read or write names a path of up to cli._PATH_ECHO_LIMIT characters twice, once as is and
+# once quoted (``cannot read <path>: [Errno 36] File name too long: '<path>'``), and a skipped
+# entry's warning names its label and its path
+MAX_LINE = 500
+
+# text of up to 10**5 characters: a drawn piece of 1-4 characters repeated, so lengths near the
+# echo bounds and far past them both occur
+long_fields = st.builds(operator.mul, st.text(min_size=1, max_size=4),
+                        st.integers(1, 60) | st.integers(1, 25_000))
+
+FIELD_PLACES = ["report path", "manifest path", "manifest label", "manifest entry path",
+                "config line", "config path", "output path"]
+
+
+def field_argv(workdir, place: str, field: str, with_good_entry: bool) -> list[str]:
+    """A run with ``field`` in ``place``, and its JSON document written to ``bounded.json``.
+
+    A drawn path lies under a directory that does not exist, so no file it
+    names is ever opened.
+    """
+    missing = f"{workdir}/missing/{field}"
+    out = str(workdir / "bounded.json")
+    if place in ("manifest label", "manifest entry path"):
+        entry = (f"{field}\tmissing.tsv" if place == "manifest label" else f"A\tmissing/{field}")
+        good = ["G\tr.tsv"] if with_good_entry else []
+        (workdir / "manifest.tsv").write_text("\n".join([entry, *good]), encoding="utf-8")
+        return ["cohort", str(workdir / "manifest.tsv"), "--json", out]
+    if place == "manifest path":
+        return ["cohort", missing, "--json", out]
+    if place == "report path":
+        return ["analyze", missing, "--json", out]
+    argv = ["analyze", str(workdir / "r.tsv")]
+    if place == "config line":
+        (workdir / "cfg").write_text(field, encoding="utf-8")
+        return [*argv, "--config", str(workdir / "cfg"), "--json", out]
+    if place == "config path":
+        return [*argv, "--config", missing, "--json", out]
+    return [*argv, "--json", missing]
+
+
+@settings(max_examples=300, deadline=None)
+@given(place=st.sampled_from(FIELD_PLACES), field=long_fields, with_good_entry=st.booleans())
+def test_no_diagnostic_outgrows_a_fixed_size(workdir, place, field, with_good_entry):
+    out = workdir / "bounded.json"
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = main(field_argv(workdir, place, field, with_good_entry))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert max(map(len, err.getvalue().splitlines()), default=0) <= MAX_LINE
+    if out.exists() and place.startswith("manifest"):
+        assert all(len(d["error"]) <= MAX_LINE for d in json.loads(out.read_text())["diagnostics"])

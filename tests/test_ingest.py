@@ -52,7 +52,9 @@ class TestParse:
     @pytest.mark.parametrize("title,shown", [
         ("t" * _ECHO_LIMIT, repr("t" * _ECHO_LIMIT)),
         ("t" * 5000, "(5000 characters)"),
-    ], ids=["at-the-bound", "5000-characters"])
+        # each "\x01" shows as four characters, so eleven of them quote 44
+        ("\x01" * 11, "(11 characters)"),
+    ], ids=["at-the-bound", "5000-characters", "escaped"])
     @pytest.mark.parametrize("read_block", [ingest._read_block, lambda *args: None],
                              ids=["block", "row-by-row"])
     def test_mismatch_warning_names_a_long_title_by_its_length(self, title, shown, read_block, monkeypatch):

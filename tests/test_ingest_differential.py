@@ -88,9 +88,8 @@ MISMATCH = re.compile(r"(record \d+ \()(.*)(\): year columns sum to \d+ but tota
 
 
 def shown(echo: str) -> str:
-    """A repr the reference shows, as the package shows it: quoted, or by its length if longer."""
-    text = ast.literal_eval(echo)
-    return echo if len(text) <= _ECHO_LIMIT else f"({len(text)} characters)"
+    """A repr the reference shows, as the package shows it: as is, or by its length if longer."""
+    return echo if len(echo) <= _ECHO_LIMIT + 2 else f"({len(ast.literal_eval(echo))} characters)"
 
 
 def echo_bounded(expected):
@@ -108,9 +107,9 @@ def echo_bounded(expected):
     if match := NOT_A_HEADER.fullmatch(expected[2]):
         return (*expected[:2], match[1] + shown(match[2]))
     match = NOT_AN_INTEGER.fullmatch(expected[2])
-    if match is None or len(cell := ast.literal_eval(match[2])) <= _ECHO_LIMIT:
+    if match is None or len(match[2]) <= _ECHO_LIMIT + 2:
         return expected
-    what, text = match[1], cell.strip()
+    what, text = match[1], ast.literal_eval(match[2]).strip()
     if not re.fullmatch(r"[+-]?\d+", text):
         return (*expected[:2], f"{what} {shown(match[2])} is not an integer")
     most = MAX_YEAR if what.endswith(("year column", "publication year")) else MAX_COUNT

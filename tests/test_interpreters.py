@@ -7,6 +7,10 @@ checkout's ``src`` under the running interpreter and under each other
 (without ``generated_at``) and every other output byte for byte.  The
 cohort of 14 synth reports is one whose group means builtin ``sum`` rounds
 differently on 3.11 and 3.13.
+
+Each of those interpreters also runs ``package_probe.py``: the star import,
+the lazy lookups of the public names, and the modules that ``import
+papertrail.cli`` loads.
 """
 
 import json
@@ -20,6 +24,8 @@ import pytest
 
 from papertrail.ingest import serialize_report
 from papertrail.synth import conscientious_spec, generate, papermill_spec
+
+from test_package import assert_lazy_package, probe
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SUPPORTED = ("3.10", "3.11", "3.12", "3.13")
@@ -95,3 +101,11 @@ def test_every_interpreter_writes_the_same_outputs(tmp_path):
         assert actual.keys() == expected.keys(), python
         for name in expected:
             assert actual[name] == expected[name], (python, name)
+
+
+def test_every_interpreter_loads_the_package_lazily():
+    others = other_interpreters()
+    if not others:
+        pytest.skip("no other CPython 3.10-3.13 runs here")
+    for python in others:
+        assert_lazy_package(probe(python))
