@@ -6,9 +6,9 @@ the tests run this file in one, under each supported CPython.  Keys:
 
 - ``bare_loads``: the modules that ``import papertrail`` adds.
 - ``cli_loads``: the modules that ``import papertrail.cli`` then adds.
-- ``threads``: the number of threads that looked up the names in
-  ``THREAD_NAMES`` at once, each name for the first time.
-- ``threads_agree``: every such thread finished and got the same objects.
+- ``threads_agree``: the threads that looked up the names in
+  ``THREAD_NAMES`` at once, each for the first time, all finished and all
+  got the same objects.
 - ``star``: the names that ``from papertrail import *`` binds, sorted.
 - ``all``: ``papertrail.__all__``.
 - ``modules``: the public names bound to a module by the star import.
@@ -82,7 +82,6 @@ import json  # noqa: E402
 print(json.dumps({
     "bare_loads": bare_loads,
     "cli_loads": cli_loads,
-    "threads": THREADS,
     "threads_agree": threads_agree,
     "star": sorted(namespace),
     "all": papertrail.__all__,
