@@ -11,45 +11,9 @@ output file that cannot be written), 2 usage error (bad flags or parameters).
 Every output is rendered before any is written, and the JSON document is
 written last: when it exists, every chart of the run was written too.
 
-Analysis thresholds may come from a ``key = value`` config file (one key
-per ``AnalysisConfig`` field) given via ``--config`` or the
-``PAPERTRAIL_CONFIG`` environment variable; the flags in CONFIG_FLAGS
-override file values (``--no-prefer-reported-h`` turns off a file's true).
-Whatever its source, a value outside its range exits 2::
-
-    r_min                (-1, 1), exclusive
-    i_max                (0, 1), exclusive
-    pubs_per_year_limit  >= 1
-    growth_window        >= 0
-    max_lag              >= 0
-    prefer_reported_h    1, true, yes or on; 0, false, no or off (any case)
-
-JSON schemas (version "1.0"; every indicator key is always present,
-undefined values are null with a reason under ``undefined_reasons``)::
-
-    analyze: {schema_version, generated_at, profile: {name, source_id,
-              reported_h, n_records}, indicators: {correlation, lag_years,
-              h_index, i_index, total_publications, total_citations,
-              max_pubs_in_year, min_pubs_in_year, avg_pubs_per_year,
-              avg_cites_per_paper, start_year, hcp_count,
-              flags: [{kind, detail}]}, undefined_reasons, warnings}
-
-    cohort:  {schema_version, generated_at, aggregation: "mean",
-              region: {r_min, i_max},
-              points: [{label, correlation, i_index, total_publications,
-                        max_pubs_in_year, avg_pubs_per_year,
-                        classification: inside|outside|unclassifiable}],
-              summary: {n_points, n_inside, n_outside, n_unclassifiable,
-                        inside_fraction, inside: {means...}|null,
-                        outside: {means...}|null},
-              power_law_fit: {a, b, r_squared, n_points}|null,
-              power_law_fit_error, linear_fit: {slope, intercept,
-              r_squared, n_points}|null, linear_fit_error,
-              diagnostics: [{label, path, error}]}
-
-The power-law fit leaves out points with I = 0.  ``cohort`` then prints
-``warning: excluded N point(s) ...`` and the document shows N as
-``summary.n_points - power_law_fit.n_points``.
+README.md describes the config file with its keys, ranges and flags, and
+the two JSON documents; ``build_report`` and ``build_cohort_document`` build
+them key by key.
 """
 
 from __future__ import annotations
@@ -117,12 +81,8 @@ EXIT_OK = 0
 EXIT_DATA_ERROR = 1
 EXIT_USAGE_ERROR = 2
 
-COHORT_CHARTS = (
-    ("i_vs_r.svg", ScatterAxes.I_VS_R),
-    ("i_vs_r_bubble.svg", ScatterAxes.I_VS_R_BUBBLE),
-    ("i_vs_p_powerfit.svg", ScatterAxes.I_VS_P_POWERFIT),
-    ("m_vs_p_linfit.svg", ScatterAxes.M_VS_P_LINFIT),
-)
+# each cohort chart's file name under --svg-dir, in the order they are written
+COHORT_CHARTS = tuple((f"{axes.value}.svg", axes) for axes in ScatterAxes)
 
 
 # the longest path or manifest label that a message repeats; a longer one is named by its length
@@ -136,10 +96,27 @@ def _name(text: str) -> str:
 
 
 def _reason(exc: Exception) -> str:
-    """``str(exc)`` of a failed read or write, with a file name over the limit named by its length."""
+    """``str(exc)``, with an ``OSError``'s file name over the limit named by its length."""
     if not isinstance(exc, OSError) or exc.filename is None:  # e.g. a NUL byte in the path
         return str(exc)
     return f"[Errno {exc.errno}] {exc.strerror}: {_echo(exc.filename, _PATH_ECHO_LIMIT)}"
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose error names an argument over _PATH_ECHO_LIMIT by its length."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._args = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(self._args, namespace)
+
+    def error(self, message: str):
+        # argparse echoes an argument, the value after its "=" or a short option's attached value,
+        # quoted or as is; the longest go first, so that a value inside an argument is not hit first
+        for value in sorted({v for arg in self._args for v in (arg, arg.partition("=")[2], arg[2:])},
+                            key=len, reverse=True):
+            message = message.replace(repr(value), _echo(value, _PATH_ECHO_LIMIT))
+            message = message.replace(value, _name(value))
+        super().error(message)
 
 
 def _now_iso() -> str:
@@ -216,10 +193,6 @@ def _load_report(path: Path, explicit_format: str | None,
     return profile, analyze_profile(profile, config)
 
 
-def _signal_json(ind: IndicatorSet) -> list[dict[str, str]]:
-    return [{"kind": s.kind.value, "detail": s.detail} for s in ind.flags]
-
-
 def build_report(profile: ResearcherProfile, ind: IndicatorSet) -> dict[str, Any]:
     """Assemble the analyze-report JSON document (schema 1.0).
 
@@ -257,7 +230,7 @@ def build_report(profile: ResearcherProfile, ind: IndicatorSet) -> dict[str, Any
             "avg_cites_per_paper": ind.avg_cites_per_paper,
             "start_year": ind.start_year,
             "hcp_count": ind.hcp_count,
-            "flags": _signal_json(ind),
+            "flags": [{"kind": s.kind.value, "detail": s.detail} for s in ind.flags],
         },
         "undefined_reasons": undefined,
         "warnings": list(profile.warnings) + list(ind.warnings),
@@ -268,17 +241,14 @@ def compute_cohort_fits(
     points: list[CohortPoint],
 ) -> tuple[PowerLawFit | None, str | None, LinearFit | None, str | None]:
     """Both cohort fits over all points; (fit, error-reason) per curve."""
-    power_fit = linear_fit = None
-    power_error = linear_error = None
-    try:
-        power_fit = fit_power_law([(p.total_pubs, p.i_index) for p in points])
-    except (TooFewPointsError, DegenerateAbscissaError) as exc:
-        power_error = str(exc)
-    try:
-        linear_fit = fit_linear([(p.total_pubs, p.max_pubs_year) for p in points])
-    except (TooFewPointsError, DegenerateAbscissaError) as exc:
-        linear_error = str(exc)
-    return power_fit, power_error, linear_fit, linear_error
+    out: list = []
+    for fit, pairs in ((fit_power_law, [(p.total_pubs, p.i_index) for p in points]),
+                       (fit_linear, [(p.total_pubs, p.max_pubs_year) for p in points])):
+        try:
+            out += [fit(pairs), None]
+        except (TooFewPointsError, DegenerateAbscissaError) as exc:
+            out += [None, str(exc)]
+    return tuple(out)
 
 
 def build_cohort_document(
@@ -389,10 +359,8 @@ def cmd_cohort(args: argparse.Namespace) -> None:
         resolved = manifest.parent / path  # an absolute path replaces the parent
         try:
             _, ind = _load_report(resolved, args.format, config)
-        except OSError as exc:
+        except (OSError, PapertrailError) as exc:
             diagnostics.append({"label": label, "path": str(resolved), "error": _reason(exc)})
-        except PapertrailError as exc:
-            diagnostics.append({"label": label, "path": str(resolved), "error": str(exc)})
         else:
             points.append(point_from_indicators(label, ind))
 
@@ -460,7 +428,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="papertrail",
         description="Citation-report indicators, papermilling signals and cohort analysis.",
     )

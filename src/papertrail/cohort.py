@@ -27,12 +27,12 @@ class RegionClass(str, Enum):
 
 
 class ScatterAxes(str, Enum):
-    """The four cohort scatter charts, by what they plot."""
+    """The four cohort scatter charts, by what they plot, in the order ``cohort`` writes them."""
 
     I_VS_R = "i_vs_r"
+    I_VS_R_BUBBLE = "i_vs_r_bubble"
     I_VS_P_POWERFIT = "i_vs_p_powerfit"
     M_VS_P_LINFIT = "m_vs_p_linfit"
-    I_VS_R_BUBBLE = "i_vs_r_bubble"
 
 
 @dataclass(frozen=True)

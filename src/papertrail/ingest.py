@@ -156,15 +156,11 @@ class PublicationRecord:
         width = len(self._years)
         return self._matrix[self._row * width:(self._row + 1) * width]
 
-    def _cited(self) -> Iterator[tuple[int, int]]:
-        """The (year, count) pairs with a nonzero count, in year order."""
-        cells = self._cells()
-        return compress(zip(self._years, cells), cells)
-
     @property
     def citations_by_year(self) -> dict[int, int]:
         """Citations per cited year, in year order, without zero-count years; a new dict on each access."""
-        return dict(self._cited())
+        cells = self._cells()
+        return dict(compress(zip(self._years, cells), cells))
 
     @property
     def window_sum(self) -> int:
@@ -352,7 +348,8 @@ def _read_rows(rows: Iterator[tuple[int, list[str]]], year_cols: range) -> tuple
             raise MalformedRowError(
                 f"row {row_no}: expected {expected} columns, got {len(cells)}"
             )
-        # one step and one bound test for the common row (with no negative cell, a sum within
+        # _read_block declines a whole block for one bad row, so most rows here are still clean:
+        # one step and one bound test for such a row (with no negative cell, a sum within
         # MAX_COUNT bounds every count); a row failing either goes cell by cell, which raises for
         # the first bad cell or accepts cells such as "\x1c7" that str.strip() cleans
         try:

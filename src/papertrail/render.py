@@ -73,7 +73,7 @@ def _value_axis(max_value: float, px_bottom: float, px_top: float) -> AxisTransf
 def _nice_step(span: float, target_ticks: int = 5) -> float:
     raw = span / target_ticks
     mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0 else 1.0
-    for mult in (1.0, 2.0, 5.0, 10.0):
+    for mult in (1.0, 2.0, 5.0):
         if raw <= mult * mag:
             return mult * mag
     return 10.0 * mag
@@ -233,9 +233,9 @@ def scatter_axes_transforms(
     style: ChartStyle = ChartStyle(),
 ) -> tuple[AxisTransform, AxisTransform]:
     """The exact x/y transforms scatter_chart uses (fixed [-1,1]x[0,1] frame
-    for the correlation modes, padded data bounds otherwise)."""
+    for the charts whose x is r, padded data bounds otherwise)."""
     left, right, top, bottom = _plot_frame(style)
-    if axes in (ScatterAxes.I_VS_R, ScatterAxes.I_VS_R_BUBBLE):
+    if _AXIS_FIELDS[axes][0] == "r":
         return AxisTransform(-1.0, 1.0, left, right), AxisTransform(0.0, 1.0, bottom, top)
     coords = scatter_coords(points, axes)
     xs = [x for _, x, _ in coords]
@@ -277,11 +277,11 @@ def scatter_chart(
     left, right, top, bottom = _plot_frame(style)
     xt, yt = scatter_axes_transforms(points, axes, style)
     coords = scatter_coords(points, axes)
-    _, _, x_label, y_label = _AXIS_FIELDS[axes]
+    x_field, _, x_label, y_label = _AXIS_FIELDS[axes]
 
     parts = _svg_open(style)
 
-    if region is not None and axes in (ScatterAxes.I_VS_R, ScatterAxes.I_VS_R_BUBBLE):
+    if region is not None and x_field == "r":  # the flag region lies in the (r, I) plane
         rx = xt.to_px(region.r_min)
         ry = yt.to_px(region.i_max)
         parts.append(

@@ -143,6 +143,41 @@ class TestAnalyze:
         assert not out.exists()
 
 
+# argv that argparse rejects, echoing the one argument that holds "{}": a bad float, a bad
+# choice, an unknown argument and a bad int
+ECHOING_ARGV = [
+    ["analyze", "x", "--r-min", "{}"],
+    ["synth", "--archetype", "{}"],
+    ["analyze", "x", "-{}"],
+    ["synth", "--archetype", "papermill", "--seed", "{}", "-o", "o"],
+]
+
+
+def argparse_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("template", ECHOING_ARGV, ids=["float", "choice", "unknown", "int"])
+@pytest.mark.parametrize("length", [5, 199, 201, 20_000])
+def test_argument_error_names_a_long_argument_by_its_length(template, length, capsys,
+                                                            monkeypatch):
+    argv = [arg.format("z" * length) for arg in template]
+    bounded = argparse_error(argv, capsys)
+    monkeypatch.setattr(cli, "_Parser", argparse.ArgumentParser)
+    stock = argparse_error(argv, capsys)
+    (echoed,) = [arg for arg in argv if "z" * length in arg]
+    if len(echoed) <= cli._PATH_ECHO_LIMIT:
+        assert bounded == stock
+    else:  # the usage lines and the "papertrail <command>: error:" prefix stay
+        shown = f"({len(echoed)} characters)"
+        assert bounded == stock.replace(repr(echoed), shown).replace(echoed, shown)
+        assert shown in bounded.splitlines()[-1]
+    assert max(map(len, bounded.splitlines())) <= 500
+
+
 class TestConfig:
     # the fixture profile has r = -0.5, so no flag fires at the default
     # r_min = 0.5; dropping r_min below -0.5 makes HighCorrelation observable
@@ -432,6 +467,15 @@ class TestCohort:
         ])
         for p in svg_dir.iterdir():
             ET.parse(p)
+
+    def test_charts_are_written_in_their_order_then_the_json(self, tmp_path, capsys, monkeypatch):
+        written = []
+        monkeypatch.setattr(cli, "_write", lambda *outputs: written.extend(
+            str(path).rpartition("/")[2] for path, _ in outputs))
+        assert main(["cohort", str(self.five_profiles(tmp_path)), "--json", str(tmp_path / "c.json"),
+                     "--svg-dir", str(tmp_path / "figs")]) == 0
+        assert written == ["i_vs_r.svg", "i_vs_r_bubble.svg", "i_vs_p_powerfit.svg",
+                           "m_vs_p_linfit.svg", "c.json"]
 
     def test_nul_byte_in_entry_path_is_skipped(self, tmp_path, capsys):
         good = write_synth(tmp_path, "r0.tsv", papermill_spec(0))

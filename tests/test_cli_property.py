@@ -4,8 +4,9 @@
 no other exception escapes.  A non-zero return writes stderr starting with
 ``error: ``, and the JSON document exists exactly when the run succeeded.
 The same holds for ``analyze`` over reports whose count cells may be far
-larger than a float can hold.  A path, manifest label or config line of up
-to 10**5 characters gives no stderr line over a fixed size.
+larger than a float can hold.  A path, manifest label, config line, flag
+value, choice or unknown argument of up to 10**5 characters gives no stderr
+line over a fixed size.
 """
 
 import codecs
@@ -164,7 +165,8 @@ long_fields = st.builds(operator.mul, st.text(min_size=1, max_size=4),
                         st.integers(1, 60) | st.integers(1, 25_000))
 
 FIELD_PLACES = ["report path", "manifest path", "manifest label", "manifest entry path",
-                "config line", "config path", "output path"]
+                "config line", "config path", "output path", "flag value", "flag value after =",
+                "choice", "unknown argument"]
 
 
 def field_argv(workdir, place: str, field: str, with_good_entry: bool) -> list[str]:
@@ -184,7 +186,15 @@ def field_argv(workdir, place: str, field: str, with_good_entry: bool) -> list[s
         return ["cohort", missing, "--json", out]
     if place == "report path":
         return ["analyze", missing, "--json", out]
+    if place == "choice":
+        return ["synth", "--archetype", field, "-o", str(workdir / "synth.tsv")]
     argv = ["analyze", str(workdir / "r.tsv")]
+    if place == "flag value":
+        return [*argv, "--max-lag", field, "--json", out]
+    if place == "flag value after =":
+        return [*argv, f"--r-min={field}", "--json", out]
+    if place == "unknown argument":
+        return [*argv, field, "--json", out]
     if place == "config line":
         (workdir / "cfg").write_text(field, encoding="utf-8")
         return [*argv, "--config", str(workdir / "cfg"), "--json", out]
@@ -200,7 +210,10 @@ def test_no_diagnostic_outgrows_a_fixed_size(workdir, place, field, with_good_en
     out.unlink(missing_ok=True)
     err = io.StringIO()
     with redirect_stderr(err), redirect_stdout(io.StringIO()):
-        code = main(field_argv(workdir, place, field, with_good_entry))
+        try:
+            code = main(field_argv(workdir, place, field, with_good_entry))
+        except SystemExit as exc:  # argparse rejects the arguments, or prints the help
+            code = exc.code
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert max(map(len, err.getvalue().splitlines()), default=0) <= MAX_LINE

@@ -3,7 +3,8 @@
 Runs ``analyze --svg``, ``synth`` (the default profiles and the wide
 ``synth-write`` benchmark profile in both formats) and ``cohort --svg-dir`` on this
 checkout's ``src`` under the running interpreter and under each other
-``python3.10`` .. ``python3.13`` on PATH, and compares the JSON documents
+``python3.10`` .. ``python3.13`` on PATH (a pyenv shim through an installed
+version of its own), and compares the JSON documents
 (without ``generated_at``) and every other output byte for byte.  The
 cohort of 14 synth reports is one whose group means builtin ``sum`` rounds
 differently on 3.11 and 3.13.
@@ -13,8 +14,10 @@ the lazy lookups of the public names, and the modules that ``import
 papertrail.cli`` loads.
 """
 
+import functools
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -31,21 +34,51 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SUPPORTED = ("3.10", "3.11", "3.12", "3.13")
 
 
-def other_interpreters() -> list[str]:
-    """The supported CPythons on PATH, other than this one's version, that start."""
-    running = "{}.{}".format(*sys.version_info[:2])
-    found = []
-    for version in SUPPORTED:
-        exe = shutil.which(f"python{version}")
-        if version == running or exe is None:
-            continue
+def pyenv_versions() -> list[str]:
+    """The versions that pyenv has installed, or none without pyenv."""
+    try:
+        listed = subprocess.run(["pyenv", "versions", "--bare"], capture_output=True, text=True,
+                                timeout=60)
+    except (OSError, subprocess.TimeoutExpired):
+        return []
+    return listed.stdout.split() if listed.returncode == 0 else []
+
+
+def find_interpreter(version: str) -> str | None:
+    """The path of a ``python<version>`` on PATH that starts, or None.
+
+    A pyenv shim exits 127 unless its version is selected, so one that does
+    not start is retried with PYENV_VERSION set to each installed
+    ``<version>.<micro>``.  The path is the interpreter's own
+    ``sys.executable``, which starts without the shim.
+    """
+    exe = shutil.which(f"python{version}")
+    if exe is None:
+        return None
+    micros = [v for v in pyenv_versions() if re.fullmatch(rf"{re.escape(version)}\.\d+", v)]
+    for env in [None, *(dict(os.environ, PYENV_VERSION=micro) for micro in micros)]:
         try:
-            probe = subprocess.run([exe, "--version"], capture_output=True, timeout=60)
+            started = subprocess.run([exe, "-c", "import sys; print(sys.executable)"], env=env,
+                                     capture_output=True, text=True, timeout=60)
         except (OSError, subprocess.TimeoutExpired):
-            continue
-        if probe.returncode == 0:
-            found.append(exe)
-    return found
+            return None
+        if started.returncode == 0:
+            return started.stdout.strip()
+    return None
+
+
+@functools.cache
+def other_interpreters() -> tuple[list[str], list[str]]:
+    """The supported CPythons, other than this one's version, that start; and the versions
+    of which none does."""
+    running = "{}.{}".format(*sys.version_info[:2])
+    found = {version: find_interpreter(version) for version in SUPPORTED if version != running}
+    return ([exe for exe in found.values() if exe],
+            [version for version, exe in found.items() if exe is None])
+
+
+def not_found(missing: list[str]) -> str:
+    return f"no {', '.join(f'python{v}' for v in missing)} starts here, also through pyenv"
 
 
 def outputs(python: str, inputs: Path, out: Path) -> dict[str, object]:
@@ -81,9 +114,9 @@ def outputs(python: str, inputs: Path, out: Path) -> dict[str, object]:
 
 
 def test_every_interpreter_writes_the_same_outputs(tmp_path):
-    others = other_interpreters()
+    others, missing = other_interpreters()
     if not others:
-        pytest.skip("no other CPython 3.10-3.13 runs here")
+        pytest.skip(not_found(missing))
     inputs = tmp_path / "inputs"
     inputs.mkdir()
     lines = []
@@ -101,11 +134,13 @@ def test_every_interpreter_writes_the_same_outputs(tmp_path):
         assert actual.keys() == expected.keys(), python
         for name in expected:
             assert actual[name] == expected[name], (python, name)
+    if missing:  # the others agree, but not every supported version was compared
+        pytest.skip(not_found(missing))
 
 
 def test_every_interpreter_loads_the_package_lazily():
-    others = other_interpreters()
-    if not others:
-        pytest.skip("no other CPython 3.10-3.13 runs here")
+    others, missing = other_interpreters()
     for python in others:
         assert_lazy_package(probe(python))
+    if missing:
+        pytest.skip(not_found(missing))

@@ -1,6 +1,9 @@
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from papertrail.cohort import CohortPoint, Region, fit_linear, fit_power_law
 from papertrail.errors import EmptyCohortError
@@ -14,6 +17,7 @@ from papertrail.render import (
     scatter_axes_transforms,
     scatter_chart,
     profile_year_slot,
+    _nice_step,
 )
 from papertrail.series import AnnualSeries
 
@@ -192,6 +196,15 @@ class TestScatterChart:
         root = svg_root(scatter_chart(cohort_points(), ScatterAxes.I_VS_R, region=None))
         assert find_class(root, "rect", "region") == []
 
+    @pytest.mark.parametrize("axes", list(ScatterAxes))
+    def test_only_the_correlation_charts_get_the_fixed_frame_and_the_region(self, axes):
+        correlation = axes in (ScatterAxes.I_VS_R, ScatterAxes.I_VS_R_BUBBLE)
+        xt, yt = scatter_axes_transforms(cohort_points(), axes)
+        fixed = (xt.data_lo, xt.data_hi, yt.data_lo, yt.data_hi) == (-1.0, 1.0, 0.0, 1.0)
+        root = svg_root(scatter_chart(cohort_points(), axes, region=Region()))
+        assert fixed == correlation
+        assert len(find_class(root, "rect", "region")) == correlation
+
 
 def _interp(curve, x):
     for (x0, y0), (x1, y1) in zip(curve, curve[1:]):
@@ -206,3 +219,27 @@ class TestStyleValidation:
     def test_dimensions_must_be_positive(self):
         with pytest.raises(ValueError):
             ChartStyle(width=0)
+
+
+def assert_nice_step(span: float) -> None:
+    """The tick step of ``span`` is 1, 2 or 5 times a power of ten, and at least a fifth of it."""
+    step = _nice_step(span)
+    k = math.floor(math.log10(step))
+    assert any(step == pytest.approx(m * 10.0 ** e, rel=1e-12)
+               for m in (1, 2, 5) for e in (k - 1, k, k + 1)), (span, step)
+    assert step >= span / 5, (span, step)
+
+
+@settings(max_examples=500, deadline=None)
+@given(span=st.floats(1e-300, 1e300) | st.floats(-300, 300).map(lambda e: 10.0 ** e))
+def test_nice_step_over_every_magnitude(span):
+    assert_nice_step(span)
+
+
+def test_nice_step_around_each_power_of_ten():
+    # a span of 5, 10, 25 or 50 times 10**k puts span / 5 on a power of ten or a 2 or 5 times one
+    for k in range(-299, 299):
+        for m in (5.0, 10.0, 25.0, 50.0):
+            span = m * 10.0 ** k
+            for s in (math.nextafter(span, 0.0), span, math.nextafter(span, math.inf)):
+                assert_nice_step(s)
