@@ -39,11 +39,11 @@ from .cohort import (
     fit_linear,
     fit_power_law,
     parse_manifest,
-    point_from_indicators,
 )
 from .errors import DegenerateAbscissaError, PapertrailError, TooFewPointsError
-from .indicators import AnalysisConfig, IndicatorSet, analyze_profile
-from .ingest import ReportFormat, ResearcherProfile, _echo, parse_report, serialize_report
+from .indicators import AnalysisConfig, IndicatorSet, _indicators, analyze_profile
+from .ingest import (ReportFormat, ResearcherProfile, _column_sums, _echo, _read_report,
+                     parse_report, serialize_report)
 
 SCHEMA_VERSION = "1.0"
 CONFIG_ENV_VAR = "PAPERTRAIL_CONFIG"
@@ -108,6 +108,17 @@ class _Parser(argparse.ArgumentParser):
     def parse_known_args(self, args=None, namespace=None):
         self._args = sys.argv[1:] if args is None else list(args)
         return super().parse_known_args(self._args, namespace)
+
+    def parse_args(self, args=None, namespace=None):
+        namespace, extras = self.parse_known_args(args, namespace)
+        if extras:  # argparse joins them all; name those past _PATH_ECHO_LIMIT by count and length
+            width = -1  # of the names joined so far; once over the limit it stays over
+            shown = [name for name in map(_name, extras)
+                     if (width := width + 1 + len(name)) <= _PATH_ECHO_LIMIT]
+            rest = extras[len(shown):]
+            more = f" and {len(rest)} more ({len(' '.join(rest))} characters)" if rest else ""
+            self.error(f"unrecognized arguments: {' '.join(shown)}{more}")
+        return namespace
 
     def error(self, message: str):
         # argparse echoes an argument, the value after its "=" or a short option's attached value,
@@ -181,16 +192,23 @@ def _detect_format(path: str, explicit: str | None) -> ReportFormat:
     return ReportFormat.CSV if path.lower().endswith(".csv") else ReportFormat.TSV
 
 
-def _load_report(path: Path, explicit_format: str | None,
-                 config: AnalysisConfig) -> tuple[ResearcherProfile, IndicatorSet]:
-    """Read, parse and analyze one report; raises OSError or PapertrailError."""
+def _read_report_file(path: Path, explicit_format: str | None) -> tuple[bytes, ReportFormat]:
+    """A report's bytes and format; raises OSError."""
     try:
         data = path.read_bytes()
     except ValueError as exc:  # a NUL byte in the path: unreadable like any bad path
         raise OSError(exc) from None
-    fmt = _detect_format(str(path), explicit_format)
-    profile = parse_report(data, fmt, default_name=path.stem)
-    return profile, analyze_profile(profile, config)
+    return data, _detect_format(str(path), explicit_format)
+
+
+def _cohort_point(label: str, data: bytes, fmt: ReportFormat,
+                  config: AnalysisConfig) -> CohortPoint:
+    """``point_from_indicators(label, analyze_profile(parse_report(data, fmt), config))`` from
+    the report's columns: no records, lag scan, HCP count, flags or warnings are made."""
+    _, _, reported_h, _, pub_years, totals, years, matrix = _read_report(data, fmt, "")
+    _, r, _, i, stats, _ = _indicators(pub_years, totals, years, _column_sums(matrix, len(years)),
+                                       reported_h, config)
+    return CohortPoint(label, r, i, len(pub_years), stats.max_pubs, stats.avg_pubs)
 
 
 def build_report(profile: ResearcherProfile, ind: IndicatorSet) -> dict[str, Any]:
@@ -328,8 +346,10 @@ def _json_text(document: dict[str, Any]) -> str:
 
 def cmd_analyze(args: argparse.Namespace) -> None:
     config = _resolve_analysis_config(args)
+    report = Path(args.report)
     try:
-        profile, ind = _load_report(Path(args.report), args.format, config)
+        profile = parse_report(*_read_report_file(report, args.format), default_name=report.stem)
+        ind = analyze_profile(profile, config)
     except OSError as exc:
         raise _Failure(EXIT_DATA_ERROR, f"cannot read {_name(args.report)}: {_reason(exc)}") from None
     except PapertrailError as exc:
@@ -358,11 +378,9 @@ def cmd_cohort(args: argparse.Namespace) -> None:
     for label, path in entries:
         resolved = manifest.parent / path  # an absolute path replaces the parent
         try:
-            _, ind = _load_report(resolved, args.format, config)
+            points.append(_cohort_point(label, *_read_report_file(resolved, args.format), config))
         except (OSError, PapertrailError) as exc:
             diagnostics.append({"label": label, "path": str(resolved), "error": _reason(exc)})
-        else:
-            points.append(point_from_indicators(label, ind))
 
     if not points:
         raise _Failure(EXIT_DATA_ERROR, "\n".join(

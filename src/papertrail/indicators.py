@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     AllDegenerateError,
@@ -22,8 +22,8 @@ from .errors import (
     TooShortError,
     ZeroPublicationsError,
 )
-from .ingest import PublicationRecord, ResearcherProfile
-from .series import AnnualSeries, build_series
+from .ingest import PublicationRecord, ResearcherProfile, _citation_totals
+from .series import AnnualSeries, _series
 
 # Minimum citation counts for a paper to rank in the top 1% of its
 # publication year (mathematics).  Years outside this table never qualify.
@@ -196,16 +196,15 @@ def best_lag(series: AnnualSeries, max_lag: int = DEFAULT_MAX_LAG) -> LagResult:
     return best
 
 
+def _h_index(totals: Iterable[int]) -> int:
+    """Largest h such that at least h of ``totals`` are >= h."""
+    # in descending order a total stays >= its rank up to rank h and falls below it after
+    return sum(cites >= rank for rank, cites in enumerate(sorted(totals, reverse=True), start=1))
+
+
 def h_index(records: Sequence[PublicationRecord]) -> int:
     """Largest h such that at least h records have total_citations >= h."""
-    totals = sorted((rec.total_citations for rec in records), reverse=True)
-    h = 0
-    for i, cites in enumerate(totals):
-        if cites >= i + 1:
-            h = i + 1
-        else:
-            break
-    return h
+    return _h_index(rec.total_citations for rec in records)
 
 
 def i_index(h: int, total_pubs: int) -> float:
@@ -285,6 +284,34 @@ def flag_profile(ind: IndicatorSet, config: AnalysisConfig = AnalysisConfig()) -
     return signals
 
 
+def _indicators(pub_years: list[int], totals: list[int], window: range, column_sums: list[int],
+                reported_h: int | None, config: AnalysisConfig
+                ) -> tuple[AnnualSeries, float | None, int, float, YearlyStats, list[str]]:
+    """The series, r, h, I, yearly stats and notes of ``analyze_profile``, from the columns of
+    a researcher's records: publication years, totals, and citations summed per year of ``window``.
+    """
+    series = _series(pub_years, window, column_sums)
+    notes: list[str] = []
+    first_pub_year = min(pub_years)
+    if series.start_year < first_pub_year:
+        notes.append(f"citations recorded before the first publication year ({series.start_year} "
+                     f"< {first_pub_year}); series range extended downward")
+
+    r = pearson(series.pubs, series.cites) if len(series) >= 2 else None
+    total_pubs = len(pub_years)
+    h = computed_h = _h_index(totals)
+    if config.prefer_reported_h and reported_h is not None:
+        if 0 <= reported_h <= total_pubs:
+            if reported_h != computed_h:
+                notes.append(f"reported h-index {reported_h} differs from the value computed "
+                             f"from records ({computed_h}); using the reported one")
+            h = reported_h
+        else:
+            notes.append(f"reported h-index {reported_h} is impossible for {total_pubs} records; "
+                         f"using the computed value {computed_h}")
+    return series, r, h, i_index(h, total_pubs), yearly_stats(series), notes
+
+
 def analyze_profile(
     profile: ResearcherProfile,
     config: AnalysisConfig = AnalysisConfig(),
@@ -297,19 +324,11 @@ def analyze_profile(
     h-index, that value is used, with a warning when it disagrees with the
     value computed from the records.
     """
-    series = build_series(profile)
-    notes: list[str] = []
-
-    first_pub_year = min(rec.pub_year for rec in profile.records)
-    if series.start_year < first_pub_year:
-        notes.append(
-            f"citations recorded before the first publication year "
-            f"({series.start_year} < {first_pub_year}); series range extended downward"
-        )
-
-    r: float | None = None
-    if len(series) >= 2:
-        r = pearson(series.pubs, series.cites)
+    records = profile.records
+    totals = [rec.total_citations for rec in records]
+    series, r, h, i, stats, notes = _indicators(
+        [rec.pub_year for rec in records], totals, *_citation_totals(records),
+        profile.reported_h, config)
 
     lag: int | None = None
     if r is not None and r > config.r_min:
@@ -317,39 +336,20 @@ def analyze_profile(
         if effective_max_lag >= 0:  # lag 0 is r itself, so some lag is defined
             lag = best_lag(series, effective_max_lag).lag
 
-    total_pubs = len(profile.records)
-    computed_h = h_index(profile.records)
-    h = computed_h
-    if config.prefer_reported_h and profile.reported_h is not None:
-        if 0 <= profile.reported_h <= total_pubs:
-            if profile.reported_h != computed_h:
-                notes.append(
-                    f"reported h-index {profile.reported_h} differs from the value "
-                    f"computed from records ({computed_h}); using the reported one"
-                )
-            h = profile.reported_h
-        else:
-            notes.append(
-                f"reported h-index {profile.reported_h} is impossible for "
-                f"{total_pubs} records; using the computed value {computed_h}"
-            )
-
-    stats = yearly_stats(series)
-    total_cites = sum(rec.total_citations for rec in profile.records)
-
+    total_cites = sum(totals)
     ind = IndicatorSet(
         r=r,
         lag=lag,
         h=h,
-        i_index=i_index(h, total_pubs),
-        total_pubs=total_pubs,
+        i_index=i,
+        total_pubs=len(records),
         total_cites=total_cites,
         max_pubs_year=stats.max_pubs,
         min_pubs_year=stats.min_pubs,
         avg_pubs_year=stats.avg_pubs,
-        avg_cites_per_paper=total_cites / total_pubs,
+        avg_cites_per_paper=total_cites / len(records),
         start_year=series.start_year,
-        hcp_count=hcp_count(profile.records),
+        hcp_count=hcp_count(records),
         series=series,
         warnings=tuple(notes),
     )

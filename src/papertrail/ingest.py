@@ -179,18 +179,25 @@ class PublicationRecord:
                 f"citations_by_year={self.citations_by_year!r})")
 
 
+def _column_sums(matrix: list[int], width: int) -> list[int]:
+    """The sum of each column of the row-major ``matrix``, which has ``width`` columns."""
+    return [sum(matrix[column::width]) for column in range(width)]
+
+
 def _citation_totals(records: list[PublicationRecord]) -> tuple[range, list[int]]:
     """The citations of ``records`` summed per year: a window of years and a total for each.
 
     Records that are the rows of one matrix, each once and in order (the
     records of a parsed report), give the sums of its columns; any others are
-    added row by row into the window MIN_YEAR..MAX_YEAR.
+    added row by row into the window MIN_YEAR..MAX_YEAR.  Raises EmptyProfileError for no records.
     """
+    if not records:
+        raise EmptyProfileError("cannot build a series from a profile with no records")
     years, matrix = records[0]._years, records[0]._matrix
     width = len(years)
     if len(matrix) == width * len(records) and all(
             rec._matrix is matrix and rec._row == row for row, rec in enumerate(records)):
-        return years, [sum(matrix[column::width]) for column in range(width)]
+        return years, _column_sums(matrix, width)
     window = range(MIN_YEAR, MAX_YEAR + 1)
     totals = [0] * len(window)
     for rec in records:
@@ -369,20 +376,12 @@ def _mismatch_warning(number: int, title: str, window_sum: int, total: int) -> s
             f"citations is {total}; keeping the declared total as authoritative")
 
 
-def parse_report(
-    data: bytes,
-    fmt: ReportFormat = ReportFormat.TSV,
-    default_name: str = "unknown",
-) -> ResearcherProfile:
-    """Parse a canonical citation report into a ResearcherProfile.
+def _read_report(data: bytes, fmt: ReportFormat, default_name: str) -> tuple[
+        str, str | None, int | None, list[str], list[int], list[int], range, list[int]]:
+    """A report as columns: name, id, reported h-index, titles, publication years, totals,
+    year window and count matrix (one row per record, one column per year of the window).
 
-    ``default_name`` (typically the source file stem) is used when the file
-    carries no ``# researcher`` metadata line.  Record order is preserved.
-    Count cells (the total and the year columns) and ``# h-index`` lie in 0..MAX_COUNT.
-
-    Raises EncodingError, MalformedHeaderError, MalformedRowError or
-    EmptyProfileError; any byte input lands in exactly one of those or in
-    a valid profile.
+    Raises what ``parse_report`` raises, for the same bytes.
     """
     text = _decode(data)
     name: str | None = None
@@ -431,21 +430,44 @@ def parse_report(
         raise EmptyProfileError("report contains no publication records")
 
     # ``values`` holds each row's publication year, total and counts; taking out the first two
-    # columns leaves the count matrix, one row per record.  The records are views into it, not
-    # owners of a tuple each: CPython keeps up to 2,000 freed tuples of each short length for
-    # reuse, so the tuples of one report's records would stay allocated after it is dropped.
+    # columns leaves the count matrix, one row per record
     width = len(year_cols)
     pub_years, totals = values[0::width + 2], values[1::width + 2]
     del values[0::width + 2]
     del values[0::width + 1]
-    window_sums = list(map(sum, zip(*[iter(values)] * width))) if width else [0] * len(titles)
+    return (name or default_name or "unknown", source_id, reported_h, titles, pub_years, totals,
+            year_cols, values)
+
+
+def parse_report(
+    data: bytes,
+    fmt: ReportFormat = ReportFormat.TSV,
+    default_name: str = "unknown",
+) -> ResearcherProfile:
+    """Parse a canonical citation report into a ResearcherProfile.
+
+    ``default_name`` (typically the source file stem) is used when the file
+    carries no ``# researcher`` metadata line.  Record order is preserved.
+    Count cells (the total and the year columns) and ``# h-index`` lie in 0..MAX_COUNT.
+
+    Raises EncodingError, MalformedHeaderError, MalformedRowError or
+    EmptyProfileError; any byte input lands in exactly one of those or in
+    a valid profile.
+    """
+    name, source_id, reported_h, titles, pub_years, totals, years, matrix = _read_report(
+        data, fmt, default_name)
+    # the records are views into the count matrix, not owners of a tuple each: CPython keeps up
+    # to 2,000 freed tuples of each short length for reuse, so the tuples of one report's
+    # records would stay allocated after it is dropped
+    width = len(years)
+    window_sums = list(map(sum, zip(*[iter(matrix)] * width))) if width else [0] * len(titles)
     mismatched = compress(range(len(titles)), map(ne, window_sums, totals))
     return ResearcherProfile(
-        name=name or default_name or "unknown",
+        name=name,
         source_id=source_id,
         reported_h=reported_h,
         records=list(map(PublicationRecord._from_row, titles, pub_years, totals,
-                         repeat(year_cols), repeat(values), range(len(titles)))),
+                         repeat(years), repeat(matrix), range(len(titles)))),
         warnings=[_mismatch_warning(i + 1, titles[i], window_sums[i], totals[i]) for i in mismatched],
     )
 

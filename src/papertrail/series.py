@@ -6,7 +6,6 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 
-from .errors import EmptyProfileError
 from .ingest import ResearcherProfile, _citation_totals
 
 
@@ -36,22 +35,11 @@ class AnnualSeries:
         return range(self.start_year, self.end_year + 1)
 
 
-def build_series(profile: ResearcherProfile) -> AnnualSeries:
-    """Aggregate a profile into aligned per-year counts.
-
-    The range starts at the earliest publication year and ends at the latest
-    of: the latest publication year, the latest cited year.  Citations
-    recorded *before* the first publication year (possible in malformed
-    exports) extend the range downward instead of being dropped; callers can
-    detect this via start_year < min pub_year.
-    """
-    if not profile.records:
-        raise EmptyProfileError("cannot build a series from a profile with no records")
-
-    pubs = Counter(rec.pub_year for rec in profile.records)
-    # citations per year (a parsed report's column sums), kept where nonzero
-    window, totals = _citation_totals(profile.records)
-    cites = dict(compress(zip(window, totals), totals))
+def _series(pub_years: list[int], window: range, column_sums: list[int]) -> AnnualSeries:
+    """The series of records published in ``pub_years`` and cited ``column_sums`` times in
+    the years of ``window``."""
+    pubs = Counter(pub_years)
+    cites = dict(compress(zip(window, column_sums), column_sums))  # kept where nonzero
     years = pubs.keys() | cites.keys()
     span = range(min(years), max(years) + 1)
     # a tuple made from a list is allocated at its final length, so it reuses a freed tuple of
@@ -60,3 +48,15 @@ def build_series(profile: ResearcherProfile) -> AnnualSeries:
     # collection, which parsing into a count matrix makes too little garbage to trigger
     return AnnualSeries(start_year=span.start, pubs=tuple([pubs[y] for y in span]),
                         cites=tuple([cites.get(y, 0) for y in span]))
+
+
+def build_series(profile: ResearcherProfile) -> AnnualSeries:
+    """Aggregate a profile into aligned per-year counts.
+
+    The range starts at the earliest publication year and ends at the latest
+    of: the latest publication year, the latest cited year.  Citations
+    recorded *before* the first publication year (possible in malformed
+    exports) extend the range downward instead of being dropped; callers can
+    detect this via start_year < min pub_year.  Raises EmptyProfileError if there are no records.
+    """
+    return _series([rec.pub_year for rec in profile.records], *_citation_totals(profile.records))

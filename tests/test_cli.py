@@ -178,6 +178,24 @@ def test_argument_error_names_a_long_argument_by_its_length(template, length, ca
     assert max(map(len, bounded.splitlines())) <= 500
 
 
+@pytest.mark.parametrize("extras, shown", [
+    (["y", "z"], None),
+    ([f"{'a' * 199}{k}" for k in (1, 2, 3)], "{0} and 2 more (401 characters)"),
+    (["aaaaa"] * 50, " ".join(["aaaaa"] * 33) + " and 17 more (101 characters)"),
+    (["a" * 20_000, "aaa"], "(20000 characters) aaa"),
+])
+def test_unrecognized_arguments_past_the_bound_are_named_by_count_and_length(extras, shown,
+                                                                              capsys, monkeypatch):
+    bounded = argparse_error(["analyze", "x", *extras], capsys)
+    monkeypatch.setattr(cli, "_Parser", argparse.ArgumentParser)
+    stock = argparse_error(["analyze", "x", *extras], capsys)
+    *usage, line = bounded.splitlines()
+    assert usage == stock.splitlines()[:-1]
+    prefix = "papertrail: error: unrecognized arguments: "
+    assert line == (stock.splitlines()[-1] if shown is None else prefix + shown.format(extras[0]))
+    assert len(line) <= len(prefix) + cli._PATH_ECHO_LIMIT + 40
+
+
 class TestConfig:
     # the fixture profile has r = -0.5, so no flag fires at the default
     # r_min = 0.5; dropping r_min below -0.5 makes HighCorrelation observable

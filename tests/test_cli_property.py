@@ -5,8 +5,8 @@ no other exception escapes.  A non-zero return writes stderr starting with
 ``error: ``, and the JSON document exists exactly when the run succeeded.
 The same holds for ``analyze`` over reports whose count cells may be far
 larger than a float can hold.  A path, manifest label, config line, flag
-value, choice or unknown argument of up to 10**5 characters gives no stderr
-line over a fixed size.
+value, choice or unknown argument of up to 10**5 characters, and a list of
+up to 5,002 unknown arguments, give no stderr line over a fixed size.
 """
 
 import codecs
@@ -166,7 +166,7 @@ long_fields = st.builds(operator.mul, st.text(min_size=1, max_size=4),
 
 FIELD_PLACES = ["report path", "manifest path", "manifest label", "manifest entry path",
                 "config line", "config path", "output path", "flag value", "flag value after =",
-                "choice", "unknown argument"]
+                "choice", "unknown argument", "unknown arguments"]
 
 
 def field_argv(workdir, place: str, field: str, with_good_entry: bool) -> list[str]:
@@ -195,6 +195,8 @@ def field_argv(workdir, place: str, field: str, with_good_entry: bool) -> list[s
         return [*argv, f"--r-min={field}", "--json", out]
     if place == "unknown argument":
         return [*argv, field, "--json", out]
+    if place == "unknown arguments":  # argparse joins them into one line, however many there are
+        return [*argv, *[field[:100]] * (len(field) // 20 + 2), "--json", out]
     if place == "config line":
         (workdir / "cfg").write_text(field, encoding="utf-8")
         return [*argv, "--config", str(workdir / "cfg"), "--json", out]

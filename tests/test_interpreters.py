@@ -1,7 +1,8 @@
 """Every supported CPython writes the same documents and charts.
 
 Runs ``analyze --svg``, ``synth`` (the default profiles and the wide
-``synth-write`` benchmark profile in both formats) and ``cohort --svg-dir`` on this
+``synth-write`` benchmark profile in both formats), ``cohort --svg-dir`` and
+``cohort --prefer-reported-h`` (over a CSV report and a mismatching total too) on this
 checkout's ``src`` under the running interpreter and under each other
 ``python3.10`` .. ``python3.13`` on PATH (a pyenv shim through an installed
 version of its own), and compares the JSON documents
@@ -21,11 +22,12 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from papertrail.ingest import serialize_report
+from papertrail.ingest import ReportFormat, serialize_report
 from papertrail.synth import conscientious_spec, generate, papermill_spec
 
 from test_package import assert_lazy_package, probe
@@ -95,6 +97,8 @@ def outputs(python: str, inputs: Path, out: Path) -> dict[str, object]:
            "--peak-rate", "400", "--start-year", "1960", "--format", fmt, "-o", out / f"wide.{fmt}"]
           for fmt in ("tsv", "csv")),
         ["cohort", inputs / "cohort.tsv", "--json", out / "cohort.json", "--svg-dir", out / "figs"],
+        # with a CSV report, a mismatching total and reported h-indices that the run prefers
+        ["cohort", inputs / "columns.tsv", "--prefer-reported-h", "--json", out / "columns.json"],
     ]
     env = dict(os.environ, PYTHONPATH=str(SRC))
     for argv in runs:
@@ -126,9 +130,17 @@ def test_every_interpreter_writes_the_same_outputs(tmp_path):
             (inputs / f"{stem}.tsv").write_bytes(serialize_report(generate(spec)))
             lines.append(f"{stem}\t{stem}.tsv\n")
     (inputs / "cohort.tsv").write_text("".join(lines), encoding="utf-8")
+    csv_profile = replace(generate(conscientious_spec(8)), reported_h=4)
+    (inputs / "cs8.csv").write_bytes(serialize_report(csv_profile, ReportFormat.CSV))
+    rows = serialize_report(replace(generate(papermill_spec(8)), reported_h=10**6)).split(b"\n")
+    cells = rows[-2].split(b"\t")
+    cells[2] = b"%d" % (int(cells[2]) + 7)  # the last record's total disagrees with its years
+    (inputs / "pm8.tsv").write_bytes(b"\n".join([*rows[:-2], b"\t".join(cells), b""]))
+    columns = [*lines, "cs8\tcs8.csv\n", "pm8\tpm8.tsv\n"]
+    (inputs / "columns.tsv").write_text("".join(columns), encoding="utf-8")
 
     expected = outputs(sys.executable, inputs, tmp_path / "running")
-    assert len(expected) == 11
+    assert len(expected) == 12
     for n, python in enumerate(others):
         actual = outputs(python, inputs, tmp_path / f"other{n}")
         assert actual.keys() == expected.keys(), python
