@@ -43,7 +43,7 @@ from .cohort import (
 from .errors import DegenerateAbscissaError, PapertrailError, TooFewPointsError
 from .indicators import AnalysisConfig, IndicatorSet, _indicators, analyze_profile
 from .ingest import (ReportFormat, ResearcherProfile, _column_sums, _echo, _read_report,
-                     parse_report, serialize_report)
+                     parse_report)
 
 SCHEMA_VERSION = "1.0"
 CONFIG_ENV_VAR = "PAPERTRAIL_CONFIG"
@@ -413,7 +413,7 @@ def cmd_cohort(args: argparse.Namespace) -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> None:
-    from .synth import Archetype, conscientious_spec, generate, papermill_spec
+    from .synth import Archetype, _report, conscientious_spec, papermill_spec
 
     if Archetype(args.archetype) is Archetype.PAPERMILL:
         make_spec, own, other = papermill_spec, "onset_offset", "kernel_peak_lag"
@@ -425,12 +425,10 @@ def cmd_synth(args: argparse.Namespace) -> None:
     names = ("start_year", "n_years", "base_rate", "peak_rate", "cites_per_paper", own)
     kwargs = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     try:
-        profile = generate(make_spec(args.seed, **kwargs))
+        data = _report(make_spec(args.seed, **kwargs), _detect_format(args.output, args.format))
     except PapertrailError as exc:
         raise _Failure(EXIT_USAGE_ERROR, str(exc)) from None
-
-    fmt = ReportFormat(args.format) if args.format else ReportFormat.TSV
-    _write((args.output, serialize_report(profile, fmt)))
+    _write((args.output, data))
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -475,7 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=ARCHETYPES)
     p_synth.add_argument("--seed", type=int, default=0, metavar="N")
     p_synth.add_argument("-o", "--output", required=True, metavar="PATH")
-    p_synth.add_argument("--format", choices=[f.value for f in ReportFormat])
+    p_synth.add_argument("--format", choices=[f.value for f in ReportFormat],
+                         help="output format (default: by file extension)")
     p_synth.add_argument("--start-year", type=int, metavar="YEAR")
     p_synth.add_argument("--n-years", type=int, metavar="N")
     p_synth.add_argument("--base-rate", type=float, metavar="F")

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, compress, repeat
 from operator import add, attrgetter, ne
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     EmptyProfileError,
@@ -505,16 +505,39 @@ def serialize_report(profile: ResearcherProfile, fmt: ReportFormat = ReportForma
         raise ValueError("researcher name is empty; parse_report would read the file's name")
     if profile.reported_h is not None and not 0 <= profile.reported_h <= MAX_COUNT:
         raise ValueError(f"reported h-index must lie in 0..{MAX_COUNT}")
+    _field(profile.name, fmt, "researcher name")
+    if profile.source_id is not None:
+        _field(profile.source_id, fmt, "researcher id")
+    # every title checked at once; _field then names the first one the flavor cannot carry
+    if (_UNSAFE[fmt].search("".join(map(attrgetter("title"), records)))
+            or fmt is ReportFormat.CSV
+            and max(map(len, map(attrgetter("title"), records))) > csv.field_size_limit()):
+        for rec in records:
+            _field(rec.title, fmt, "record title")
     # the window in one pass over the records, holding no list of their spans
     lo, hi = MAX_YEAR + 1, MIN_YEAR
     for span in map(PublicationRecord._span, records):
         if span:
             lo = span.start if span.start < lo else lo
             hi = span.stop if span.stop > hi else hi
-    if lo >= hi:
-        lo = hi = MIN_YEAR
+    return _write_report(fmt, profile.name, profile.source_id, profile.reported_h,
+                         range(lo, hi) if lo < hi else _NO_YEARS,
+                         ((rec.title, rec.pub_year, rec.total_citations, rec._years, rec._matrix,
+                           rec._row * len(rec._years)) for rec in records))
 
-    buffer = io.StringIO()
+
+def _write_report(fmt: ReportFormat, name: str, source_id: str | None, reported_h: int | None,
+                  window: range, rows: Iterable[tuple[str, int, int, range, list[int], int]]) -> bytes:
+    """A report's bytes: the metadata, a header over ``window`` and one line per row.
+
+    A row is ``(title, pub_year, total, years, counts, first)``, whose count
+    for each year of ``years`` is ``counts[first:first + len(years)]``; it is
+    written clipped to ``window``.  The caller guarantees what
+    ``serialize_report`` checks: every text is one the flavor can carry.
+    """
+    # the text is encoded as it is written, into a buffer whose bytes getvalue() hands over uncopied
+    data = io.BytesIO()
+    buffer = io.TextIOWrapper(data, encoding="utf-8", newline="\n")
     if fmt is ReportFormat.TSV:
         def write_row(row: list[str]) -> None:
             buffer.write("\t".join(row))
@@ -522,32 +545,25 @@ def serialize_report(profile: ResearcherProfile, fmt: ReportFormat = ReportForma
     else:
         write_row = csv.writer(buffer, lineterminator="\n").writerow
 
-    write_row([META_RESEARCHER, _field(profile.name, fmt, "researcher name")])
-    if profile.source_id is not None:
-        write_row([META_ID, _field(profile.source_id, fmt, "researcher id")])
-    if profile.reported_h is not None:
-        write_row([META_H_INDEX, str(profile.reported_h)])
-    write_row([*_HEADER_PREFIX, *map(str, range(lo, hi))])
-    # every title checked at once; _field then names the first one the flavor cannot carry
-    if (_UNSAFE[fmt].search("".join(map(attrgetter("title"), records)))
-            or fmt is ReportFormat.CSV
-            and max(map(len, map(attrgetter("title"), records))) > csv.field_size_limit()):
-        for rec in records:
-            _field(rec.title, fmt, "record title")
-    # a record row is its cells within the window between two runs of zero cells, cut from one
-    # string of TSV zeros or one list of CSV ones; each row becomes its line at once
+    write_row([META_RESEARCHER, name])
+    if source_id is not None:
+        write_row([META_ID, source_id])
+    if reported_h is not None:
+        write_row([META_H_INDEX, str(reported_h)])
+    write_row([*_HEADER_PREFIX, *map(str, window)])
+    # a row is its cells within the window between two runs of zero cells, cut from one string of
+    # TSV zeros or one list of CSV ones; each row becomes its line at once
+    lo, hi = window.start, window.stop
     tsv = fmt is ReportFormat.TSV
     zeros = "\t0" * (hi - lo) if tsv else ["0"] * (hi - lo)
     step = 2 if tsv else 1  # the length of one zero cell in ``zeros``
     write, text = buffer.write, _TEXT.__getitem__
-    for rec in records:
-        years = rec._years
+    for title, pub_year, total, years, counts, first in rows:
         start = years.start if years.start > lo else lo
         stop = years.stop if years.stop < hi else hi
-        if start >= stop:  # the record cites nothing: all of its row is zeros
+        if start >= stop:  # the row cites nothing in the window: all of it is zeros
             start = stop = hi
-        first = rec._row * len(years) - years.start
-        cells = rec._matrix[first + start:first + stop]
+        cells = counts[first + start - years.start:first + stop - years.start]
         try:
             texts = list(map(text, cells))
         except IndexError:  # a count above 255
@@ -555,8 +571,8 @@ def serialize_report(profile: ResearcherProfile, fmt: ReportFormat = ReportForma
         before, after = zeros[:step * (start - lo)], zeros[step * (stop - lo):]
         if tsv:
             cited = "\t" + "\t".join(texts) if texts else ""
-            write(f"{rec.title}\t{rec.pub_year}\t{rec.total_citations}{before}{cited}{after}\n")
+            write(f"{title}\t{pub_year}\t{total}{before}{cited}{after}\n")
         else:
-            write_row([rec.title, str(rec.pub_year), str(rec.total_citations),
-                       *before, *texts, *after])
-    return buffer.getvalue().encode("utf-8")
+            write_row([title, str(pub_year), str(total), *before, *texts, *after])
+    buffer.flush()
+    return data.getvalue()

@@ -23,9 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 from .errors import InvalidSpecError
-from .ingest import MAX_YEAR, MIN_YEAR, PublicationRecord, ResearcherProfile, _NO_YEARS
+from .ingest import (MAX_YEAR, MIN_YEAR, PublicationRecord, ReportFormat, ResearcherProfile,
+                     _NO_YEARS, _write_report)
 
 _MASK64 = (1 << 64) - 1
 
@@ -198,15 +200,15 @@ def papermill_spec(
     )
 
 
-def _floor_carry(values: list[float]) -> list[int]:
-    """Integerize non-negative reals, carrying remainders forward.
+def _floor_carry(values: list[float], scale: float = 1.0) -> list[int]:
+    """Integerize the non-negative reals ``v * scale``, carrying remainders forward.
 
-    The running total is conserved: sum(out) == floor(sum(values)).
+    The running total is conserved: sum(out) == floor(sum(v * scale)).
     """
     counts: list[int] = []
     carry = 0.0
     for v in values:
-        t = v + carry
+        t = v * scale + carry  # x * 1.0 == x exactly
         c = math.floor(t)
         counts.append(c)
         carry = t - c
@@ -222,16 +224,12 @@ def _enforce_peak(counts: list[int], peak: int) -> list[int]:
     """
     if len(counts) <= 1 or sum(counts) == 0:
         return counts
-    while True:
-        top = max(counts[:peak] + counts[peak + 1:])
-        if counts[peak] > top:
-            return counts
-        # the rival is the lowest-index bin other than the peak holding ``top``
-        rival = counts.index(top)
-        if rival == peak:
-            rival = counts.index(top, peak + 1)
-        counts[rival] -= 1
-        counts[peak] += 1
+    held, counts[peak] = counts[peak], -1  # below every rival while they are searched
+    while held <= (top := max(counts)):
+        counts[counts.index(top)] -= 1  # the rival: the lowest-index bin holding ``top``
+        held += 1
+    counts[peak] = held
+    return counts
 
 
 def _conscientious_pub_targets(spec: SynthSpec) -> list[float]:
@@ -269,8 +267,10 @@ def _conscientious_kernel(spec: SynthSpec) -> list[float]:
     return [w / total for w in weights]
 
 
-def generate(spec: SynthSpec) -> ResearcherProfile:
-    """Produce a synthetic profile; identical specs yield identical output."""
+def _rows(spec: SynthSpec) -> Iterator[tuple[str, int, int, range, list[int], int]]:
+    """Each paper as a row of ``ingest._write_report``: ``(title, pub_year, total, years, counts,
+    0)``, where ``years`` runs from its first to its last cited year (empty if it cites nothing)
+    and ``counts`` holds its citations in those years."""
     rng = Xorshift64Star(spec.seed)
 
     # the kernel takes no random draw, so building it here leaves the draw order as it was
@@ -293,7 +293,6 @@ def generate(spec: SynthSpec) -> ResearcherProfile:
     if sum(pub_counts) == 0:
         raise InvalidSpecError("rates too low: zero publications generated")
 
-    records: list[PublicationRecord] = []
     paper_no = 0
     for i, count in enumerate(pub_counts):
         year = spec.start_year + i
@@ -302,22 +301,35 @@ def generate(spec: SynthSpec) -> ResearcherProfile:
         for _ in range(count):
             paper_no += 1
             mass = max(spec.cites_per_paper * rng.jitter(_CITE_JITTER) * scale, 1.0)
-            offsets = _enforce_peak(_floor_carry([mass * w for w in kernel]), peak_offset)
-            # the row runs from the first to the last cited year, as the public constructor
-            # keeps it; a row that cites nothing is empty
+            offsets = _enforce_peak(_floor_carry(kernel, mass), peak_offset)
             lo, hi = 0, len(offsets)
             while lo < hi and not offsets[lo]:
                 lo += 1
             while hi > lo and not offsets[hi - 1]:
                 hi -= 1
-            # start_year bounds every pub_year, and the counts are non-negative ints
-            records.append(PublicationRecord._from_row(
-                f"Synthetic study {paper_no:04d}", year, sum(offsets),
-                range(year + lo, year + hi) if lo < hi else _NO_YEARS, offsets[lo:hi],
-            ))
+            yield (f"Synthetic study {paper_no:04d}", year, sum(offsets),
+                   range(year + lo, year + hi), offsets[lo:hi], 0)
 
-    return ResearcherProfile(
-        name=f"synth-{spec.archetype.value}-{spec.seed}",
-        source_id=f"SYNTH-{spec.archetype.value.upper()}-{spec.seed}",
-        records=records,
-    )
+
+def _names(spec: SynthSpec) -> tuple[str, str]:
+    """The researcher name and id of the profile of ``spec``."""
+    return (f"synth-{spec.archetype.value}-{spec.seed}",
+            f"SYNTH-{spec.archetype.value.upper()}-{spec.seed}")
+
+
+def generate(spec: SynthSpec) -> ResearcherProfile:
+    """Produce a synthetic profile; identical specs yield identical output."""
+    name, source_id = _names(spec)
+    # each record owns its row trimmed to its cited years, as the public constructor keeps it;
+    # start_year bounds every pub_year, and the counts are non-negative ints
+    return ResearcherProfile(name=name, source_id=source_id, records=[
+        PublicationRecord._from_row(title, year, total, years or _NO_YEARS, counts)
+        for title, year, total, years, counts, _ in _rows(spec)])
+
+
+def _report(spec: SynthSpec, fmt: ReportFormat) -> bytes:
+    """``serialize_report(generate(spec), fmt)``, written from the rows without a record."""
+    rows = list(_rows(spec))
+    spans = [years for _, _, _, years, _, _ in rows if years] or [_NO_YEARS]
+    window = range(min(span.start for span in spans), max(span.stop for span in spans))
+    return _write_report(fmt, *_names(spec), None, window, rows)

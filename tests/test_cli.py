@@ -647,6 +647,25 @@ class TestSynth:
         doc = json.loads(capsys.readouterr().out)
         assert "LowIntegrity" not in {f["kind"] for f in doc["indicators"]["flags"]}
 
+    @pytest.mark.parametrize("name,fmt", [("pm.csv", "csv"), ("PM.CSV", "csv"), ("pm.tsv", "tsv"),
+                                          ("pm.txt", "tsv"), ("pm", "tsv")])
+    def test_synth_then_analyze_picks_the_format_by_extension(self, name, fmt, tmp_path, capsys):
+        # without --format, synth writes by the rule that analyze and cohort read by, so that
+        # analyze reads back what synth wrote
+        out, explicit = tmp_path / name, tmp_path / f"explicit.{fmt}"
+        assert main(["synth", "--archetype", "papermill", "-o", str(out)]) == 0
+        assert main(["synth", "--archetype", "papermill", "--format", fmt, "-o", str(explicit)]) == 0
+        assert out.read_bytes() == explicit.read_bytes()
+        assert main(["analyze", str(out)]) == 0
+        indicators = json.loads(capsys.readouterr().out)["indicators"]
+        assert indicators["total_publications"] == len(generate(papermill_spec(0)).records)
+        assert {"HighCorrelation", "ZeroLag"} <= {f["kind"] for f in indicators["flags"]}
+
+    def test_format_flag_overrides_the_extension(self, tmp_path):
+        out = tmp_path / "pm.csv"
+        assert main(["synth", "--archetype", "papermill", "--format", "tsv", "-o", str(out)]) == 0
+        assert out.read_bytes().startswith(b"# researcher\tsynth-papermill-0\n")
+
     def test_archetype_choices_are_the_archetypes(self):
         # the parser spells the choices itself, so that it does not import synth
         assert cli.ARCHETYPES == tuple(a.value for a in Archetype)

@@ -5,8 +5,17 @@
 difference: where the reference sanitizes a field with a warning, writes a
 file that does not read back as the profile, or writes a CR in a CSV field,
 ``serialize_report`` raises ValueError instead.
+
+The ``synth`` command writes its rows straight from the generator, with no
+record in between; the bytes it writes must be
+``reference_synth.serialize_report(reference_synth.generate(spec), fmt)``,
+and a spec the reference rejects must exit 2 with the reference's message.
 """
 
+import collections
+import contextlib
+import functools
+import io
 import random
 import warnings
 
@@ -15,7 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from papertrail import ingest
-from papertrail.errors import PapertrailError
+from papertrail.cli import main
+from papertrail.errors import InvalidSpecError, PapertrailError
 from papertrail.ingest import (
     MAX_COUNT,
     PublicationRecord,
@@ -24,7 +34,7 @@ from papertrail.ingest import (
     parse_report,
     serialize_report,
 )
-from papertrail.synth import _enforce_peak, conscientious_spec, generate, papermill_spec
+from papertrail.synth import Archetype, _enforce_peak, conscientious_spec, generate, papermill_spec
 
 from conftest import profiles_equal_modulo_warnings
 import reference_synth
@@ -33,11 +43,19 @@ import reference_synth
 WIDE_SPEC = conscientious_spec(1, n_years=60, peak_rate=400, start_year=1960)
 
 
+@functools.lru_cache(maxsize=None)
+def reference(spec):
+    """The reference profile of ``spec`` and its reference bytes in each format, made once."""
+    profile = reference_synth.generate(spec)
+    return profile, {fmt: reference_synth.serialize_report(profile, fmt) for fmt in ReportFormat}
+
+
 def assert_same_output(spec):
     profile = generate(spec)
-    assert profile == reference_synth.generate(spec)
+    expected, data = reference(spec)
+    assert profile == expected
     for fmt in ReportFormat:
-        assert serialize_report(profile, fmt) == reference_synth.serialize_report(profile, fmt)
+        assert serialize_report(profile, fmt) == data[fmt]
 
 
 @pytest.mark.parametrize("make_spec", [conscientious_spec, papermill_spec])
@@ -209,4 +227,136 @@ def test_synth_rows_are_trimmed_and_written_without_column_sums(spec, monkeypatc
 
     monkeypatch.setattr(ingest, "_citation_totals", refuse)
     for fmt in ReportFormat:
-        assert serialize_report(profile, fmt) == reference_synth.serialize_report(profile, fmt)
+        assert serialize_report(profile, fmt) == reference(spec)[1][fmt]
+
+
+MAKE_SPEC = {Archetype.CONSCIENTIOUS: conscientious_spec, Archetype.PAPERMILL: papermill_spec}
+# the parameters of each archetype that the command takes as flags, besides the seed
+PARAMETERS = {
+    archetype: ("start_year", "n_years", "base_rate", "peak_rate", "cites_per_paper", own)
+    for archetype, own in ((Archetype.CONSCIENTIOUS, "kernel_peak_lag"),
+                           (Archetype.PAPERMILL, "onset_offset"))
+}
+
+
+def run_synth(tmp_path, fmt, archetype, seed, params):
+    """Exit code, stderr and written bytes (None if no file) of the ``synth`` command.
+
+    The output's extension picks the format, as it does without ``--format``."""
+    out = tmp_path / f"synth.{fmt.value}"
+    out.unlink(missing_ok=True)
+    flags = [f"--{name.replace('_', '-')}={value!r}" for name, value in params.items()]
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["synth", "--archetype", archetype.value, f"--seed={seed}", *flags,
+                     "-o", str(out)])
+    return code, err.getvalue(), out.read_bytes() if out.exists() else None
+
+
+def assert_writes_like_reference_generator(tmp_path, archetype, seed, params, expected=None):
+    """The command gives the reference bytes in both formats, or the reference's error."""
+    try:
+        spec = MAKE_SPEC[archetype](seed, **params)
+        profile, data = expected or (reference_synth.generate(spec), None)
+    except InvalidSpecError as exc:
+        for fmt in ReportFormat:
+            assert run_synth(tmp_path, fmt, archetype, seed, params) == (2, f"error: {exc}\n", None)
+        return
+    for fmt in ReportFormat:
+        want = data[fmt] if data else reference_synth.serialize_report(profile, fmt)
+        assert run_synth(tmp_path, fmt, archetype, seed, params) == (0, "", want)
+
+
+def spec_parameters(spec):
+    return {name: getattr(spec, name) for name in PARAMETERS[spec.archetype]}
+
+
+@pytest.mark.parametrize("spec", [
+    WIDE_SPEC,
+    *(make(seed, cites_per_paper=cites) for make in (conscientious_spec, papermill_spec)
+      for seed in (0, 7) for cites in (1e-9, 1e6)),  # nothing cited; counts above 255
+], ids=lambda spec: f"{spec.archetype.value}-{spec.seed}-{spec.n_years}y-{spec.cites_per_paper:g}")
+def test_synth_command_writes_the_reference_bytes(spec, tmp_path):
+    assert_writes_like_reference_generator(tmp_path, spec.archetype, spec.seed,
+                                           spec_parameters(spec), reference(spec))
+
+
+@st.composite
+def synth_arguments(draw):
+    """Parameters within their bounds; low rates may still generate no paper, an error."""
+    archetype = draw(st.sampled_from(list(Archetype)))
+    n_years = draw(st.integers(8, 24))
+    base_rate = draw(st.floats(0.01, 6.0))
+    params = {
+        "start_year": draw(st.integers(1950, 2000)),
+        "n_years": n_years,
+        "base_rate": base_rate,
+        "peak_rate": base_rate + draw(st.floats(0.0, 20.0)),
+        "cites_per_paper": draw(st.sampled_from([1e-9, 1e6]) | st.floats(1e-3, 500.0)),
+    }
+    if archetype is Archetype.PAPERMILL:
+        params["onset_offset"] = draw(st.integers(0, n_years - 1))
+    else:
+        params["kernel_peak_lag"] = draw(st.integers(1, 20))
+    return archetype, draw(st.integers(0, 2**64 - 1)), params
+
+
+@settings(max_examples=100, deadline=None)
+@given(synth_arguments())
+def test_synth_command_writes_like_the_reference_generator(tmp_path_factory, arguments):
+    assert_writes_like_reference_generator(tmp_path_factory.mktemp("synth"), *arguments)
+
+
+@pytest.mark.parametrize("archetype,seed,params", [
+    (Archetype.PAPERMILL, 0, {"n_years": 4}),
+    (Archetype.PAPERMILL, -1, {}),
+    (Archetype.PAPERMILL, 2**64, {}),
+    (Archetype.PAPERMILL, 0, {"base_rate": float("nan")}),
+    (Archetype.CONSCIENTIOUS, 0, {"peak_rate": float("inf")}),
+    (Archetype.CONSCIENTIOUS, 0, {"cites_per_paper": float("-inf")}),
+    (Archetype.PAPERMILL, 0, {"base_rate": 0.001}),
+    (Archetype.CONSCIENTIOUS, 0, {"base_rate": 5.0, "peak_rate": 4.0}),
+    (Archetype.PAPERMILL, 0, {"peak_rate": 1001.0}),
+    (Archetype.CONSCIENTIOUS, 0, {"kernel_peak_lag": 0}),
+    (Archetype.CONSCIENTIOUS, 0, {"kernel_peak_lag": 21}),
+    (Archetype.PAPERMILL, 0, {"onset_offset": -1}),
+    (Archetype.PAPERMILL, 0, {"n_years": 9, "onset_offset": 9}),
+    (Archetype.PAPERMILL, 0, {"cites_per_paper": 0.0}),
+    (Archetype.PAPERMILL, 0, {"cites_per_paper": 1e7}),
+    (Archetype.PAPERMILL, 0, {"start_year": 1899}),
+    (Archetype.PAPERMILL, 0, {"start_year": 2095}),
+    (Archetype.CONSCIENTIOUS, 0, {"start_year": 2070}),  # citations would run to 2112
+    (Archetype.PAPERMILL, 0, {"base_rate": 0.01, "peak_rate": 0.01}),  # no paper generated
+    (Archetype.CONSCIENTIOUS, 0, {"base_rate": 0.01, "peak_rate": 0.01, "n_years": 8}),
+])
+def test_invalid_spec_gives_the_reference_error(archetype, seed, params, tmp_path):
+    with pytest.raises(InvalidSpecError):
+        reference_synth.generate(MAKE_SPEC[archetype](seed, **params))
+    assert_writes_like_reference_generator(tmp_path, archetype, seed, params)
+
+
+def test_synth_command_builds_no_record(tmp_path, monkeypatch):
+    # no timing bound: the command writes the generator's rows, never a record or its column sums
+    calls = collections.Counter()
+
+    def count(owner, name):
+        original = owner.__dict__[name]
+        inner = original.__func__ if isinstance(original, classmethod) else original
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted if inner is original else classmethod(counted))
+
+    count(ingest.PublicationRecord, "__init__")
+    count(ingest.PublicationRecord, "_from_row")
+    count(ingest, "serialize_report")
+    count(ingest, "_citation_totals")
+    for spec in (papermill_spec(3), conscientious_spec(3), papermill_spec(0, cites_per_paper=1e-9)):
+        for fmt in ReportFormat:
+            assert run_synth(tmp_path, fmt, spec.archetype, spec.seed,
+                             spec_parameters(spec)) == (0, "", reference(spec)[1][fmt])
+    assert calls == {}
+
+    # the library's generate still wraps the same rows in records
+    assert generate(papermill_spec(3)) == reference(papermill_spec(3))[0]
+    assert calls.keys() == {"_from_row"}
