@@ -41,9 +41,9 @@ from .cohort import (
     parse_manifest,
 )
 from .errors import DegenerateAbscissaError, PapertrailError, TooFewPointsError
-from .indicators import AnalysisConfig, IndicatorSet, _indicators, analyze_profile
-from .ingest import (ReportFormat, ResearcherProfile, _column_sums, _echo, _read_report,
-                     parse_report)
+from .indicators import AnalysisConfig, IndicatorSet, _analyze_columns, _indicators
+from .ingest import (ReportFormat, ResearcherProfile, _column_sums, _echo, _mismatch_warnings,
+                     _read_report)
 
 SCHEMA_VERSION = "1.0"
 CONFIG_ENV_VAR = "PAPERTRAIL_CONFIG"
@@ -217,6 +217,13 @@ def build_report(profile: ResearcherProfile, ind: IndicatorSet) -> dict[str, Any
     Every indicator key is always present; undefined values are emitted as
     null with an explanation under "undefined_reasons".
     """
+    return _analyze_document(profile.name, profile.source_id, profile.reported_h,
+                             len(profile.records), profile.warnings, ind)
+
+
+def _analyze_document(name: str, source_id: str | None, reported_h: int | None, n_records: int,
+                      warnings: list[str], ind: IndicatorSet) -> dict[str, Any]:
+    """``build_report``'s document, from the profile's fields and its record count."""
     undefined: dict[str, str] = {}
     if ind.r is None:
         undefined["correlation"] = (
@@ -230,10 +237,10 @@ def build_report(profile: ResearcherProfile, ind: IndicatorSet) -> dict[str, Any
         "schema_version": SCHEMA_VERSION,
         "generated_at": _now_iso(),
         "profile": {
-            "name": profile.name,
-            "source_id": profile.source_id,
-            "reported_h": profile.reported_h,
-            "n_records": len(profile.records),
+            "name": name,
+            "source_id": source_id,
+            "reported_h": reported_h,
+            "n_records": n_records,
         },
         "indicators": {
             "correlation": ind.r,
@@ -251,7 +258,7 @@ def build_report(profile: ResearcherProfile, ind: IndicatorSet) -> dict[str, Any
             "flags": [{"kind": s.kind.value, "detail": s.detail} for s in ind.flags],
         },
         "undefined_reasons": undefined,
-        "warnings": list(profile.warnings) + list(ind.warnings),
+        "warnings": [*warnings, *ind.warnings],
     }
 
 
@@ -348,8 +355,10 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     config = _resolve_analysis_config(args)
     report = Path(args.report)
     try:
-        profile = parse_report(*_read_report_file(report, args.format), default_name=report.stem)
-        ind = analyze_profile(profile, config)
+        name, source_id, reported_h, titles, pub_years, totals, years, matrix = _read_report(
+            *_read_report_file(report, args.format), report.stem)
+        ind = _analyze_columns(pub_years, totals, years, _column_sums(matrix, len(years)),
+                               reported_h, config)
     except OSError as exc:
         raise _Failure(EXIT_DATA_ERROR, f"cannot read {_name(args.report)}: {_reason(exc)}") from None
     except PapertrailError as exc:
@@ -359,9 +368,11 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     if args.svg:
         from .render import ChartStyle, profile_chart
 
-        style = ChartStyle(title=f"Times cited and publications over time: {profile.name}")
+        style = ChartStyle(title=f"Times cited and publications over time: {name}")
         outputs.append((args.svg, profile_chart(ind.series, ind, style)))
-    _write(*outputs, (args.json or None, _json_text(build_report(profile, ind))))
+    document = _analyze_document(name, source_id, reported_h, len(titles),
+                                 _mismatch_warnings(titles, totals, matrix, len(years)), ind)
+    _write(*outputs, (args.json or None, _json_text(document)))
 
 
 def cmd_cohort(args: argparse.Namespace) -> None:

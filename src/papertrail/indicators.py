@@ -221,12 +221,14 @@ def hcp_count(
     thresholds: Mapping[int, int] = DEFAULT_HCP_THRESHOLDS,
 ) -> int:
     """Count records meeting the highly-cited threshold for their year."""
-    count = 0
-    for rec in records:
-        needed = thresholds.get(rec.pub_year)
-        if needed is not None and rec.total_citations >= needed:
-            count += 1
-    return count
+    return _hcp_count([rec.pub_year for rec in records], [rec.total_citations for rec in records],
+                      thresholds)
+
+
+def _hcp_count(pub_years: list[int], totals: list[int], thresholds: Mapping[int, int]) -> int:
+    """The number of ``totals`` meeting the highly-cited threshold for their publication year."""
+    return sum(1 for year, total in zip(pub_years, totals)
+               if (needed := thresholds.get(year)) is not None and total >= needed)
 
 
 def yearly_stats(series: AnnualSeries) -> YearlyStats:
@@ -312,6 +314,37 @@ def _indicators(pub_years: list[int], totals: list[int], window: range, column_s
     return series, r, h, i_index(h, total_pubs), yearly_stats(series), notes
 
 
+def _analyze_columns(pub_years: list[int], totals: list[int], window: range, column_sums: list[int],
+                     reported_h: int | None, config: AnalysisConfig) -> IndicatorSet:
+    """The indicator set of ``analyze_profile``, from the columns of ``_indicators``."""
+    series, r, h, i, stats, notes = _indicators(pub_years, totals, window, column_sums,
+                                                reported_h, config)
+    lag: int | None = None
+    if r is not None and r > config.r_min:
+        effective_max_lag = min(config.max_lag, len(series) - 3)
+        if effective_max_lag >= 0:  # lag 0 is r itself, so some lag is defined
+            lag = best_lag(series, effective_max_lag).lag
+
+    total_cites = sum(totals)
+    ind = IndicatorSet(
+        r=r,
+        lag=lag,
+        h=h,
+        i_index=i,
+        total_pubs=len(pub_years),
+        total_cites=total_cites,
+        max_pubs_year=stats.max_pubs,
+        min_pubs_year=stats.min_pubs,
+        avg_pubs_year=stats.avg_pubs,
+        avg_cites_per_paper=total_cites / len(pub_years),
+        start_year=series.start_year,
+        hcp_count=_hcp_count(pub_years, totals, DEFAULT_HCP_THRESHOLDS),
+        series=series,
+        warnings=tuple(notes),
+    )
+    return replace(ind, flags=tuple(flag_profile(ind, config)))
+
+
 def analyze_profile(
     profile: ResearcherProfile,
     config: AnalysisConfig = AnalysisConfig(),
@@ -325,32 +358,5 @@ def analyze_profile(
     value computed from the records.
     """
     records = profile.records
-    totals = [rec.total_citations for rec in records]
-    series, r, h, i, stats, notes = _indicators(
-        [rec.pub_year for rec in records], totals, *_citation_totals(records),
-        profile.reported_h, config)
-
-    lag: int | None = None
-    if r is not None and r > config.r_min:
-        effective_max_lag = min(config.max_lag, len(series) - 3)
-        if effective_max_lag >= 0:  # lag 0 is r itself, so some lag is defined
-            lag = best_lag(series, effective_max_lag).lag
-
-    total_cites = sum(totals)
-    ind = IndicatorSet(
-        r=r,
-        lag=lag,
-        h=h,
-        i_index=i,
-        total_pubs=len(records),
-        total_cites=total_cites,
-        max_pubs_year=stats.max_pubs,
-        min_pubs_year=stats.min_pubs,
-        avg_pubs_year=stats.avg_pubs,
-        avg_cites_per_paper=total_cites / len(records),
-        start_year=series.start_year,
-        hcp_count=hcp_count(records),
-        series=series,
-        warnings=tuple(notes),
-    )
-    return replace(ind, flags=tuple(flag_profile(ind, config)))
+    return _analyze_columns([rec.pub_year for rec in records], [rec.total_citations for rec in records],
+                            *_citation_totals(records), profile.reported_h, config)

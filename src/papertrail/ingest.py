@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, compress, repeat
 from operator import add, attrgetter, ne
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     EmptyProfileError,
@@ -81,17 +81,17 @@ class ReportFormat(str, Enum):
 class PublicationRecord:
     """One indexed paper: publication year, totals, per-year citations.
 
-    The per-year counts are one row of a count matrix over a contiguous
-    window of years.  The records of a parsed report are the rows of that
-    report's one matrix, whose edge columns may hold zeros; a record built
-    here, and a ``synth`` record, owns a one-row matrix trimmed to its cited
-    years (empty if it cites nothing).  ``citations_by_year`` is derived
-    from the row on each access, in canonical form: a new dict in year order
-    with the zero-count years dropped, so two records compare equal
-    regardless of how many explicit zeros their source files carried.
+    An immutable value: setting or deleting an attribute raises
+    AttributeError.  The per-year counts are held as a tuple over the
+    record's cited span, from its first to its last cited year (empty if it
+    cites nothing); every constructor trims them to that span.
+    ``citations_by_year`` is derived from them on each access, in canonical
+    form: a new dict in year order with the zero-count years dropped, so two
+    records compare equal regardless of how many explicit zeros their source
+    files carried.
     """
 
-    __slots__ = ("title", "pub_year", "total_citations", "_years", "_matrix", "_row")
+    __slots__ = ("title", "pub_year", "total_citations", "_years", "_counts")
 
     def __init__(self, title: str, pub_year: int, total_citations: int,
                  citations_by_year: Mapping[int, int] | None = None) -> None:
@@ -113,59 +113,29 @@ class PublicationRecord:
                 raise ValueError(f"negative citation count for year {year}")
             if count > MAX_COUNT:
                 raise ValueError(f"citation count for year {year} must be at most {MAX_COUNT}")
-        cited = {year: count for year, count in by_year.items() if count}
-        self.title = title
-        self.pub_year = pub_year
-        self.total_citations = total_citations
-        self._years = range(min(cited), max(cited) + 1) if cited else _NO_YEARS
-        self._matrix = [cited.get(year, 0) for year in self._years]
-        self._row = 0
+        years = range(min(by_year), max(by_year) + 1) if by_year else _NO_YEARS
+        _fill(self, title, pub_year, total_citations, years.start,
+              [by_year.get(year, 0) for year in years])
 
-    @classmethod
-    def _from_row(cls, title: str, pub_year: int, total_citations: int,
-                  years: range, matrix: list[int], row: int = 0) -> PublicationRecord:
-        """Build the record of row ``row`` of ``matrix`` from validated fields, without checks.
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"PublicationRecord is immutable; cannot change {name!r}")
 
-        ``matrix`` is row-major with one column per year of ``years``.  The
-        caller guarantees what ``__init__`` would check: every field is an
-        int, the year lies in MIN_YEAR..MAX_YEAR, the total and the counts lie
-        in 0..MAX_COUNT, and ``years`` lie in MIN_YEAR..MAX_YEAR.  The record
-        reads ``matrix`` and never changes it; nor may the caller.
-        """
-        record = cls.__new__(cls)
-        record.title = title
-        record.pub_year = pub_year
-        record.total_citations = total_citations
-        record._years = years
-        record._matrix = matrix
-        record._row = row
-        return record
+    __delattr__ = __setattr__  # called as (self, name)
 
-    def _span(self) -> range:
-        """The years from this record's first to its last cited year; empty if it cites nothing."""
-        years = self._years
-        width = len(years)
-        first = self._row * width
-        if width and self._matrix[first] and self._matrix[first + width - 1]:
-            return years
-        cited = list(compress(years, self._cells()))
-        return range(cited[0], cited[-1] + 1) if cited else _NO_YEARS
-
-    def _cells(self) -> list[int]:
-        """This record's row of its matrix: one count per year of ``_years``."""
-        width = len(self._years)
-        return self._matrix[self._row * width:(self._row + 1) * width]
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild the record through __init__, as it cannot be filled in place
+        return PublicationRecord, (self.title, self.pub_year, self.total_citations,
+                                   self.citations_by_year)
 
     @property
     def citations_by_year(self) -> dict[int, int]:
         """Citations per cited year, in year order, without zero-count years; a new dict on each access."""
-        cells = self._cells()
-        return dict(compress(zip(self._years, cells), cells))
+        return dict(compress(zip(self._years, self._counts), self._counts))
 
     @property
     def window_sum(self) -> int:
         """Sum of the per-year citation columns (may differ from the total)."""
-        return sum(self._cells())
+        return sum(self._counts)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -179,31 +149,58 @@ class PublicationRecord:
                 f"citations_by_year={self.citations_by_year!r})")
 
 
+def _trim(start: int, counts: Sequence[int]) -> tuple[range, Sequence[int]]:
+    """The span from the first to the last nonzero of ``counts``, one per year from ``start`` on,
+    and the counts over it; ``_NO_YEARS`` and no counts if none is nonzero."""
+    lo, hi = 0, len(counts)
+    while lo < hi and not counts[lo]:
+        lo += 1
+    while hi > lo and not counts[hi - 1]:
+        hi -= 1
+    return range(start + lo, start + hi) if lo < hi else _NO_YEARS, counts[lo:hi]
+
+
+def _fill(record: PublicationRecord, title: str, pub_year: int, total_citations: int,
+          start: int, counts: Sequence[int]) -> PublicationRecord:
+    """Set the fields of the new ``record``, whose ``counts`` run from year ``start`` on, trimmed to
+    its cited span; returns it."""
+    years, counts = _trim(start, counts)
+    for name, value in zip(PublicationRecord.__slots__,
+                           (title, pub_year, total_citations, years, tuple(counts))):
+        object.__setattr__(record, name, value)
+    return record
+
+
+def _record(title: str, pub_year: int, total_citations: int, years: range,
+            counts: Sequence[int]) -> PublicationRecord:
+    """The record of a row with one count per year of ``years``, which the caller (``parse_report``
+    or ``synth``) has checked as ``__init__`` checks its fields: ints, each within its bounds."""
+    return _fill(PublicationRecord.__new__(PublicationRecord), title, pub_year, total_citations,
+                 years.start, counts)
+
+
+def _window(spans: Iterable[range]) -> range:
+    """The union of ``spans``: the smallest range holding each nonempty one; empty if none is."""
+    spans = [span for span in spans if span]
+    return range(min(s.start for s in spans), max(s.stop for s in spans)) if spans else _NO_YEARS
+
+
 def _column_sums(matrix: list[int], width: int) -> list[int]:
     """The sum of each column of the row-major ``matrix``, which has ``width`` columns."""
     return [sum(matrix[column::width]) for column in range(width)]
 
 
 def _citation_totals(records: list[PublicationRecord]) -> tuple[range, list[int]]:
-    """The citations of ``records`` summed per year: a window of years and a total for each.
-
-    Records that are the rows of one matrix, each once and in order (the
-    records of a parsed report), give the sums of its columns; any others are
-    added row by row into the window MIN_YEAR..MAX_YEAR.  Raises EmptyProfileError for no records.
-    """
+    """The window MIN_YEAR..MAX_YEAR and the citations of ``records`` in each of its years;
+    raises EmptyProfileError for no records."""
     if not records:
         raise EmptyProfileError("cannot build a series from a profile with no records")
-    years, matrix = records[0]._years, records[0]._matrix
-    width = len(years)
-    if len(matrix) == width * len(records) and all(
-            rec._matrix is matrix and rec._row == row for row, rec in enumerate(records)):
-        return years, _column_sums(matrix, width)
     window = range(MIN_YEAR, MAX_YEAR + 1)
     totals = [0] * len(window)
     for rec in records:
         start = rec._years.start - MIN_YEAR
         end = start + len(rec._years)
-        totals[start:end] = map(add, totals[start:end], rec._cells())
+        totals[start:end] = map(add, totals[start:end], rec._counts)
     return window, totals
 
 
@@ -370,10 +367,14 @@ def _read_rows(rows: Iterator[tuple[int, list[str]]], year_cols: range) -> tuple
     return titles, values
 
 
-def _mismatch_warning(number: int, title: str, window_sum: int, total: int) -> str:
-    """The warning for record ``number``, whose year columns do not sum to its declared total."""
-    return (f"record {number} ({_echo(title)}): year columns sum to {window_sum} but total "
-            f"citations is {total}; keeping the declared total as authoritative")
+def _mismatch_warnings(titles: list[str], totals: list[int], matrix: list[int], width: int
+                       ) -> list[str]:
+    """A warning for each record whose year columns, its row of the ``width``-column ``matrix``,
+    do not sum to its declared total."""
+    window_sums = list(map(sum, zip(*[iter(matrix)] * width))) if width else [0] * len(titles)
+    return [f"record {i + 1} ({_echo(titles[i])}): year columns sum to {window_sums[i]} but total "
+            f"citations is {totals[i]}; keeping the declared total as authoritative"
+            for i in compress(range(len(titles)), map(ne, window_sums, totals))]
 
 
 def _read_report(data: bytes, fmt: ReportFormat, default_name: str) -> tuple[
@@ -456,24 +457,21 @@ def parse_report(
     """
     name, source_id, reported_h, titles, pub_years, totals, years, matrix = _read_report(
         data, fmt, default_name)
-    # the records are views into the count matrix, not owners of a tuple each: CPython keeps up
-    # to 2,000 freed tuples of each short length for reuse, so the tuples of one report's
-    # records would stay allocated after it is dropped
     width = len(years)
-    window_sums = list(map(sum, zip(*[iter(matrix)] * width))) if width else [0] * len(titles)
-    mismatched = compress(range(len(titles)), map(ne, window_sums, totals))
+    rows = zip(*[iter(matrix)] * width) if width else repeat(())
     return ResearcherProfile(
         name=name,
         source_id=source_id,
         reported_h=reported_h,
-        records=list(map(PublicationRecord._from_row, titles, pub_years, totals,
-                         repeat(years), repeat(matrix), range(len(titles)))),
-        warnings=[_mismatch_warning(i + 1, titles[i], window_sums[i], totals[i]) for i in mismatched],
+        records=list(map(_record, titles, pub_years, totals, repeat(years), rows)),
+        warnings=_mismatch_warnings(titles, totals, matrix, width),
     )
 
 
-# TSV has no quoting; the csv writer leaves a lone CR unquoted, and Python 3.10's reader refuses NUL
-_UNSAFE = {ReportFormat.TSV: re.compile(r"[\t\r\n]"), ReportFormat.CSV: re.compile(r"[\r\0]")}
+# TSV has no quoting; the csv writer leaves a lone CR unquoted, and Python 3.10's reader refuses NUL;
+# neither flavor carries a surrogate, which UTF-8 cannot encode
+_UNSAFE = {ReportFormat.TSV: re.compile(r"[\t\r\n\ud800-\udfff]"),
+           ReportFormat.CSV: re.compile(r"[\r\0\ud800-\udfff]")}
 
 
 def _field(value: str, fmt: ReportFormat, what: str) -> str:
@@ -491,12 +489,12 @@ def serialize_report(profile: ResearcherProfile, fmt: ReportFormat = ReportForma
 
     The year-column window is the union of the records' cited spans: the
     smallest contiguous range covering every cited year across all records
-    (empty when nothing was ever cited).  Each record row is written clipped
-    to it.  ``parse_report(serialize_report(p))`` reproduces ``p`` in every
-    field except ``warnings``.  A profile it would not reproduce raises
+    (empty when nothing was ever cited), which each record row fills with
+    zeros outside its span.  ``parse_report(serialize_report(p))`` reproduces
+    ``p`` in every field except ``warnings``.  A profile it would not reproduce raises
     ValueError naming the field: no records, an empty name, a reported
     h-index outside 0..MAX_COUNT, or a title, name or id that the flavor
-    cannot carry.
+    cannot carry (a surrogate in any flavor).
     """
     records = profile.records
     if not records:
@@ -514,26 +512,20 @@ def serialize_report(profile: ResearcherProfile, fmt: ReportFormat = ReportForma
             and max(map(len, map(attrgetter("title"), records))) > csv.field_size_limit()):
         for rec in records:
             _field(rec.title, fmt, "record title")
-    # the window in one pass over the records, holding no list of their spans
-    lo, hi = MAX_YEAR + 1, MIN_YEAR
-    for span in map(PublicationRecord._span, records):
-        if span:
-            lo = span.start if span.start < lo else lo
-            hi = span.stop if span.stop > hi else hi
     return _write_report(fmt, profile.name, profile.source_id, profile.reported_h,
-                         range(lo, hi) if lo < hi else _NO_YEARS,
-                         ((rec.title, rec.pub_year, rec.total_citations, rec._years, rec._matrix,
-                           rec._row * len(rec._years)) for rec in records))
+                         _window(map(attrgetter("_years"), records)),
+                         map(attrgetter("title", "pub_year", "total_citations", "_years", "_counts"),
+                             records))
 
 
 def _write_report(fmt: ReportFormat, name: str, source_id: str | None, reported_h: int | None,
-                  window: range, rows: Iterable[tuple[str, int, int, range, list[int], int]]) -> bytes:
+                  window: range, rows: Iterable[tuple[str, int, int, range, Sequence[int]]]) -> bytes:
     """A report's bytes: the metadata, a header over ``window`` and one line per row.
 
-    A row is ``(title, pub_year, total, years, counts, first)``, whose count
-    for each year of ``years`` is ``counts[first:first + len(years)]``; it is
-    written clipped to ``window``.  The caller guarantees what
-    ``serialize_report`` checks: every text is one the flavor can carry.
+    A row is ``(title, pub_year, total, years, counts)``, with one count for
+    each year of ``years``, which lie in ``window`` (``_window`` of the rows'
+    years) or are empty.  The caller guarantees what ``serialize_report``
+    checks: every text is one the flavor can carry.
     """
     # the text is encoded as it is written, into a buffer whose bytes getvalue() hands over uncopied
     data = io.BytesIO()
@@ -558,16 +550,12 @@ def _write_report(fmt: ReportFormat, name: str, source_id: str | None, reported_
     zeros = "\t0" * (hi - lo) if tsv else ["0"] * (hi - lo)
     step = 2 if tsv else 1  # the length of one zero cell in ``zeros``
     write, text = buffer.write, _TEXT.__getitem__
-    for title, pub_year, total, years, counts, first in rows:
-        start = years.start if years.start > lo else lo
-        stop = years.stop if years.stop < hi else hi
-        if start >= stop:  # the row cites nothing in the window: all of it is zeros
-            start = stop = hi
-        cells = counts[first + start - years.start:first + stop - years.start]
+    for title, pub_year, total, years, counts in rows:
+        start, stop = (years.start, years.stop) if years else (hi, hi)  # no years: all zeros
         try:
-            texts = list(map(text, cells))
+            texts = list(map(text, counts))
         except IndexError:  # a count above 255
-            texts = list(map(str, cells))
+            texts = list(map(str, counts))
         before, after = zeros[:step * (start - lo)], zeros[step * (stop - lo):]
         if tsv:
             cited = "\t" + "\t".join(texts) if texts else ""

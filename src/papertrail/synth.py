@@ -23,11 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import starmap
+from operator import itemgetter
 from typing import Iterator
 
 from .errors import InvalidSpecError
-from .ingest import (MAX_YEAR, MIN_YEAR, PublicationRecord, ReportFormat, ResearcherProfile,
-                     _NO_YEARS, _write_report)
+from .ingest import (MAX_YEAR, MIN_YEAR, ReportFormat, ResearcherProfile, _record, _trim, _window,
+                     _write_report)
 
 _MASK64 = (1 << 64) - 1
 
@@ -267,10 +269,10 @@ def _conscientious_kernel(spec: SynthSpec) -> list[float]:
     return [w / total for w in weights]
 
 
-def _rows(spec: SynthSpec) -> Iterator[tuple[str, int, int, range, list[int], int]]:
-    """Each paper as a row of ``ingest._write_report``: ``(title, pub_year, total, years, counts,
-    0)``, where ``years`` runs from its first to its last cited year (empty if it cites nothing)
-    and ``counts`` holds its citations in those years."""
+def _rows(spec: SynthSpec) -> Iterator[tuple[str, int, int, range, list[int]]]:
+    """Each paper as a row of ``ingest._write_report``: ``(title, pub_year, total, years, counts)``,
+    where ``years`` runs from its first to its last cited year (empty if it cites nothing) and
+    ``counts`` holds its citations in those years."""
     rng = Xorshift64Star(spec.seed)
 
     # the kernel takes no random draw, so building it here leaves the draw order as it was
@@ -302,13 +304,8 @@ def _rows(spec: SynthSpec) -> Iterator[tuple[str, int, int, range, list[int], in
             paper_no += 1
             mass = max(spec.cites_per_paper * rng.jitter(_CITE_JITTER) * scale, 1.0)
             offsets = _enforce_peak(_floor_carry(kernel, mass), peak_offset)
-            lo, hi = 0, len(offsets)
-            while lo < hi and not offsets[lo]:
-                lo += 1
-            while hi > lo and not offsets[hi - 1]:
-                hi -= 1
             yield (f"Synthetic study {paper_no:04d}", year, sum(offsets),
-                   range(year + lo, year + hi), offsets[lo:hi], 0)
+                   *_trim(year, offsets))
 
 
 def _names(spec: SynthSpec) -> tuple[str, str]:
@@ -320,16 +317,11 @@ def _names(spec: SynthSpec) -> tuple[str, str]:
 def generate(spec: SynthSpec) -> ResearcherProfile:
     """Produce a synthetic profile; identical specs yield identical output."""
     name, source_id = _names(spec)
-    # each record owns its row trimmed to its cited years, as the public constructor keeps it;
     # start_year bounds every pub_year, and the counts are non-negative ints
-    return ResearcherProfile(name=name, source_id=source_id, records=[
-        PublicationRecord._from_row(title, year, total, years or _NO_YEARS, counts)
-        for title, year, total, years, counts, _ in _rows(spec)])
+    return ResearcherProfile(name=name, source_id=source_id, records=list(starmap(_record, _rows(spec))))
 
 
 def _report(spec: SynthSpec, fmt: ReportFormat) -> bytes:
     """``serialize_report(generate(spec), fmt)``, written from the rows without a record."""
     rows = list(_rows(spec))
-    spans = [years for _, _, _, years, _, _ in rows if years] or [_NO_YEARS]
-    window = range(min(span.start for span in spans), max(span.stop for span in spans))
-    return _write_report(fmt, *_names(spec), None, window, rows)
+    return _write_report(fmt, *_names(spec), None, _window(map(itemgetter(3), rows)), rows)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from papertrail import ingest
 from papertrail.ingest import PublicationRecord, ResearcherProfile
 
 
@@ -20,6 +21,20 @@ TWO_RECORD_TSV = tsv(
 @pytest.fixture
 def two_record_tsv() -> bytes:
     return TWO_RECORD_TSV
+
+
+@pytest.fixture
+def records_made(monkeypatch) -> list:
+    """The PublicationRecords made during the test, however they were built: ``__init__`` and
+    the constructor that ``parse_report`` and ``generate`` use both fill a record with ``_fill``."""
+    made = []
+    fill = ingest._fill
+
+    def counted(record, *fields):
+        made.append(record)
+        return fill(record, *fields)
+    monkeypatch.setattr(ingest, "_fill", counted)
+    return made
 
 
 def make_profile(totals_by_year, name="fixture", reported_h=None) -> ResearcherProfile:

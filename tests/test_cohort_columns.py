@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from papertrail import cli, indicators, ingest
+from papertrail import cli, indicators
 from papertrail.cohort import point_from_indicators
 from papertrail.errors import PapertrailError
 from papertrail.indicators import AnalysisConfig, analyze_profile
@@ -132,7 +132,8 @@ def test_a_bad_report_gives_the_same_error(name, tmp_path, capsys):
     assert capsys.readouterr().err == f"warning: skipped BAD: {parsed.value}\n"
 
 
-def test_cohort_makes_no_record_and_skips_what_its_document_omits(tmp_path, monkeypatch):
+def test_cohort_makes_no_record_and_skips_what_its_document_omits(tmp_path, monkeypatch,
+                                                                 records_made):
     write_corpus(tmp_path)
     (tmp_path / "mismatch.tsv").write_bytes(report(*EXPLICIT["mismatching-totals"][:1]))
     with open(tmp_path / "cohort.manifest", "a", encoding="utf-8") as manifest:
@@ -141,23 +142,21 @@ def test_cohort_makes_no_record_and_skips_what_its_document_omits(tmp_path, monk
 
     def count(owner, name):
         original = owner.__dict__[name]
-        inner = original.__func__ if isinstance(original, classmethod) else original
 
         def counted(*args, **kwargs):
             calls[name] += 1
-            return inner(*args, **kwargs)
-        monkeypatch.setattr(owner, name, counted if inner is original else classmethod(counted))
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
 
-    for name in ("best_lag", "hcp_count", "flag_profile"):
+    for name in ("best_lag", "_hcp_count", "flag_profile"):
         count(indicators, name)
-    count(ingest, "_mismatch_warning")
-    count(ingest.PublicationRecord, "__init__")
-    count(ingest.PublicationRecord, "_from_row")
+    count(cli, "_mismatch_warnings")
+    records_made.clear()  # the corpus's records
 
     assert cli.main(["cohort", str(tmp_path / "cohort.manifest"),
                      "--json", str(tmp_path / "cohort.json")]) == 0
     assert len(json.loads((tmp_path / "cohort.json").read_text())["points"]) == 14
-    assert calls == {}
+    assert calls == {} and records_made == []
 
     # analyze on the same reports still gives the lag, the HCP count, the flags and the warnings
     documents = {}
@@ -168,5 +167,5 @@ def test_cohort_makes_no_record_and_skips_what_its_document_omits(tmp_path, monk
     indicator_values = documents["pm0"]["indicators"]
     assert indicator_values["lag_years"] == 0 and indicator_values["hcp_count"] > 0
     assert indicator_values["flags"] and documents["mismatch"]["warnings"]
-    assert calls.keys() == {"best_lag", "hcp_count", "flag_profile", "_mismatch_warning",
-                            "_from_row"}
+    assert calls.keys() == {"best_lag", "_hcp_count", "flag_profile", "_mismatch_warnings"}
+    assert records_made == []

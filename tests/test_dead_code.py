@@ -4,7 +4,8 @@ Read with the stdlib ``ast`` module: in every module but ``__init__.py``
 each imported name is used in that module, and each private module-level
 function, class or constant is referenced somewhere in the package.  No
 module imports ``warnings``: its registry is process-wide state, so the
-package reports data issues as values or errors instead.
+package reports data issues as values or errors instead.  No module but
+``ingest.py`` reads a record's private slots or methods.
 """
 
 import ast
@@ -81,7 +82,32 @@ def test_no_module_imports_warnings():
     assert [name for name, modules in imports.items() if "warnings" in modules] == []
 
 
+def record_private_names() -> set[str]:
+    """The private slots and methods of ``ingest.PublicationRecord``, dunder names aside."""
+    (record,) = [node for node in TREES[PACKAGE / "ingest.py"].body
+                 if isinstance(node, ast.ClassDef) and node.name == "PublicationRecord"]
+    names = set()
+    for node in record.body:
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__slots__"]:
+            names.update(ast.literal_eval(node.value))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+@pytest.mark.parametrize("path", [p for p in TREES if p.name != "ingest.py"], ids=lambda p: p.name)
+def test_only_ingest_reads_a_record_s_private_attributes(path):
+    # the record's layout is then one module's decision; a name read as an attribute or spelled
+    # as a string (for getattr or attrgetter) counts
+    read = {node.attr if isinstance(node, ast.Attribute) else node.value
+            for node in ast.walk(TREES[path])
+            if isinstance(node, ast.Attribute) or isinstance(node, ast.Constant)
+            and isinstance(node.value, str)}
+    assert read & record_private_names() == set()
+
+
 def test_the_checks_see_the_package():
+    assert {"_years", "_counts"} <= record_private_names()
     assert {p.name for p in MODULES} >= {"cli.py", "ingest.py", "render.py"}
     assert "_parse_count" in private_definitions(TREES[PACKAGE / "ingest.py"])
     assert "escape" in imported_names(TREES[PACKAGE / "render.py"])

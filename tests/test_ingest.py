@@ -302,6 +302,21 @@ def test_record_accepts_counts_at_max_count():
     assert record.citations_by_year == {2000: MAX_COUNT, 2001: MAX_COUNT}
 
 
+def test_every_constructor_trims_the_counts_to_the_cited_span():
+    # generate's records are checked in test_synth_differential
+    data = tsv("Title\tPublication Year\tTotal Citations\t2008\t2009\t2010\t2011\t2012",
+               "a\t2010\t4\t0\t3\t0\t1\t0",
+               "b\t2010\t0\t0\t0\t0\t0\t0")
+    parsed, parsed_empty = parse_report(data).records
+    built = PublicationRecord("a", 2010, 4, {2012: 0, 2009: 3, 2008: 0, 2011: 1})
+    built_empty = PublicationRecord("b", 2010, 0, {2011: 0})
+    for rec in (parsed, built):
+        assert (rec._years, rec._counts) == (range(2009, 2012), (3, 0, 1))
+    for rec in (parsed_empty, built_empty):
+        assert (len(rec._years), rec._counts) == (0, ())
+    assert (parsed, parsed_empty) == (built, built_empty)
+
+
 class TestSerialize:
     def test_round_trip_identity(self, two_record_tsv):
         profile = parse_report(two_record_tsv)
@@ -340,6 +355,22 @@ class TestSerialize:
         with pytest.raises(ValueError) as exc:
             serialize_report(profile, fmt)
         assert str(exc.value) == f"record title holds {char!r}, which the {fmt.name} flavor cannot carry"
+
+    @pytest.mark.parametrize("fmt", list(ReportFormat))
+    @pytest.mark.parametrize("field,what", [("title", "record title"),
+                                            ("name", "researcher name"),
+                                            ("source_id", "researcher id")])
+    @pytest.mark.parametrize("text,char", [("a\ud800b", "\ud800"), ("\udfff", "\udfff"),
+                                           ("x\ud83d\ude00", "\ud83d")],
+                             ids=["high", "low", "pair"])
+    def test_surrogate_raises_naming_the_field(self, fmt, field, what, text, char):
+        # UTF-8 cannot encode a surrogate, alone or paired, so no flavor can carry one
+        values = {"title": "t", "name": "n", "source_id": "i", field: text}
+        profile = ResearcherProfile(name=values["name"], source_id=values["source_id"],
+                                    records=[PublicationRecord(values["title"], 2018, 1, {2018: 1})])
+        with pytest.raises(ValueError) as exc:
+            serialize_report(profile, fmt)
+        assert str(exc.value) == f"{what} holds {char!r}, which the {fmt.name} flavor cannot carry"
 
     @pytest.mark.parametrize("fmt", list(ReportFormat))
     @pytest.mark.parametrize("changes,message", [

@@ -8,7 +8,6 @@ from papertrail.ingest import (
     PublicationRecord,
     ReportFormat,
     ResearcherProfile,
-    _citation_totals,
     parse_report,
     serialize_report,
 )
@@ -87,8 +86,8 @@ def test_series_rejects_invalid_shapes(pubs, cites, message):
 
 
 def walked_series(records) -> AnnualSeries:
-    """The series by one walk over each record's per-year dict, as build_series made it before
-    it summed the columns of a parsed report's count matrix."""
+    """The series by one walk over each record's per-year dict, without build_series's per-year
+    totals."""
     pubs = Counter(rec.pub_year for rec in records)
     cites: dict[int, int] = {}
     for rec in records:
@@ -99,12 +98,8 @@ def walked_series(records) -> AnnualSeries:
     return AnnualSeries(span.start, tuple(pubs[y] for y in span), tuple(cites.get(y, 0) for y in span))
 
 
-def takes_column_sums(records) -> bool:
-    return _citation_totals(records)[0] is records[0]._years
-
-
 def record_lists(seed: int):
-    """Parsed, generated, hand-built and mixed record lists, with whether they share one matrix."""
+    """Parsed, generated, hand-built and mixed record lists, each with a label."""
     rng = random.Random(seed)
     built = random_profile(rng).records
     fmt = ReportFormat.CSV if seed % 2 else ReportFormat.TSV
@@ -112,22 +107,21 @@ def record_lists(seed: int):
     parsed = parse_report(serialize_report(profile_with(built), fmt), fmt).records
     generated = generate(spec).records
     parsed_generated = parse_report(serialize_report(profile_with(generated))).records
-    yield "parsed", parsed, True
-    yield "parsed-synth", parsed_generated, True
-    yield "synth", generated, False
-    yield "built", built, len(built) == 1
-    yield "mixed", parsed_generated[:5] + built, False
-    yield "two-reports", parsed + parsed_generated, False
+    yield "parsed", parsed
+    yield "parsed-synth", parsed_generated
+    yield "synth", generated
+    yield "built", built
+    yield "mixed", parsed_generated[:5] + built
+    yield "two-reports", parsed + parsed_generated
     if len(parsed) > 1:
-        yield "reordered", parsed[::-1], False
-        yield "subset", parsed[1:], False
-    yield "repeated", parsed * 2, False
+        yield "reordered", parsed[::-1]
+        yield "subset", parsed[1:]
+    yield "repeated", parsed * 2
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_column_sums_match_the_record_walk(seed):
-    for label, records, shared in record_lists(seed):
-        assert takes_column_sums(records) == shared, label
+    for label, records in record_lists(seed):
         assert build_series(profile_with(records)) == walked_series(records), label
 
 
@@ -139,7 +133,6 @@ def test_column_sums_extend_the_range_before_the_first_publication(fmt):
     if fmt is ReportFormat.CSV:
         report = report.replace(b"\t", b",")
     records = parse_report(report, fmt).records
-    assert takes_column_sums(records)
     s = build_series(profile_with(records))
     assert (s.start_year, s.pubs, s.cites) == (2007, (0, 0, 0, 1, 1), (1, 0, 0, 2, 0))
     assert s == walked_series(records)
@@ -147,5 +140,4 @@ def test_column_sums_extend_the_range_before_the_first_publication(fmt):
 
 def test_column_sums_of_a_report_without_year_columns():
     records = parse_report(tsv("Title\tPublication Year\tTotal Citations", "a\t2010\t3", "b\t2012\t0")).records
-    assert takes_column_sums(records)
     assert build_series(profile_with(records)) == walked_series(records) == AnnualSeries(2010, (1, 0, 1), (0, 0, 0))

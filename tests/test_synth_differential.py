@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from papertrail import ingest
+from papertrail import ingest, synth
 from papertrail.cli import main
 from papertrail.errors import InvalidSpecError, PapertrailError
 from papertrail.ingest import (
@@ -217,10 +217,11 @@ def test_synth_rows_are_trimmed_and_written_without_column_sums(spec, monkeypatc
     # no timing bound: a synth row runs from its first to its last cited year, so the window
     # is the union of the rows as they are, and the writer needs no per-year totals
     profile = generate(spec)
-    for rec in profile.records:
-        cells = rec._cells()
-        assert cells == [] and not rec._years or cells[0] and cells[-1]
-        assert rec._span() is rec._years
+    for row, rec in zip(synth._rows(spec), profile.records, strict=True):
+        for years, counts in (row[3:], (rec._years, rec._counts)):
+            assert len(counts) == len(years)
+            assert not counts and not years or counts[0] and counts[-1]
+        assert rec._years == row[3] and rec._counts == tuple(row[4])
 
     def refuse(records):
         raise AssertionError("serialize_report summed the columns")
@@ -334,29 +335,30 @@ def test_invalid_spec_gives_the_reference_error(archetype, seed, params, tmp_pat
     assert_writes_like_reference_generator(tmp_path, archetype, seed, params)
 
 
-def test_synth_command_builds_no_record(tmp_path, monkeypatch):
+def test_synth_command_builds_no_record(tmp_path, monkeypatch, records_made):
     # no timing bound: the command writes the generator's rows, never a record or its column sums
     calls = collections.Counter()
 
     def count(owner, name):
         original = owner.__dict__[name]
-        inner = original.__func__ if isinstance(original, classmethod) else original
 
         def counted(*args, **kwargs):
             calls[name] += 1
-            return inner(*args, **kwargs)
-        monkeypatch.setattr(owner, name, counted if inner is original else classmethod(counted))
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
 
-    count(ingest.PublicationRecord, "__init__")
-    count(ingest.PublicationRecord, "_from_row")
     count(ingest, "serialize_report")
     count(ingest, "_citation_totals")
-    for spec in (papermill_spec(3), conscientious_spec(3), papermill_spec(0, cites_per_paper=1e-9)):
+    expected = {spec: reference(spec) for spec in (papermill_spec(3), conscientious_spec(3),
+                                                   papermill_spec(0, cites_per_paper=1e-9))}
+    records_made.clear()  # the reference's records
+    for spec, (_, data) in expected.items():
         for fmt in ReportFormat:
             assert run_synth(tmp_path, fmt, spec.archetype, spec.seed,
-                             spec_parameters(spec)) == (0, "", reference(spec)[1][fmt])
-    assert calls == {}
+                             spec_parameters(spec)) == (0, "", data[fmt])
+    assert calls == {} and records_made == []
 
     # the library's generate still wraps the same rows in records
-    assert generate(papermill_spec(3)) == reference(papermill_spec(3))[0]
-    assert calls.keys() == {"_from_row"}
+    profile = generate(papermill_spec(3))
+    assert calls == {} and len(records_made) == len(profile.records)
+    assert profile == expected[papermill_spec(3)][0]
