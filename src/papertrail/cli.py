@@ -42,8 +42,7 @@ from .cohort import (
 )
 from .errors import DegenerateAbscissaError, PapertrailError, TooFewPointsError
 from .indicators import AnalysisConfig, IndicatorSet, _analyze_columns, _indicators
-from .ingest import (ReportFormat, ResearcherProfile, _column_sums, _echo, _mismatch_warnings,
-                     _read_report)
+from .ingest import ReportFormat, ResearcherProfile, _echo, _mismatch_warnings, _read_report
 
 SCHEMA_VERSION = "1.0"
 CONFIG_ENV_VAR = "PAPERTRAIL_CONFIG"
@@ -205,9 +204,8 @@ def _cohort_point(label: str, data: bytes, fmt: ReportFormat,
                   config: AnalysisConfig) -> CohortPoint:
     """``point_from_indicators(label, analyze_profile(parse_report(data, fmt), config))`` from
     the report's columns: no records, lag scan, HCP count, flags or warnings are made."""
-    _, _, reported_h, _, pub_years, totals, years, matrix = _read_report(data, fmt, "")
-    _, r, _, i, stats, _ = _indicators(pub_years, totals, years, _column_sums(matrix, len(years)),
-                                       reported_h, config)
+    _, _, reported_h, _, pub_years, totals, years, column_sums, _ = _read_report(data, fmt, "")
+    _, r, _, i, stats, _ = _indicators(pub_years, totals, years, column_sums, reported_h, config)
     return CohortPoint(label, r, i, len(pub_years), stats.max_pubs, stats.avg_pubs)
 
 
@@ -355,10 +353,9 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     config = _resolve_analysis_config(args)
     report = Path(args.report)
     try:
-        name, source_id, reported_h, titles, pub_years, totals, years, matrix = _read_report(
-            *_read_report_file(report, args.format), report.stem)
-        ind = _analyze_columns(pub_years, totals, years, _column_sums(matrix, len(years)),
-                               reported_h, config)
+        name, source_id, reported_h, titles, pub_years, totals, years, column_sums, rows = (
+            _read_report(*_read_report_file(report, args.format), report.stem))
+        ind = _analyze_columns(pub_years, totals, years, column_sums, reported_h, config)
     except OSError as exc:
         raise _Failure(EXIT_DATA_ERROR, f"cannot read {_name(args.report)}: {_reason(exc)}") from None
     except PapertrailError as exc:
@@ -371,7 +368,7 @@ def cmd_analyze(args: argparse.Namespace) -> None:
         style = ChartStyle(title=f"Times cited and publications over time: {name}")
         outputs.append((args.svg, profile_chart(ind.series, ind, style)))
     document = _analyze_document(name, source_id, reported_h, len(titles),
-                                 _mismatch_warnings(titles, totals, matrix, len(years)), ind)
+                                 _mismatch_warnings(titles, totals, rows), ind)
     _write(*outputs, (args.json or None, _json_text(document)))
 
 

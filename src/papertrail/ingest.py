@@ -185,11 +185,6 @@ def _window(spans: Iterable[range]) -> range:
     return range(min(s.start for s in spans), max(s.stop for s in spans)) if spans else _NO_YEARS
 
 
-def _column_sums(matrix: list[int], width: int) -> list[int]:
-    """The sum of each column of the row-major ``matrix``, which has ``width`` columns."""
-    return [sum(matrix[column::width]) for column in range(width)]
-
-
 def _citation_totals(records: list[PublicationRecord]) -> tuple[range, list[int]]:
     """The window MIN_YEAR..MAX_YEAR and the citations of ``records`` in each of its years;
     raises EmptyProfileError for no records."""
@@ -367,20 +362,20 @@ def _read_rows(rows: Iterator[tuple[int, list[str]]], year_cols: range) -> tuple
     return titles, values
 
 
-def _mismatch_warnings(titles: list[str], totals: list[int], matrix: list[int], width: int
-                       ) -> list[str]:
-    """A warning for each record whose year columns, its row of the ``width``-column ``matrix``,
-    do not sum to its declared total."""
-    window_sums = list(map(sum, zip(*[iter(matrix)] * width))) if width else [0] * len(titles)
+def _mismatch_warnings(titles: list[str], totals: list[int], rows: Iterable[Sequence[int]]) -> list[str]:
+    """A warning for each record whose row of year counts in ``rows`` does not sum to its total."""
+    window_sums = list(map(sum, rows))
     return [f"record {i + 1} ({_echo(titles[i])}): year columns sum to {window_sums[i]} but total "
             f"citations is {totals[i]}; keeping the declared total as authoritative"
             for i in compress(range(len(titles)), map(ne, window_sums, totals))]
 
 
 def _read_report(data: bytes, fmt: ReportFormat, default_name: str) -> tuple[
-        str, str | None, int | None, list[str], list[int], list[int], range, list[int]]:
+        str, str | None, int | None, list[str], list[int], list[int], range, list[int],
+        Iterator[tuple[int, ...]]]:
     """A report as columns: name, id, reported h-index, titles, publication years, totals,
-    year window and count matrix (one row per record, one column per year of the window).
+    year window, the citations in each year of the window, and a lazy, read-once iterator of
+    each record's counts over the window (one empty row each if there are no year columns).
 
     Raises what ``parse_report`` raises, for the same bytes.
     """
@@ -436,8 +431,10 @@ def _read_report(data: bytes, fmt: ReportFormat, default_name: str) -> tuple[
     pub_years, totals = values[0::width + 2], values[1::width + 2]
     del values[0::width + 2]
     del values[0::width + 1]
+    column_sums = [sum(values[column::width]) for column in range(width)]
+    rows = zip(*[iter(values)] * width) if width else repeat((), len(titles))
     return (name or default_name or "unknown", source_id, reported_h, titles, pub_years, totals,
-            year_cols, values)
+            year_cols, column_sums, rows)
 
 
 def parse_report(
@@ -455,17 +452,11 @@ def parse_report(
     EmptyProfileError; any byte input lands in exactly one of those or in
     a valid profile.
     """
-    name, source_id, reported_h, titles, pub_years, totals, years, matrix = _read_report(
+    name, source_id, reported_h, titles, pub_years, totals, years, _, rows = _read_report(
         data, fmt, default_name)
-    width = len(years)
-    rows = zip(*[iter(matrix)] * width) if width else repeat(())
-    return ResearcherProfile(
-        name=name,
-        source_id=source_id,
-        reported_h=reported_h,
-        records=list(map(_record, titles, pub_years, totals, repeat(years), rows)),
-        warnings=_mismatch_warnings(titles, totals, matrix, width),
-    )
+    records = list(map(_record, titles, pub_years, totals, repeat(years), rows))
+    return ResearcherProfile(name, source_id, reported_h, records,
+                             _mismatch_warnings(titles, totals, map(attrgetter("_counts"), records)))
 
 
 # TSV has no quoting; the csv writer leaves a lone CR unquoted, and Python 3.10's reader refuses NUL;
@@ -506,12 +497,8 @@ def serialize_report(profile: ResearcherProfile, fmt: ReportFormat = ReportForma
     _field(profile.name, fmt, "researcher name")
     if profile.source_id is not None:
         _field(profile.source_id, fmt, "researcher id")
-    # every title checked at once; _field then names the first one the flavor cannot carry
-    if (_UNSAFE[fmt].search("".join(map(attrgetter("title"), records)))
-            or fmt is ReportFormat.CSV
-            and max(map(len, map(attrgetter("title"), records))) > csv.field_size_limit()):
-        for rec in records:
-            _field(rec.title, fmt, "record title")
+    for rec in records:
+        _field(rec.title, fmt, "record title")
     return _write_report(fmt, profile.name, profile.source_id, profile.reported_h,
                          _window(map(attrgetter("_years"), records)),
                          map(attrgetter("title", "pub_year", "total_citations", "_years", "_counts"),

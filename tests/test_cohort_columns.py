@@ -5,7 +5,8 @@ point with ``indicators._indicators``; it builds no record, profile or
 indicator set.  The point must equal ``point_from_indicators(label,
 analyze_profile(parse_report(data, fmt), config))`` with every float equal
 bit for bit, and a report that does not parse must give the same error.
-No timing bound is asserted.
+The column sums and rows that ``_read_report`` returns must agree with
+each other and with ``parse_report``'s records.  No timing bound is asserted.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from papertrail import cli, indicators
+from papertrail import cli, indicators, ingest
 from papertrail.cohort import point_from_indicators
 from papertrail.errors import PapertrailError
 from papertrail.indicators import AnalysisConfig, analyze_profile
@@ -104,6 +105,33 @@ def reports(draw):
 def test_any_report_gives_the_same_point(case, prefer, r_min):
     data, fmt = case
     assert_same_point(data, fmt, AnalysisConfig(r_min=r_min, prefer_reported_h=prefer))
+
+
+def assert_columns_match_the_records(data: bytes, fmt: ReportFormat) -> None:
+    *_, window, column_sums, rows = ingest._read_report(data, fmt, "")
+    read = list(rows)
+    assert next(rows, None) is None  # read once
+    assert column_sums == [sum(column) for column in zip(*read)] and len(column_sums) == len(window)
+    records = parse_report(data, fmt).records
+    assert read == [tuple(rec.citations_by_year.get(year, 0) for year in window) for rec in records]
+
+
+@pytest.mark.parametrize("name", EXPLICIT)
+def test_explicit_reports_give_column_sums_and_rows_of_the_records(name):
+    rows, kwargs = EXPLICIT[name]
+    assert_columns_match_the_records(report(rows, **kwargs), kwargs.get("fmt", ReportFormat.TSV))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=reports())
+def test_any_report_gives_column_sums_and_rows_of_the_records(case):
+    assert_columns_match_the_records(*case)
+
+
+def test_report_without_year_columns_gives_one_empty_row_per_record():
+    rows, kwargs = EXPLICIT["no-year-columns"]
+    *_, window, column_sums, read = ingest._read_report(report(rows, **kwargs), ReportFormat.TSV, "")
+    assert (len(window), column_sums, list(read)) == (0, [], [(), ()])
 
 
 BAD = {
