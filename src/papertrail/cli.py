@@ -336,7 +336,13 @@ def _writing(path: str | Path):
 
 
 def _write(*outputs: tuple[str | Path | None, str | bytes]) -> None:
-    """Write each (path, data) in order, text as UTF-8; a None path means stdout."""
+    """Write each (path, data) in order, text as UTF-8; a None path means stdout.  Two paths that
+    name one file are a usage error, raised before anything is written."""
+    paths = set()
+    for path in filter(None, (path for path, _ in outputs)):
+        if os.path.abspath(path) in paths:
+            raise _Failure(EXIT_USAGE_ERROR, f"two outputs would be written to {_name(str(path))}")
+        paths.add(os.path.abspath(path))
     for path, data in outputs:
         if path is None:
             sys.stdout.write(data)

@@ -179,12 +179,6 @@ def _record(title: str, pub_year: int, total_citations: int, years: range,
                  years.start, counts)
 
 
-def _window(spans: Iterable[range]) -> range:
-    """The union of ``spans``: the smallest range holding each nonempty one; empty if none is."""
-    spans = [span for span in spans if span]
-    return range(min(s.start for s in spans), max(s.stop for s in spans)) if spans else _NO_YEARS
-
-
 def _citation_totals(records: list[PublicationRecord]) -> tuple[range, list[int]]:
     """The window MIN_YEAR..MAX_YEAR and the citations of ``records`` in each of its years;
     raises EmptyProfileError for no records."""
@@ -499,21 +493,22 @@ def serialize_report(profile: ResearcherProfile, fmt: ReportFormat = ReportForma
         _field(profile.source_id, fmt, "researcher id")
     for rec in records:
         _field(rec.title, fmt, "record title")
-    return _write_report(fmt, profile.name, profile.source_id, profile.reported_h,
-                         _window(map(attrgetter("_years"), records)),
-                         map(attrgetter("title", "pub_year", "total_citations", "_years", "_counts"),
-                             records))
+    return _write_report(fmt, profile.name, profile.source_id, profile.reported_h, list(map(
+        attrgetter("title", "pub_year", "total_citations", "_years", "_counts"), records)))
 
 
 def _write_report(fmt: ReportFormat, name: str, source_id: str | None, reported_h: int | None,
-                  window: range, rows: Iterable[tuple[str, int, int, range, Sequence[int]]]) -> bytes:
-    """A report's bytes: the metadata, a header over ``window`` and one line per row.
+                  rows: list[tuple[str, int, int, range, Sequence[int]]]) -> bytes:
+    """A report's bytes: the metadata, a header over the year window and one line per row.
 
     A row is ``(title, pub_year, total, years, counts)``, with one count for
-    each year of ``years``, which lie in ``window`` (``_window`` of the rows'
-    years) or are empty.  The caller guarantees what ``serialize_report``
-    checks: every text is one the flavor can carry.
+    each year of ``years``.  The window is the union of the rows' nonempty
+    ``years``, the smallest range holding each; it is empty if every row's is.
+    The caller guarantees what ``serialize_report`` checks: every text is one
+    the flavor can carry.
     """
+    spans = [row[3] for row in rows if row[3]]
+    window = range(min(s.start for s in spans), max(s.stop for s in spans)) if spans else _NO_YEARS
     # the text is encoded as it is written, into a buffer whose bytes getvalue() hands over uncopied
     data = io.BytesIO()
     buffer = io.TextIOWrapper(data, encoding="utf-8", newline="\n")

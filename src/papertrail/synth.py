@@ -24,12 +24,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import starmap
-from operator import itemgetter
 from typing import Iterator
 
 from .errors import InvalidSpecError
-from .ingest import (MAX_YEAR, MIN_YEAR, ReportFormat, ResearcherProfile, _record, _trim, _window,
-                     _write_report)
+from .ingest import MAX_YEAR, MIN_YEAR, ReportFormat, ResearcherProfile, _record, _trim, _write_report
 
 _MASK64 = (1 << 64) - 1
 
@@ -323,5 +321,4 @@ def generate(spec: SynthSpec) -> ResearcherProfile:
 
 def _report(spec: SynthSpec, fmt: ReportFormat) -> bytes:
     """``serialize_report(generate(spec), fmt)``, written from the rows without a record."""
-    rows = list(_rows(spec))
-    return _write_report(fmt, *_names(spec), None, _window(map(itemgetter(3), rows)), rows)
+    return _write_report(fmt, *_names(spec), None, list(_rows(spec)))

@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -35,6 +36,22 @@ def records_made(monkeypatch) -> list:
         return fill(record, *fields)
     monkeypatch.setattr(ingest, "_fill", counted)
     return made
+
+
+@pytest.fixture
+def call_counter(monkeypatch) -> tuple:
+    """``(calls, count)``: ``count(owner, name)`` replaces the function ``name`` of ``owner`` (a
+    module or class) with one that adds each call to ``calls[name]``."""
+    calls = collections.Counter()
+
+    def count(owner, name):
+        original = owner.__dict__[name]
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    return calls, count
 
 
 def make_profile(totals_by_year, name="fixture", reported_h=None) -> ResearcherProfile:

@@ -1,6 +1,5 @@
 import argparse
 import codecs
-import collections
 import dataclasses
 import json
 import warnings
@@ -596,17 +595,8 @@ class TestCohort:
             entries.append((f"R{k}", write_synth(tmp_path, f"r{k}.tsv", spec).name))
         return self.make_manifest(tmp_path, [*entries, *extra])
 
-    def test_svg_dir_run_computes_each_result_once(self, tmp_path, capsys, monkeypatch):
-        calls = collections.Counter()
-
-        def count(module, name):
-            original = getattr(module, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-            monkeypatch.setattr(module, name, counted)
-
+    def test_svg_dir_run_computes_each_result_once(self, tmp_path, capsys, call_counter):
+        calls, count = call_counter
         count(cli, "fit_power_law")
         count(cli, "fit_linear")
         count(cohort, "classify_region")
@@ -767,6 +757,22 @@ class TestWriteFailures:
         assert "Traceback" not in err
         # the JSON document is written last, so a failed chart leaves none behind
         assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("argv,named", [
+        (["analyze", "{report}", "--svg", "out", "--json", "out"], "out"),
+        (["analyze", "{report}", "--svg", "./out", "--json", "out"], "out"),
+        (["analyze", "{report}", "--svg", "x" * 300, "--json", "x" * 300], "(300 characters)"),
+        (["cohort", "{manifest}", "--svg-dir", "charts", "--json", "charts/i_vs_r.svg"],
+         "charts/i_vs_r.svg"),
+    ], ids=["analyze-same", "analyze-dot-slash", "analyze-long", "cohort-json-on-a-chart"])
+    def test_two_outputs_on_one_path_exit_2(self, argv, named, inputs, tmp_path, monkeypatch,
+                                            capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([arg.format(**inputs) for arg in argv]) == 2
+        assert capsys.readouterr().err == f"error: two outputs would be written to {named}\n"
+        # nothing is written: no chart, and no JSON document in a chart's place
+        assert not (tmp_path / "out").exists()
+        assert not list(tmp_path.glob("charts/*"))
 
     def test_manifest_not_utf8_exit_1(self, tmp_path, capsys):
         manifest = tmp_path / "cohort.tsv"

@@ -11,7 +11,6 @@ each other and with ``parse_report``'s records.  No timing bound is asserted.
 
 from __future__ import annotations
 
-import collections
 import csv
 import io
 import json
@@ -160,22 +159,13 @@ def test_a_bad_report_gives_the_same_error(name, tmp_path, capsys):
     assert capsys.readouterr().err == f"warning: skipped BAD: {parsed.value}\n"
 
 
-def test_cohort_makes_no_record_and_skips_what_its_document_omits(tmp_path, monkeypatch,
-                                                                 records_made):
+def test_cohort_makes_no_record_and_skips_what_its_document_omits(tmp_path, records_made,
+                                                                 call_counter):
     write_corpus(tmp_path)
     (tmp_path / "mismatch.tsv").write_bytes(report(*EXPLICIT["mismatching-totals"][:1]))
     with open(tmp_path / "cohort.manifest", "a", encoding="utf-8") as manifest:
         manifest.write("MISMATCH\tmismatch.tsv\n")
-    calls = collections.Counter()
-
-    def count(owner, name):
-        original = owner.__dict__[name]
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(owner, name, counted)
-
+    calls, count = call_counter
     for name in ("best_lag", "_hcp_count", "flag_profile"):
         count(indicators, name)
     count(cli, "_mismatch_warnings")

@@ -12,7 +12,6 @@ record in between; the bytes it writes must be
 and a spec the reference rejects must exit 2 with the reference's message.
 """
 
-import collections
 import contextlib
 import functools
 import io
@@ -335,18 +334,9 @@ def test_invalid_spec_gives_the_reference_error(archetype, seed, params, tmp_pat
     assert_writes_like_reference_generator(tmp_path, archetype, seed, params)
 
 
-def test_synth_command_builds_no_record(tmp_path, monkeypatch, records_made):
+def test_synth_command_builds_no_record(tmp_path, records_made, call_counter):
     # no timing bound: the command writes the generator's rows, never a record or its column sums
-    calls = collections.Counter()
-
-    def count(owner, name):
-        original = owner.__dict__[name]
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(owner, name, counted)
-
+    calls, count = call_counter
     count(ingest, "serialize_report")
     count(ingest, "_citation_totals")
     expected = {spec: reference(spec) for spec in (papermill_spec(3), conscientious_spec(3),
