@@ -335,14 +335,17 @@ def _writing(path: str | Path):
         raise _Failure(EXIT_DATA_ERROR, f"cannot write {_name(str(path))}: {_reason(exc)}") from None
 
 
-def _write(*outputs: tuple[str | Path | None, str | bytes]) -> None:
+def _write(*outputs: tuple[str | Path | None, str | bytes], directory: str | None = None) -> None:
     """Write each (path, data) in order, text as UTF-8; a None path means stdout.  Two paths that
-    name one file are a usage error, raised before anything is written."""
+    name one file are a usage error, raised before ``directory`` is made or anything is written."""
     paths = set()
     for path in filter(None, (path for path, _ in outputs)):
         if os.path.abspath(path) in paths:
             raise _Failure(EXIT_USAGE_ERROR, f"two outputs would be written to {_name(str(path))}")
         paths.add(os.path.abspath(path))
+    if directory:
+        with _writing(directory):
+            Path(directory).mkdir(parents=True, exist_ok=True)
     for path, data in outputs:
         if path is None:
             sys.stdout.write(data)
@@ -421,9 +424,7 @@ def cmd_cohort(args: argparse.Namespace) -> None:
             style = ChartStyle(title=f"Cohort: {axes.value.replace('_', ' ')}")
             svg = scatter_chart(points, axes, fit=fits.get(axes), region=region, style=style)
             charts.append((Path(args.svg_dir) / filename, svg))
-        with _writing(args.svg_dir):
-            Path(args.svg_dir).mkdir(parents=True, exist_ok=True)
-    _write(*charts, (args.json or None, _json_text(document)))
+    _write(*charts, (args.json or None, _json_text(document)), directory=args.svg_dir)
 
 
 def cmd_synth(args: argparse.Namespace) -> None:

@@ -10,8 +10,9 @@ against per-year thresholds, and a set of behavioral flags.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
+from operator import ge, gt, le, lt
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -80,8 +81,8 @@ class AnalysisConfig:
     """Thresholds for the behavioral flags plus the knobs used by analyze_profile.
 
     Flags use strict inequalities on r and I; loosening any threshold can
-    only add signals of the corresponding kind, never remove them.  Values
-    outside their range raise ValueError.
+    only add signals of the corresponding kind, never remove them.  A value
+    of the wrong type or outside its range raises ValueError.
     """
 
     r_min: float = Region.r_min
@@ -92,6 +93,10 @@ class AnalysisConfig:
     prefer_reported_h: bool = False
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # each value has its default's type; a float field also takes an int
+            kind, value = type(f.default), getattr(self, f.name)
+            if (type(value) is bool) != (kind is bool) or not isinstance(value, (kind, int)):
+                raise ValueError(f"{f.name} must be {f.type}, got {type(value).__name__}")
         Region(self.r_min, self.i_max)  # raises on an out-of-range r_min or i_max
         if self.pubs_per_year_limit < 1:
             raise ValueError(f"pubs_per_year_limit must be >= 1, got {self.pubs_per_year_limit}")
@@ -238,52 +243,32 @@ def yearly_stats(series: AnnualSeries) -> YearlyStats:
 
 
 def flag_profile(ind: IndicatorSet, config: AnalysisConfig = AnalysisConfig()) -> list[Signal]:
-    """Evaluate the behavioral signals for an indicator set.
-
-    HighCorrelation and LowIntegrity use strict inequalities; ZeroLag only
-    fires together with HighCorrelation; MonotoneGrowth looks at the
-    trailing ``growth_window`` years of the publication counts.
+    """Evaluate the behavioral signals for an indicator set: each rule fires when it applies and
+    ``op(value, threshold)`` holds.  ZeroLag only fires together with HighCorrelation;
+    MonotoneGrowth looks at the trailing ``growth_window`` years of the publication counts.
     """
-    signals: list[Signal] = []
-
-    high_corr = ind.r is not None and ind.r > config.r_min
-    if high_corr:
-        signals.append(Signal(
-            SignalKind.HIGH_CORRELATION,
-            f"publications/citations correlation {ind.r:.4f} exceeds {config.r_min}",
-        ))
-        if ind.lag is not None and ind.lag <= ZERO_LAG_MAX:
-            signals.append(Signal(
-                SignalKind.ZERO_LAG,
-                f"citations track publications with lag {ind.lag} year(s) "
-                f"(<= {ZERO_LAG_MAX}) despite strong correlation",
-            ))
-
-    if ind.i_index < config.i_max:
-        signals.append(Signal(
-            SignalKind.LOW_INTEGRITY,
-            f"integrity index {ind.i_index:.4f} below {config.i_max}",
-        ))
-
-    if ind.max_pubs_year >= config.pubs_per_year_limit:
-        signals.append(Signal(
-            SignalKind.EXCESSIVE_ANNUAL_OUTPUT,
-            f"{ind.max_pubs_year} papers in a single year "
-            f"(limit {config.pubs_per_year_limit})",
-        ))
-
     window = ind.series.pubs[-config.growth_window:] if config.growth_window > 0 else ()
-    if len(window) >= 2:
-        non_decreasing = all(b >= a for a, b in zip(window, window[1:]))
-        strict_rise = any(b > a for a, b in zip(window, window[1:]))
-        if non_decreasing and strict_rise and window[-1] > ind.avg_pubs_year:
-            signals.append(Signal(
-                SignalKind.MONOTONE_GROWTH,
-                f"publication counts non-decreasing over the last {len(window)} "
-                f"years, ending at {window[-1]} (career mean {ind.avg_pubs_year:.2f})",
-            ))
-
-    return signals
+    steps = tuple(zip(window, window[1:]))
+    high_corr = ind.r is not None and ind.r > config.r_min
+    rules = (  # kind, applies, value, op, threshold, detail
+        (SignalKind.HIGH_CORRELATION, ind.r is not None, ind.r, gt, config.r_min,
+         "publications/citations correlation {value:.4f} exceeds {threshold}"),
+        (SignalKind.ZERO_LAG, high_corr and ind.lag is not None, ind.lag, le, ZERO_LAG_MAX,
+         "citations track publications with lag {value} year(s) (<= {threshold}) "
+         "despite strong correlation"),
+        (SignalKind.LOW_INTEGRITY, True, ind.i_index, lt, config.i_max,
+         "integrity index {value:.4f} below {threshold}"),
+        (SignalKind.EXCESSIVE_ANNUAL_OUTPUT, True, ind.max_pubs_year, ge,
+         config.pubs_per_year_limit, "{value} papers in a single year (limit {threshold})"),
+        (SignalKind.MONOTONE_GROWTH,
+         steps and all(b >= a for a, b in steps) and any(b > a for a, b in steps),
+         ind.series.pubs[-1], gt, ind.avg_pubs_year,  # the window ends at the last year
+         "publication counts non-decreasing over the last {window} years, "
+         "ending at {value} (career mean {threshold:.2f})"),
+    )
+    return [Signal(kind, detail.format(value=value, threshold=threshold, window=len(window)))
+            for kind, applies, value, op, threshold, detail in rules
+            if applies and op(value, threshold)]
 
 
 def _indicators(pub_years: list[int], totals: list[int], window: range, column_sums: list[int],

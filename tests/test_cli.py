@@ -487,7 +487,7 @@ class TestCohort:
 
     def test_charts_are_written_in_their_order_then_the_json(self, tmp_path, capsys, monkeypatch):
         written = []
-        monkeypatch.setattr(cli, "_write", lambda *outputs: written.extend(
+        monkeypatch.setattr(cli, "_write", lambda *outputs, directory: written.extend(
             str(path).rpartition("/")[2] for path, _ in outputs))
         assert main(["cohort", str(self.five_profiles(tmp_path)), "--json", str(tmp_path / "c.json"),
                      "--svg-dir", str(tmp_path / "figs")]) == 0
@@ -770,9 +770,9 @@ class TestWriteFailures:
         monkeypatch.chdir(tmp_path)
         assert main([arg.format(**inputs) for arg in argv]) == 2
         assert capsys.readouterr().err == f"error: two outputs would be written to {named}\n"
-        # nothing is written: no chart, and no JSON document in a chart's place
+        # nothing is written or made: no chart, no JSON document in a chart's place, no --svg-dir
         assert not (tmp_path / "out").exists()
-        assert not list(tmp_path.glob("charts/*"))
+        assert not (tmp_path / "charts").exists()
 
     def test_manifest_not_utf8_exit_1(self, tmp_path, capsys):
         manifest = tmp_path / "cohort.tsv"

@@ -1,6 +1,7 @@
 import math
 import random
 import statistics
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from papertrail.indicators import (
     DEFAULT_HCP_THRESHOLDS,
     AnalysisConfig,
     IndicatorSet,
+    Signal,
     SignalKind,
     analyze_profile,
     best_lag,
@@ -32,6 +34,7 @@ from papertrail.ingest import PublicationRecord, ResearcherProfile
 from papertrail.series import AnnualSeries, build_series
 
 from conftest import make_profile
+from reference_flags import flag_profile as reference_flag_profile
 
 # independently computed with exact rationals: r = sqrt(1152/1265)
 PEARSON_ORACLE_1248 = 0.9542913269850529
@@ -284,6 +287,53 @@ class TestFlagProfile:
         ind = indicator_set(i=0.9, max_pubs=6, series=series)
         assert flag_profile(ind) == []
 
+    @pytest.mark.parametrize("ind,config,details", [
+        (indicator_set(r=0.94, lag=0, i=0.08, max_pubs=45), AnalysisConfig(), [
+            (SignalKind.HIGH_CORRELATION, "publications/citations correlation 0.9400 exceeds 0.5"),
+            (SignalKind.ZERO_LAG,
+             "citations track publications with lag 0 year(s) (<= 0) despite strong correlation"),
+            (SignalKind.LOW_INTEGRITY, "integrity index 0.0800 below 0.3"),
+            (SignalKind.EXCESSIVE_ANNUAL_OUTPUT, "45 papers in a single year (limit 30)"),
+        ]),
+        (indicator_set(r=0.123456, lag=2, i=0.29999, max_pubs=7),
+         AnalysisConfig(r_min=0, i_max=0.3, pubs_per_year_limit=7), [
+            (SignalKind.HIGH_CORRELATION, "publications/citations correlation 0.1235 exceeds 0"),
+            (SignalKind.LOW_INTEGRITY, "integrity index 0.3000 below 0.3"),
+            (SignalKind.EXCESSIVE_ANNUAL_OUTPUT, "7 papers in a single year (limit 7)"),
+        ]),
+        (indicator_set(i=0.9, max_pubs=6, series=AnnualSeries(2000, (1, 1, 1, 2, 3, 4, 5, 6),
+                                                              (0,) * 8)),
+         AnalysisConfig(growth_window=3), [
+            (SignalKind.MONOTONE_GROWTH, "publication counts non-decreasing over the last 3 "
+                                         "years, ending at 6 (career mean 2.00)"),
+        ]),
+    ], ids=["papermill", "loose-thresholds", "monotone-growth"])
+    def test_details(self, ind, config, details):
+        assert flag_profile(ind, config) == [Signal(kind, detail) for kind, detail in details]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_reference(self, data):
+        pubs = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=12))
+        r = data.draw(st.none() | st.floats(-1, 1))
+        lag = data.draw(st.none() | st.integers(0, 3))
+        i = data.draw(st.floats(0, 1))
+        max_pubs = data.draw(st.integers(0, 40))
+        avg_pubs = data.draw(st.floats(0, 40) | st.sampled_from(pubs))
+        ind = replace(indicator_set(r=r, lag=lag, i=i, max_pubs=max_pubs,
+                                    series=AnnualSeries(2000, tuple(pubs), (0,) * len(pubs))),
+                      avg_pubs_year=avg_pubs)
+        # each threshold is drawn at random or equal to its value, so both sides of each bound run
+        config = AnalysisConfig(
+            r_min=data.draw(st.floats(-1, 1, exclude_min=True, exclude_max=True)
+                            | st.sampled_from([0, r if r is not None and abs(r) < 1 else 0.5])),
+            i_max=data.draw(st.floats(0, 1, exclude_min=True, exclude_max=True)
+                            | st.sampled_from([i if 0 < i < 1 else 0.3])),
+            pubs_per_year_limit=data.draw(st.integers(1, 41) | st.just(max(max_pubs, 1))),
+            growth_window=data.draw(st.integers(0, 13)),
+        )
+        assert flag_profile(ind, config) == reference_flag_profile(ind, config)
+
     def test_loosening_thresholds_never_removes_signals(self):
         rng = random.Random(99)
         for _ in range(50):
@@ -385,10 +435,17 @@ class TestAnalysisConfig:
         {"r_min": math.nan}, {"r_min": math.inf}, {"r_min": 1.0}, {"r_min": -1.0},
         {"i_max": 0.0}, {"i_max": 1.5}, {"i_max": math.nan}, {"max_lag": -1},
         {"growth_window": -2}, {"pubs_per_year_limit": 0},
+        # a value of the wrong type
+        {"prefer_reported_h": "no"}, {"prefer_reported_h": 1}, {"max_lag": 2.5},
+        {"growth_window": 2.5}, {"pubs_per_year_limit": True}, {"r_min": "0.5"},
+        {"r_min": True}, {"i_max": None},
     ])
     def test_out_of_range_rejected(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             AnalysisConfig(**kwargs)
+
+    def test_a_threshold_may_be_an_int(self):
+        assert AnalysisConfig(r_min=0).region.r_min == 0
 
 
 class TestRoundHalfUp:

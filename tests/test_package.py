@@ -2,7 +2,10 @@ import json
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
+
+import pytest
 
 import papertrail
 from papertrail.ingest import serialize_report
@@ -47,6 +50,16 @@ def test_public_names_are_the_package_imports():
     assert not any(isinstance(value, types.ModuleType) for value in namespace.values())
     # the names the README's library example imports
     assert {"analyze_profile", "parse_report", "profile_chart"} <= set(papertrail.__all__)
+
+
+def test_the_version_is_spelled_once():
+    # pyproject.toml takes the version from the package, so a release changes one line
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # setuptools before 68 calls [tool.setuptools] beta
+        project = pyprojecttoml.read_configuration(SRC.parent / "pyproject.toml")["project"]
+    assert project["dynamic"] == ["version"]
+    assert project["version"] == papertrail.__version__
 
 
 def test_package_loads_each_module_on_first_use():
