@@ -62,14 +62,25 @@ class Signal:
     detail: str
 
 
+def _check_types(config: object) -> None:
+    """Raise ValueError naming the first field of the dataclass ``config`` whose value lacks its
+    default's type; a float field also takes an int, but no field other than a bool takes a bool."""
+    for f in fields(config):
+        kind, value = type(f.default), getattr(config, f.name)
+        if (type(value) is bool) != (kind is bool) or not isinstance(value, (kind, int)):
+            raise ValueError(f"{f.name} must be {f.type}, got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class Region:
-    """Flag-region bounds: r strictly above r_min AND I strictly below i_max."""
+    """Flag-region bounds: r strictly above r_min AND I strictly below i_max.  A bound of the
+    wrong type or outside its range raises ValueError."""
 
     r_min: float = 0.5
     i_max: float = 0.3
 
     def __post_init__(self) -> None:
+        _check_types(self)
         if not -1.0 < self.r_min < 1.0:
             raise ValueError(f"r_min must lie in (-1, 1), got {self.r_min}")
         if not 0.0 < self.i_max < 1.0:
@@ -93,10 +104,7 @@ class AnalysisConfig:
     prefer_reported_h: bool = False
 
     def __post_init__(self) -> None:
-        for f in fields(self):  # each value has its default's type; a float field also takes an int
-            kind, value = type(f.default), getattr(self, f.name)
-            if (type(value) is bool) != (kind is bool) or not isinstance(value, (kind, int)):
-                raise ValueError(f"{f.name} must be {f.type}, got {type(value).__name__}")
+        _check_types(self)
         Region(self.r_min, self.i_max)  # raises on an out-of-range r_min or i_max
         if self.pubs_per_year_limit < 1:
             raise ValueError(f"pubs_per_year_limit must be >= 1, got {self.pubs_per_year_limit}")

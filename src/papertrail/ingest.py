@@ -28,7 +28,7 @@ import io
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import add, attrgetter, ne
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -228,6 +228,12 @@ def _split(line: str | list[str]) -> list[str]:
     return line.rstrip("\r").split("\t") if isinstance(line, str) else line
 
 
+def _numbered(lines: Iterable[str] | Iterable[list[str]], start: int) -> Iterator[tuple[int, list[str]]]:
+    """The cells of each nonblank one of ``lines``, with its row number; the first line is row ``start``."""
+    return ((row_no, cells) for row_no, cells in enumerate(map(_split, lines), start)
+            if cells not in ([], [""]))
+
+
 def _echo(cell: str, limit: int = _ECHO_LIMIT) -> str:
     """``cell`` as a message shows it: quoted, or named by its length if the quotes would hold
     more than ``limit`` characters (an escape such as ``\\x1c`` counts as its four)."""
@@ -251,7 +257,10 @@ def _int(cell: str, what: str, error: type[PapertrailError], most: int) -> int:
 
 
 def _parse_year_columns(cells: list[str]) -> range:
-    years = [_int(cell, "year column", MalformedHeaderError, MAX_YEAR) for cell in cells]
+    try:
+        years = list(map(_CELL.__getitem__, cells))  # each year MIN_YEAR..MAX_YEAR is a key
+    except KeyError:
+        years = [_int(cell, "year column", MalformedHeaderError, MAX_YEAR) for cell in cells]
     for prev, cur in zip(years, years[1:]):
         if cur != prev + 1:
             raise MalformedHeaderError(
@@ -286,46 +295,59 @@ def _parse_row(cells: list[str], year_cols: range, row_no: int) -> list[int]:
 
 
 def _read_block(lines: list[str] | list[list[str]], fmt: ReportFormat,
-                columns: int) -> tuple[list[str], list[int]] | None:
-    """The titles and the numeric cells, row by row, of a clean record block, or None.
+                columns: int) -> tuple[list[str], list[int], int] | None:
+    """The titles and the numeric cells, row by row, of the clean rows that open a record block,
+    and the index in ``lines`` of the first line left to ``_read_rows``; or None to leave it all.
 
-    ``lines`` follow the header, which has ``columns`` cells.  The block is
-    read in one pass: one split, one tab count per line, one conversion of
-    every numeric cell and one bound test per kind of cell.  Clean means
-    that, blank lines aside, every line has ``columns`` cells, ``int()`` reads
-    every numeric cell, and every publication year lies in MIN_YEAR..MAX_YEAR
-    and every count in 0..MAX_COUNT.  A CRLF ending leaves a carriage return
-    at the end of a line's last cell, a count, which ``int()`` ignores as
-    ``_split`` strips it.  Anything else, and a block without records, is left to
-    ``_read_rows``: it raises for the first bad row, or accepts what only
-    ``str.strip()`` cleans, such as "\x1c7".
+    ``lines`` follow the header, which has ``columns`` cells.  They are read
+    in one pass: one split, one tab count per line, one conversion of every
+    numeric cell and one bound test per kind of cell.  The pass stops at the
+    first line with a wrong cell count or a cell that ``int()`` refuses (a
+    blank CRLF line in TSV, a lone carriage return, has one cell; a CRLF
+    ending's carriage return in a count ``int()`` ignores as ``_split`` strips
+    it).  ``_read_rows`` reads the rest: it raises for the first bad row, or
+    accepts what only ``str.strip()`` cleans, such as "\x1c7".  The index is
+    ``len(lines)`` if the pass reads every line.  It is None if the pass
+    keeps no row, or if a kept publication year lies outside MIN_YEAR..MAX_YEAR
+    or a kept count outside 0..MAX_COUNT.
     """
-    lines = list(filter(None, lines))  # blank lines
-    if not lines:
-        return None
+    rows = list(filter(None, lines))  # blank lines
     if fmt is ReportFormat.TSV:
-        if list(map(str.count, lines, repeat("\t"))).count(columns - 1) != len(lines):
-            return None
-        cells = "\t".join(lines).split("\t")
+        widths, width = list(map(str.count, rows, repeat("\t"))), columns - 1
     else:
-        if list(map(len, lines)).count(columns) != len(lines):
-            return None
-        cells = list(chain.from_iterable(lines))
+        widths, width = list(map(len, rows)), columns
+    kept = widths.count(width)
+    if kept != len(rows):  # the rows before the first line with a wrong cell count
+        kept = list(map(ne, widths, repeat(width))).index(True)
+    if not kept:
+        return None
+    block = rows[:kept]
+    cells = "\t".join(block).split("\t") if fmt is ReportFormat.TSV else list(chain.from_iterable(block))
     titles = cells[0::columns]
     del cells[0::columns]
+    values: list[int] = []
     try:
-        values = list(map(_CELL.__getitem__, cells))  # all within 0..MAX_COUNT
+        values.extend(map(_CELL.__getitem__, cells))  # all within 0..MAX_COUNT
     except KeyError:
+        looked_up = len(values)
         try:
-            values = list(map(int, cells))
-        except ValueError:
-            return None
-        if not (0 <= min(values) and max(values) <= MAX_COUNT):
+            values.extend(map(int, islice(cells, looked_up, None)))
+        except ValueError:  # extend kept the cells before the first one int() refuses
+            kept = len(values) // (columns - 1)
+            if not kept:
+                return None
+            del titles[kept:]
+            del values[kept * (columns - 1):]
+        read = values[looked_up:]
+        if read and not (0 <= min(read) and max(read) <= MAX_COUNT):
             return None
     pub_years = values[0::columns - 1]
-    if MIN_YEAR <= min(pub_years) and max(pub_years) <= MAX_YEAR:
-        return titles, values
-    return None
+    if not (MIN_YEAR <= min(pub_years) and max(pub_years) <= MAX_YEAR):
+        return None
+    if kept == len(rows):
+        return titles, values, len(lines)
+    # the index in ``lines`` of the first row not kept, blank lines counted
+    return titles, values, next(islice(compress(count(), lines), kept, None))
 
 
 def _read_rows(rows: Iterator[tuple[int, list[str]]], year_cols: range) -> tuple[list[str], list[int]]:
@@ -341,8 +363,8 @@ def _read_rows(rows: Iterator[tuple[int, list[str]]], year_cols: range) -> tuple
             raise MalformedRowError(
                 f"row {row_no}: expected {expected} columns, got {len(cells)}"
             )
-        # _read_block declines a whole block for one bad row, so most rows here are still clean:
-        # one step and one bound test for such a row (with no negative cell, a sum within
+        # _read_block leaves the rows from the first one it cannot read on, so most rows here are
+        # clean: one step and one bound test for such a row (with no negative cell, a sum within
         # MAX_COUNT bounds every count); a row failing either goes cell by cell, which raises for
         # the first bad cell or accepts cells such as "\x1c7" that str.strip() cleans
         try:
@@ -378,8 +400,7 @@ def _read_report(data: bytes, fmt: ReportFormat, default_name: str) -> tuple[
     source_id: str | None = None
     reported_h: int | None = None
     lines = _lines(text, fmt)
-    rows = ((row_no, cells) for row_no, cells in enumerate(map(_split, lines), start=1)
-            if cells not in ([], [""]))  # skip blank lines
+    rows = _numbered(lines, 1)
 
     for row_no, cells in rows:
         key = cells[0]
@@ -413,9 +434,14 @@ def _read_report(data: bytes, fmt: ReportFormat, default_name: str) -> tuple[
     else:
         raise MalformedHeaderError("no header row found")
 
-    # the lines after the header (row_no counts from 1) in one pass, or one by one
-    titles, values = (_read_block(lines[row_no:], fmt, 3 + len(year_cols))
-                      or _read_rows(rows, year_cols))
+    # the lines after the header (row_no counts from 1): the clean rows that open them in one
+    # pass, and the rows from the first other one on one by one
+    block = lines[row_no:]
+    titles, values, rest = _read_block(block, fmt, 3 + len(year_cols)) or ([], [], 0)
+    if rest < len(block):
+        more_titles, more_values = _read_rows(_numbered(block[rest:], row_no + rest + 1), year_cols)
+        titles += more_titles
+        values += more_values
     if not titles:
         raise EmptyProfileError("report contains no publication records")
 

@@ -61,6 +61,17 @@ class TestClassifyRegion:
         with pytest.raises(ValueError):
             Region(i_max=0.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"r_min": "0.5"}, {"r_min": False}, {"r_min": None}, {"i_max": "0.3"}, {"i_max": True},
+        {"i_max": [0.3]},
+    ])
+    def test_region_refuses_a_bound_of_the_wrong_type(self, kwargs):
+        with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} must be float, got "):
+            Region(**kwargs)
+
+    def test_a_region_bound_may_be_an_int(self):
+        assert Region(r_min=0, i_max=0.25) == Region(r_min=0.0, i_max=0.25)
+
 
 class TestCohortSummary:
     def test_one_in_one_out(self):

@@ -2,7 +2,8 @@
 
 Runs ``analyze --svg``, ``synth`` (the default profiles and the wide
 ``synth-write`` benchmark profile in both formats), ``cohort --svg-dir`` and
-``cohort --prefer-reported-h`` (over a CSV report and a mismatching total too) on this
+``cohort --prefer-reported-h`` (over a CSV report, a mismatching total and reports with a bad
+first, middle or last row or a short row too) on this
 checkout's ``src`` under the running interpreter and under each other
 ``python3.10`` .. ``python3.13`` on PATH (a pyenv shim through an installed
 version of its own), and compares the JSON documents
@@ -137,10 +138,22 @@ def test_every_interpreter_writes_the_same_outputs(tmp_path):
     cells[2] = b"%d" % (int(cells[2]) + 7)  # the last record's total disagrees with its years
     (inputs / "pm8.tsv").write_bytes(b"\n".join([*rows[:-2], b"\t".join(cells), b""]))
     columns = [*lines, "cs8\tcs8.csv\n", "pm8\tpm8.tsv\n"]
+    # reports that the run skips with a diagnostic: the block pass keeps the rows before the bad one
+    records = serialize_report(generate(papermill_spec(9))).split(b"\n")
+    first = next(i for i, row in enumerate(records) if row.startswith(b"Title")) + 1
+    last = len(records) - 2
+    for stem, row, cut in (("bad-first", first, b"\tx"), ("bad-middle", (first + last) // 2, b"\t"),
+                           ("bad-last", last, b"\t+-3"), ("short", (first + last) // 2, b"")):
+        defect = records.copy()
+        defect[row] = defect[row].rpartition(b"\t")[0] + cut
+        (inputs / f"{stem}.tsv").write_bytes(b"\n".join(defect))
+        columns.append(f"{stem}\t{stem}.tsv\n")
     (inputs / "columns.tsv").write_text("".join(columns), encoding="utf-8")
 
     expected = outputs(sys.executable, inputs, tmp_path / "running")
     assert len(expected) == 12
+    diagnosed = {d["label"]: d["error"] for d in expected["columns.json"]["diagnostics"]}
+    assert sorted(diagnosed) == ["bad-first", "bad-last", "bad-middle", "short"], diagnosed
     for n, python in enumerate(others):
         actual = outputs(python, inputs, tmp_path / f"other{n}")
         assert actual.keys() == expected.keys(), python
