@@ -22,7 +22,6 @@ _EXPORTS = {
         "GroupMeans",
         "LinearFit",
         "PowerLawFit",
-        "Region",
         "RegionClass",
         "ScatterAxes",
         "classify_region",
@@ -32,6 +31,7 @@ _EXPORTS = {
         "parse_manifest",
         "point_from_indicators",
     ),
+    "config": ("AnalysisConfig", "Region"),
     "errors": (
         "AllDegenerateError",
         "DegenerateAbscissaError",
@@ -50,7 +50,6 @@ _EXPORTS = {
     ),
     "indicators": (
         "DEFAULT_HCP_THRESHOLDS",
-        "AnalysisConfig",
         "IndicatorSet",
         "LagResult",
         "Signal",

@@ -14,6 +14,14 @@ written last: when it exists, every chart of the run was written too.
 README.md describes the config file with its keys, ranges and flags, and
 the two JSON documents; ``build_report`` and ``build_cohort_document`` build
 them key by key.
+
+Importing this module loads, of the package, only ``config``, ``errors`` and
+``ingest``: what the parser, the config file and reading a report need.
+Each command imports the rest when it runs, once: ``analyze`` loads
+``indicators`` (and ``series``), ``cohort`` loads ``cohort`` (and with it
+``indicators`` and ``series``), ``synth`` loads ``synth``, and a chart loads
+``render``.  So ``synth``, and ``analyze`` without ``--svg``, never pay for
+the cohort analysis.
 """
 
 from __future__ import annotations
@@ -27,22 +35,15 @@ from contextlib import contextmanager
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .cohort import (
-    CohortPoint,
-    LinearFit,
-    PowerLawFit,
-    Region,
-    ScatterAxes,
-    cohort_summary,
-    fit_linear,
-    fit_power_law,
-    parse_manifest,
-)
+from .config import AnalysisConfig, Region
 from .errors import DegenerateAbscissaError, PapertrailError, TooFewPointsError
-from .indicators import AnalysisConfig, IndicatorSet, _analyze_columns, _indicators
 from .ingest import ReportFormat, ResearcherProfile, _echo, _mismatch_warnings, _read_report
+
+if TYPE_CHECKING:
+    from .cohort import CohortPoint, CohortSummary, LinearFit, PowerLawFit, ScatterAxes
+    from .indicators import IndicatorSet
 
 SCHEMA_VERSION = "1.0"
 CONFIG_ENV_VAR = "PAPERTRAIL_CONFIG"
@@ -80,8 +81,24 @@ EXIT_OK = 0
 EXIT_DATA_ERROR = 1
 EXIT_USAGE_ERROR = 2
 
-# each cohort chart's file name under --svg-dir, in the order they are written
-COHORT_CHARTS = tuple((f"{axes.value}.svg", axes) for axes in ScatterAxes)
+
+def _cohort_charts() -> tuple[tuple[str, ScatterAxes], ...]:
+    """Each cohort chart's file name under --svg-dir and its axes, in the order they are written."""
+    from .cohort import ScatterAxes
+
+    return tuple((f"{axes.value}.svg", axes) for axes in ScatterAxes)
+
+
+def __getattr__(name: str) -> object:
+    """``ScatterAxes`` and ``COHORT_CHARTS`` (the value of ``_cohort_charts``), which need
+    ``cohort``, looked up on use (PEP 562), so that importing the CLI does not load it."""
+    if name == "ScatterAxes":
+        from .cohort import ScatterAxes
+
+        return ScatterAxes
+    if name == "COHORT_CHARTS":
+        return _cohort_charts()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # the longest path or manifest label that a message repeats; a longer one is named by its length
@@ -200,15 +217,6 @@ def _read_report_file(path: Path, explicit_format: str | None) -> tuple[bytes, R
     return data, _detect_format(str(path), explicit_format)
 
 
-def _cohort_point(label: str, data: bytes, fmt: ReportFormat,
-                  config: AnalysisConfig) -> CohortPoint:
-    """``point_from_indicators(label, analyze_profile(parse_report(data, fmt), config))`` from
-    the report's columns: no records, lag scan, HCP count, flags or warnings are made."""
-    _, _, reported_h, _, pub_years, totals, years, column_sums, _ = _read_report(data, fmt, "")
-    _, r, _, i, stats, _ = _indicators(pub_years, totals, years, column_sums, reported_h, config)
-    return CohortPoint(label, r, i, len(pub_years), stats.max_pubs, stats.avg_pubs)
-
-
 def build_report(profile: ResearcherProfile, ind: IndicatorSet) -> dict[str, Any]:
     """Assemble the analyze-report JSON document (schema 1.0).
 
@@ -258,6 +266,27 @@ def _analyze_document(name: str, source_id: str | None, reported_h: int | None, 
         "undefined_reasons": undefined,
         "warnings": [*warnings, *ind.warnings],
     }
+
+
+# the three functions of ``cohort`` that the cohort document calls, by their names here: each
+# imports ``cohort`` when it is called, and a function that replaces one of these names (as the
+# tracer of bench/spans.py does, to time the call) is the one the document calls
+def cohort_summary(points: list[CohortPoint], region: Region) -> CohortSummary:
+    from .cohort import cohort_summary
+
+    return cohort_summary(points, region)
+
+
+def fit_power_law(pairs: list[tuple[int, float]]) -> PowerLawFit:
+    from .cohort import fit_power_law
+
+    return fit_power_law(pairs)
+
+
+def fit_linear(pairs: list[tuple[int, int]]) -> LinearFit:
+    from .cohort import fit_linear
+
+    return fit_linear(pairs)
 
 
 def compute_cohort_fits(
@@ -359,6 +388,8 @@ def _json_text(document: dict[str, Any]) -> str:
 
 
 def cmd_analyze(args: argparse.Namespace) -> None:
+    from .indicators import _analyze_columns
+
     config = _resolve_analysis_config(args)
     report = Path(args.report)
     try:
@@ -382,6 +413,8 @@ def cmd_analyze(args: argparse.Namespace) -> None:
 
 
 def cmd_cohort(args: argparse.Namespace) -> None:
+    from .cohort import _point_from_report, parse_manifest
+
     config = _resolve_analysis_config(args)
     manifest = Path(args.manifest)
     try:
@@ -395,7 +428,8 @@ def cmd_cohort(args: argparse.Namespace) -> None:
     for label, path in entries:
         resolved = manifest.parent / path  # an absolute path replaces the parent
         try:
-            points.append(_cohort_point(label, *_read_report_file(resolved, args.format), config))
+            points.append(_point_from_report(label, *_read_report_file(resolved, args.format),
+                                             config))
         except (OSError, PapertrailError) as exc:
             diagnostics.append({"label": label, "path": str(resolved), "error": _reason(exc)})
 
@@ -415,12 +449,13 @@ def cmd_cohort(args: argparse.Namespace) -> None:
               "non-positive coordinates from the power-law fit", file=sys.stderr)
     charts = []
     if args.svg_dir:
+        from .cohort import LinearFit, PowerLawFit, ScatterAxes
         from .render import ChartStyle, scatter_chart
 
         # the charts draw the fits the document reports
         fits = {ScatterAxes.I_VS_P_POWERFIT: power_fit and PowerLawFit(**power_fit),
                 ScatterAxes.M_VS_P_LINFIT: linear_fit and LinearFit(**linear_fit)}
-        for filename, axes in COHORT_CHARTS:
+        for filename, axes in _cohort_charts():
             style = ChartStyle(title=f"Cohort: {axes.value.replace('_', ' ')}")
             svg = scatter_chart(points, axes, fit=fits.get(axes), region=region, style=style)
             charts.append((Path(args.svg_dir) / filename, svg))

@@ -16,8 +16,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
+from .config import AnalysisConfig, Region
 from .errors import DegenerateAbscissaError, EmptyCohortError, TooFewPointsError
-from .indicators import IndicatorSet, Region
+from .indicators import IndicatorSet, _indicators
+from .ingest import ReportFormat, _read_report
 
 
 class RegionClass(str, Enum):
@@ -98,6 +100,15 @@ def point_from_indicators(label: str, ind: IndicatorSet) -> CohortPoint:
         max_pubs_year=ind.max_pubs_year,
         avg_pubs_year=ind.avg_pubs_year,
     )
+
+
+def _point_from_report(label: str, data: bytes, fmt: ReportFormat,
+                       config: AnalysisConfig) -> CohortPoint:
+    """``point_from_indicators(label, analyze_profile(parse_report(data, fmt), config))`` from
+    the report's columns: no records, lag scan, HCP count, flags or warnings are made."""
+    _, _, reported_h, _, pub_years, totals, years, column_sums, _ = _read_report(data, fmt, "")
+    _, r, _, i, stats, _ = _indicators(pub_years, totals, years, column_sums, reported_h, config)
+    return CohortPoint(label, r, i, len(pub_years), stats.max_pubs, stats.avg_pubs)
 
 
 def classify_region(point: CohortPoint, region: Region = Region()) -> RegionClass:

@@ -10,12 +10,13 @@ against per-year thresholds, and a set of behavioral flags.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from operator import ge, gt, le, lt
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from .config import DEFAULT_MAX_LAG, AnalysisConfig
 from .errors import (
     AllDegenerateError,
     HExceedsPublicationsError,
@@ -42,8 +43,6 @@ DEFAULT_HCP_THRESHOLDS = MappingProxyType({
     2025: 3,
 })
 
-DEFAULT_MAX_LAG = 10
-
 # ZeroLag fires (with HighCorrelation) when the best lag is at most this
 ZERO_LAG_MAX = 0
 
@@ -60,62 +59,6 @@ class SignalKind(str, Enum):
 class Signal:
     kind: SignalKind
     detail: str
-
-
-def _check_types(config: object) -> None:
-    """Raise ValueError naming the first field of the dataclass ``config`` whose value lacks its
-    default's type; a float field also takes an int, but no field other than a bool takes a bool."""
-    for f in fields(config):
-        kind, value = type(f.default), getattr(config, f.name)
-        if (type(value) is bool) != (kind is bool) or not isinstance(value, (kind, int)):
-            raise ValueError(f"{f.name} must be {f.type}, got {type(value).__name__}")
-
-
-@dataclass(frozen=True)
-class Region:
-    """Flag-region bounds: r strictly above r_min AND I strictly below i_max.  A bound of the
-    wrong type or outside its range raises ValueError."""
-
-    r_min: float = 0.5
-    i_max: float = 0.3
-
-    def __post_init__(self) -> None:
-        _check_types(self)
-        if not -1.0 < self.r_min < 1.0:
-            raise ValueError(f"r_min must lie in (-1, 1), got {self.r_min}")
-        if not 0.0 < self.i_max < 1.0:
-            raise ValueError(f"i_max must lie in (0, 1), got {self.i_max}")
-
-
-@dataclass(frozen=True)
-class AnalysisConfig:
-    """Thresholds for the behavioral flags plus the knobs used by analyze_profile.
-
-    Flags use strict inequalities on r and I; loosening any threshold can
-    only add signals of the corresponding kind, never remove them.  A value
-    of the wrong type or outside its range raises ValueError.
-    """
-
-    r_min: float = Region.r_min
-    i_max: float = Region.i_max
-    pubs_per_year_limit: int = 30
-    growth_window: int = 5
-    max_lag: int = DEFAULT_MAX_LAG
-    prefer_reported_h: bool = False
-
-    def __post_init__(self) -> None:
-        _check_types(self)
-        Region(self.r_min, self.i_max)  # raises on an out-of-range r_min or i_max
-        if self.pubs_per_year_limit < 1:
-            raise ValueError(f"pubs_per_year_limit must be >= 1, got {self.pubs_per_year_limit}")
-        if self.growth_window < 0:
-            raise ValueError(f"growth_window must be >= 0, got {self.growth_window}")
-        if self.max_lag < 0:
-            raise ValueError(f"max_lag must be >= 0, got {self.max_lag}")
-
-    @property
-    def region(self) -> Region:
-        return Region(self.r_min, self.i_max)
 
 
 @dataclass(frozen=True)

@@ -213,25 +213,28 @@ def _decode(data: bytes) -> str:
 
 
 def _lines(text: str, fmt: ReportFormat) -> list[str] | list[list[str]]:
-    """The report's lines: a TSV line as its text, a CSV line as its cells."""
+    """The report's lines: a TSV line as its text without the carriage returns that end it (a
+    CRLF ending's), a CSV line as its cells.  A blank line, which every reader skips, is the
+    one kind of false line: "" in TSV, [] in CSV (for a line with no cell or one empty cell)."""
     if fmt is ReportFormat.TSV:
-        return text.split("\n")
+        lines = text.split("\n")
+        # a plain LF report has no carriage return, and its lines are kept as split
+        return list(map(str.rstrip, lines, repeat("\r"))) if "\r" in text else lines
     try:
-        return list(csv.reader(io.StringIO(text, newline="")))
+        lines = list(csv.reader(io.StringIO(text, newline="")))
     except csv.Error as exc:
         raise MalformedRowError(f"CSV structure error: {exc}") from None
+    return [line if line != [""] else [] for line in lines] if [""] in lines else lines
 
 
 def _split(line: str | list[str]) -> list[str]:
     """The cells of one of ``_lines``."""
-    # tolerate CRLF endings without letting \r leak into the last cell
-    return line.rstrip("\r").split("\t") if isinstance(line, str) else line
+    return line.split("\t") if isinstance(line, str) else line
 
 
 def _numbered(lines: Iterable[str] | Iterable[list[str]], start: int) -> Iterator[tuple[int, list[str]]]:
-    """The cells of each nonblank one of ``lines``, with its row number; the first line is row ``start``."""
-    return ((row_no, cells) for row_no, cells in enumerate(map(_split, lines), start)
-            if cells not in ([], [""]))
+    """The cells of each nonblank one of ``_lines``, with its row number; the first line is row ``start``."""
+    return ((row_no, _split(line)) for row_no, line in enumerate(lines, start) if line)
 
 
 def _echo(cell: str, limit: int = _ECHO_LIMIT) -> str:
@@ -301,11 +304,10 @@ def _read_block(lines: list[str] | list[list[str]], fmt: ReportFormat,
 
     ``lines`` follow the header, which has ``columns`` cells.  They are read
     in one pass: one split, one tab count per line, one conversion of every
-    numeric cell and one bound test per kind of cell.  The pass stops at the
-    first line with a wrong cell count or a cell that ``int()`` refuses (a
-    blank CRLF line in TSV, a lone carriage return, has one cell; a CRLF
-    ending's carriage return in a count ``int()`` ignores as ``_split`` strips
-    it).  ``_read_rows`` reads the rest: it raises for the first bad row, or
+    numeric cell and one bound test per kind of cell; blank lines, the false
+    ones, are skipped as ``_numbered`` skips them.  The pass stops at the
+    first line with a wrong cell count or a cell that ``int()`` refuses.
+    ``_read_rows`` reads the rest: it raises for the first bad row, or
     accepts what only ``str.strip()`` cleans, such as "\x1c7".  The index is
     ``len(lines)`` if the pass reads every line.  It is None if the pass
     keeps no row, or if a kept publication year lies outside MIN_YEAR..MAX_YEAR

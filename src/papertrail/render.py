@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from html import escape
 from typing import Iterator, Sequence
 
-from .cohort import CohortPoint, LinearFit, PowerLawFit, Region, ScatterAxes
+from .cohort import CohortPoint, LinearFit, PowerLawFit, ScatterAxes
+from .config import Region, _check_types
 from .errors import EmptyCohortError
 from .indicators import IndicatorSet, round_half_up
 from .series import AnnualSeries
@@ -35,11 +36,15 @@ _FONT = "font-family=\"sans-serif\""
 
 @dataclass(frozen=True)
 class ChartStyle:
+    """A chart's size in pixels and its title.  A value of the wrong type, or a size that is not
+    positive, raises ValueError."""
+
     width: int = 900
     height: int = 500
     title: str = ""
 
     def __post_init__(self) -> None:
+        _check_types(self)
         if self.width <= 0 or self.height <= 0:
             raise ValueError("chart dimensions must be positive")
 

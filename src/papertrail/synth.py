@@ -26,6 +26,7 @@ from enum import Enum
 from itertools import starmap
 from typing import Iterator
 
+from .config import _check_types
 from .errors import InvalidSpecError
 from .ingest import MAX_YEAR, MIN_YEAR, ReportFormat, ResearcherProfile, _record, _trim, _write_report
 
@@ -101,7 +102,8 @@ class Archetype(str, Enum):
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Parameters of one synthetic profile; validated on construction."""
+    """Parameters of one synthetic profile; validated on construction.  A value of the wrong
+    type or outside its range raises InvalidSpecError."""
 
     archetype: Archetype
     start_year: int
@@ -114,6 +116,7 @@ class SynthSpec:
     kernel_peak_lag: int
 
     def __post_init__(self) -> None:
+        _check_types(self, InvalidSpecError)
         if not 0 <= self.seed <= _MASK64:
             # the generator reduces its seed mod 2**64, so a wider seed would
             # repeat the data of a smaller one under a different name

@@ -54,22 +54,26 @@ def vouched(row: list[str]) -> str:
     return "bound"
 
 
-def handoff_case(position: str, change: str, fmt: ReportFormat, ending: bytes):
-    """The report with the changed row at ``position``, two blank lines before it; the row
+def handoff_case(position: str, change: str, fmt: ReportFormat, ending: bytes, blank: list[str]):
+    """The report with the changed row at ``position``, two ``blank`` lines before it; the row
     number of that row, of the first record, and what the block pass makes of the row."""
     bad = POSITIONS[position]
     row = changed(RECORDS[bad], *CHANGES[change])
-    rows = [["# researcher", "R"], HEADER, *RECORDS[:bad], [], [], row, *RECORDS[bad + 1:]]
+    rows = [["# researcher", "R"], HEADER, *RECORDS[:bad], blank, blank, row, *RECORDS[bad + 1:]]
     data = report(rows, fmt).replace(b"\n", ending)
     return data, rows.index(row) + 1, rows.index(RECORDS[0] if bad else row) + 1, vouched(row)
 
 
+# a blank line: an empty one, or in CSV one whose one cell is empty (written as "")
+BLANKS = [(ReportFormat.TSV, []), (ReportFormat.CSV, []), (ReportFormat.CSV, [""])]
+
+
 @pytest.mark.parametrize("ending", [b"\n", b"\r\n"], ids=["lf", "crlf"])
-@pytest.mark.parametrize("fmt", list(ReportFormat))
+@pytest.mark.parametrize("fmt, blank", BLANKS, ids=["tsv", "csv", "csv-quoted-blank"])
 @pytest.mark.parametrize("change", list(CHANGES))
 @pytest.mark.parametrize("position", list(POSITIONS))
-def test_handoff_agrees_with_the_row_by_row_path(position, change, fmt, ending, monkeypatch):
-    data, bad_row, first_row, kind = handoff_case(position, change, fmt, ending)
+def test_handoff_agrees_with_the_row_by_row_path(position, change, fmt, blank, ending, monkeypatch):
+    data, bad_row, first_row, kind = handoff_case(position, change, fmt, ending, blank)
     expected = row_by_row(data, fmt)
     handed = []
     read_rows = ingest._read_rows
@@ -85,8 +89,7 @@ def test_handoff_agrees_with_the_row_by_row_path(position, change, fmt, ending, 
     numbered = [n for n, cells in enumerate(split_report(data, fmt), 1)
                 if cells not in ([], [""], ["\r"])]
     rows_on = [n for n in numbered if n >= bad_row]
-    if kind == "refused" or (fmt is ReportFormat.TSV and ending == b"\r\n"):
-        # a blank CRLF line in TSV is a lone "\r", which the block pass takes for a short row
+    if kind == "refused":  # a blank line of any kind, CRLF TSV's lone "\r" too, is skipped
         assert handed == [rows_on]
     elif kind == "bound":  # the whole block
         assert handed == [[n for n in numbered if n >= first_row]]

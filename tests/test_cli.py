@@ -597,8 +597,8 @@ class TestCohort:
 
     def test_svg_dir_run_computes_each_result_once(self, tmp_path, capsys, call_counter):
         calls, count = call_counter
-        count(cli, "fit_power_law")
-        count(cli, "fit_linear")
+        count(cohort, "fit_power_law")
+        count(cohort, "fit_linear")
         count(cohort, "classify_region")
         manifest = self.five_profiles(tmp_path)
         assert main(["cohort", str(manifest), "--json", str(tmp_path / "c.json"),

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from papertrail import cli, indicators, ingest
+from papertrail import cli, cohort, indicators, ingest
 from papertrail.cohort import point_from_indicators
 from papertrail.errors import PapertrailError
 from papertrail.indicators import AnalysisConfig, analyze_profile
@@ -48,7 +48,7 @@ def bits(point):
 
 def assert_same_point(data: bytes, fmt: ReportFormat, config: AnalysisConfig) -> None:
     expected = point_from_indicators("L", analyze_profile(parse_report(data, fmt), config))
-    assert bits(cli._cohort_point("L", data, fmt, config)) == bits(expected)
+    assert bits(cohort._point_from_report("L", data, fmt, config)) == bits(expected)
 
 
 GROWING = [(f"p{k}", 2010 + k % 4, 3 * k, [k, 0, 2 * k, 1]) for k in range(9)]
@@ -147,7 +147,7 @@ def test_a_bad_report_gives_the_same_error(name, tmp_path, capsys):
     with pytest.raises(PapertrailError) as parsed:
         parse_report(BAD[name])
     with pytest.raises(type(parsed.value)) as read:
-        cli._cohort_point("L", BAD[name], ReportFormat.TSV, AnalysisConfig())
+        cohort._point_from_report("L", BAD[name], ReportFormat.TSV, AnalysisConfig())
     assert str(read.value) == str(parsed.value)
 
     (tmp_path / "bad.tsv").write_bytes(BAD[name])

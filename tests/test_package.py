@@ -14,9 +14,11 @@ from papertrail.synth import generate, papermill_spec
 SRC = Path(__file__).resolve().parent.parent / "src"
 PROBE = Path(__file__).resolve().parent / "package_probe.py"
 
-# modules that some commands never use: the charts, synth, display rounding (decimal) and SVG
-# escaping (html), and what xml.sax.saxutils, which once escaped SVG text, pulled in
-DEFERRED = {"papertrail.render", "papertrail.synth", "decimal", "html",
+# modules that some commands never use: the cohort analysis, the indicators and their series,
+# the charts, synth, display rounding (decimal) and SVG escaping (html), and what
+# xml.sax.saxutils, which once escaped SVG text, pulled in
+DEFERRED = {"papertrail.cohort", "papertrail.indicators", "papertrail.series",
+            "papertrail.render", "papertrail.synth", "decimal", "html",
             "xml.sax", "urllib.request", "http.client", "email.parser"}
 # what both analyze and cohort use stays a module-level import of the CLI
 EVERY_COMMAND = {"argparse", "json", "datetime", "csv"}
@@ -33,6 +35,8 @@ def probe(python: str = sys.executable) -> dict:
 def assert_lazy_package(report: dict) -> None:
     """The probe's report of a package that imports each module on first use."""
     assert [m for m in report["bare_loads"] if m.startswith("papertrail")] == ["papertrail"]
+    assert [m for m in report["cli_loads"] if m.startswith("papertrail")] == [
+        "papertrail.cli", "papertrail.config", "papertrail.errors", "papertrail.ingest"]
     assert DEFERRED.isdisjoint(report["cli_loads"])
     assert EVERY_COMMAND <= set(report["cli_loads"])
     assert report["threads_agree"]
@@ -86,11 +90,13 @@ def test_each_command_loads_only_what_it_uses(tmp_path):
     analyze = ["analyze", tmp_path / "r.tsv", "--json", tmp_path / "a.json"]
     cohort = ["cohort", tmp_path / "m.tsv", "--json", tmp_path / "c.json"]
 
-    for argv in (analyze, cohort):
-        assert {"papertrail.render", "papertrail.synth", "decimal", "html"}.isdisjoint(
-            modules_after(*argv))
+    loaded = {"analyze": modules_after(*analyze), "cohort": modules_after(*cohort)}
+    for modules in loaded.values():
+        assert {"papertrail.render", "papertrail.synth", "decimal", "html"}.isdisjoint(modules)
+    assert "papertrail.cohort" not in loaded["analyze"]
     synth = modules_after("synth", "--archetype", "papermill", "-o", tmp_path / "s.tsv")
     assert "papertrail.synth" in synth and "papertrail.render" not in synth
+    assert {"papertrail.cohort", "papertrail.indicators", "papertrail.series"}.isdisjoint(synth)
     for argv in ([*analyze, "--svg", tmp_path / "a.svg"], [*cohort, "--svg-dir", tmp_path / "f"]):
         charts = modules_after(*argv)
         assert "papertrail.render" in charts and "papertrail.synth" not in charts
