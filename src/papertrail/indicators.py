@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from operator import ge, gt, le, lt
+from itertools import count, repeat
+from operator import ge, gt, le, lt, mul, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -114,13 +115,13 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
         raise TooShortError("correlation needs at least 2 paired values")
     mx = math.fsum(x) / n
     my = math.fsum(y) / n
-    dx = [v - mx for v in x]
-    dy = [v - my for v in y]
-    sxx = math.fsum(d * d for d in dx)
-    syy = math.fsum(d * d for d in dy)
+    dx = list(map(sub, x, repeat(mx)))
+    dy = list(map(sub, y, repeat(my)))
+    sxx = math.fsum(map(mul, dx, dx))
+    syy = math.fsum(map(mul, dy, dy))
     if sxx == 0.0 or syy == 0.0:
         return None
-    sxy = math.fsum(a * b for a, b in zip(dx, dy))
+    sxy = math.fsum(map(mul, dx, dy))
     return sxy / math.sqrt(sxx * syy)
 
 
@@ -155,7 +156,7 @@ def best_lag(series: AnnualSeries, max_lag: int = DEFAULT_MAX_LAG) -> LagResult:
 def _h_index(totals: Iterable[int]) -> int:
     """Largest h such that at least h of ``totals`` are >= h."""
     # in descending order a total stays >= its rank up to rank h and falls below it after
-    return sum(cites >= rank for rank, cites in enumerate(sorted(totals, reverse=True), start=1))
+    return sum(map(ge, sorted(totals, reverse=True), count(1)))
 
 
 def h_index(records: Sequence[PublicationRecord]) -> int:

@@ -26,10 +26,11 @@ from __future__ import annotations
 import csv
 import io
 import re
+from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, compress, count, islice, repeat
-from operator import add, attrgetter, ne
+from operator import add, attrgetter, itemgetter, ne
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -63,6 +64,9 @@ _NO_YEARS = range(MIN_YEAR, MIN_YEAR)
 _CELL = {str(n): n for n in chain(range(256), range(MIN_YEAR, MAX_YEAR + 1))}
 # its mirror for writing: the text of each count 0..255, an import-time constant as well
 _TEXT = tuple(map(str, range(256)))
+# the most numeric cells _read_block looks up in one itemgetter call, which holds two tuples of
+# them; a larger block gains nothing from the call and is looked up cell by cell
+_BULK_CELLS = 65_536
 
 # the decimal integers int() reads; each part ends where the next begins, so matching is linear
 _INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")
@@ -305,7 +309,11 @@ def _read_block(lines: list[str] | list[list[str]], fmt: ReportFormat,
     ``lines`` follow the header, which has ``columns`` cells.  They are read
     in one pass: one split, one tab count per line, one conversion of every
     numeric cell and one bound test per kind of cell; blank lines, the false
-    ones, are skipped as ``_numbered`` skips them.  The pass stops at the
+    ones, are skipped as ``_numbered`` skips them.  A block of at most
+    ``_BULK_CELLS`` numeric cells is looked up in ``_CELL`` by one
+    ``itemgetter`` call, a larger one cell by cell; at a cell the table
+    lacks, the block is looked up cell by cell up to that cell, and
+    ``int()`` converts the rest.  The pass stops at the
     first line with a wrong cell count or a cell that ``int()`` refuses.
     ``_read_rows`` reads the rest: it raises for the first bad row, or
     accepts what only ``str.strip()`` cleans, such as "\x1c7".  The index is
@@ -328,9 +336,13 @@ def _read_block(lines: list[str] | list[list[str]], fmt: ReportFormat,
     titles = cells[0::columns]
     del cells[0::columns]
     values: list[int] = []
-    try:
-        values.extend(map(_CELL.__getitem__, cells))  # all within 0..MAX_COUNT
-    except KeyError:
+    if len(cells) <= _BULK_CELLS:  # each row has two or more cells, so the call returns a tuple
+        with suppress(KeyError):
+            values += itemgetter(*cells)(_CELL)  # all within 0..MAX_COUNT
+    if not values:  # a larger block, or a cell the table lacks: cell by cell up to that cell
+        with suppress(KeyError):
+            values.extend(map(_CELL.__getitem__, cells))
+    if len(values) < len(cells):
         looked_up = len(values)
         try:
             values.extend(map(int, islice(cells, looked_up, None)))
@@ -394,6 +406,9 @@ def _read_report(data: bytes, fmt: ReportFormat, default_name: str) -> tuple[
     """A report as columns: name, id, reported h-index, titles, publication years, totals,
     year window, the citations in each year of the window, and a lazy, read-once iterator of
     each record's counts over the window (one empty row each if there are no year columns).
+    The years, totals and sums are taken from the row-major cells by stride; only the first
+    row read reshapes those cells into the count matrix, so ``cohort``, which reads no row,
+    never pays for it.
 
     Raises what ``parse_report`` raises, for the same bytes.
     """
@@ -447,16 +462,20 @@ def _read_report(data: bytes, fmt: ReportFormat, default_name: str) -> tuple[
     if not titles:
         raise EmptyProfileError("report contains no publication records")
 
-    # ``values`` holds each row's publication year, total and counts; taking out the first two
-    # columns leaves the count matrix, one row per record
+    # ``values`` holds each row's publication year, total and counts, row after row
     width = len(year_cols)
     pub_years, totals = values[0::width + 2], values[1::width + 2]
+    column_sums = [sum(values[column::width + 2]) for column in range(2, width + 2)]
+    return (name or default_name or "unknown", source_id, reported_h, titles, pub_years, totals,
+            year_cols, column_sums, _count_rows(values, width, len(titles)))
+
+
+def _count_rows(values: list[int], width: int, n: int) -> Iterator[tuple[int, ...]]:
+    """Each of the ``n`` rows of ``values`` without its first two cells (publication year and
+    total), as a tuple of ``width`` counts; the first read takes those cells out in place."""
     del values[0::width + 2]
     del values[0::width + 1]
-    column_sums = [sum(values[column::width]) for column in range(width)]
-    rows = zip(*[iter(values)] * width) if width else repeat((), len(titles))
-    return (name or default_name or "unknown", source_id, reported_h, titles, pub_years, totals,
-            year_cols, column_sums, rows)
+    yield from zip(*[iter(values)] * width) if width else repeat((), n)
 
 
 def parse_report(

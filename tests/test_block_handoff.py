@@ -4,7 +4,8 @@
 ``_read_rows`` only the rows from the first one it cannot vouch for: a line
 with a wrong cell count or a cell that ``int()`` refuses.  A kept row that
 fails a bound test leaves it the whole block.  Whatever the split, the
-outcome must equal the row-by-row path's.  The header's year cells are read
+outcome must equal the row-by-row path's, also in a block of more numeric
+cells than the pass looks up in one call.  The header's year cells are read
 through the lookup table first; the outcome must equal reading each through
 ``_int``.
 """
@@ -15,7 +16,16 @@ from papertrail import ingest
 from papertrail.errors import MalformedHeaderError
 from papertrail.ingest import MAX_COUNT, MAX_YEAR, MIN_YEAR, ReportFormat, parse_report
 
-from test_ingest_differential import BLOCK_CELLS, outcome, report, row_by_row, split_report
+from test_ingest_differential import (
+    BLOCK_CELLS,
+    BULK_ROWS,
+    WIDE_HEADER,
+    WIDE_RECORDS,
+    outcome,
+    report,
+    row_by_row,
+    split_report,
+)
 
 HEADER = ["Title", "Publication Year", "Total Citations", "2010", "2011"]
 # the second row's 300 sends the block pass from the lookup table to int()
@@ -24,11 +34,24 @@ RECORDS = [["first", "2010", "3", "1", "2"],
            ["third", "2011", "1", "0", "1"],
            ["fourth", "2010", "4", "2", "2"],
            ["fifth", "2011", "2", "1", "1"]]
-POSITIONS = {"first": 0, "middle": 2, "last": 4}
-# a cell in the publication-year column and one in the last year column, a short and a long row
+# the changed row's block: the header, the records and the index of the row changed
+POSITIONS = {
+    "first": (HEADER, RECORDS, 0),
+    "middle": (HEADER, RECORDS, 2),
+    "last": (HEADER, RECORDS, 4),
+    # a header without year columns over one record: two numeric cells, the fewest a row has
+    "no-years": (HEADER[:3], [RECORDS[0][:3]], 0),
+    # every cell of the wide records lies in the lookup table, so a changed cell is the one miss;
+    # a block of as many cells as one itemgetter call looks up, and one of a row more
+    "at-bulk-cap-first": (WIDE_HEADER, WIDE_RECORDS[:BULK_ROWS], 0),
+    "at-bulk-cap-last": (WIDE_HEADER, WIDE_RECORDS[:BULK_ROWS], BULK_ROWS - 1),
+    "past-bulk-cap-first": (WIDE_HEADER, WIDE_RECORDS, 0),
+    "past-bulk-cap-last": (WIDE_HEADER, WIDE_RECORDS, BULK_ROWS),
+}
+# a cell in the publication-year column and one in the last column, a short and a long row
 CHANGES = {
     **{f"year-{cell!r}": (1, cell) for cell in BLOCK_CELLS},
-    **{f"count-{cell!r}": (4, cell) for cell in BLOCK_CELLS},
+    **{f"count-{cell!r}": (-1, cell) for cell in BLOCK_CELLS},
     "short": (None, "short"),
     "long": (None, "long"),
 }
@@ -36,14 +59,16 @@ CHANGES = {
 
 def changed(row: list[str], column: int | None, cell: str) -> list[str]:
     if column is not None:
-        return [*row[:column], cell, *row[column + 1:]]
+        row = row.copy()
+        row[column] = cell
+        return row
     return row[:-1] if cell == "short" else [*row, "0"]
 
 
-def vouched(row: list[str]) -> str:
+def vouched(row: list[str], header: list[str]) -> str:
     """What the block pass makes of ``row``: "clean", "bound" (int() reads each numeric cell but
     one lies past its bound) or "refused" (a wrong cell count, or a cell int() refuses)."""
-    if len(row) != len(HEADER):
+    if len(row) != len(header):
         return "refused"
     try:
         values = [int(cell) for cell in row[1:]]
@@ -57,21 +82,33 @@ def vouched(row: list[str]) -> str:
 def handoff_case(position: str, change: str, fmt: ReportFormat, ending: bytes, blank: list[str]):
     """The report with the changed row at ``position``, two ``blank`` lines before it; the row
     number of that row, of the first record, and what the block pass makes of the row."""
-    bad = POSITIONS[position]
-    row = changed(RECORDS[bad], *CHANGES[change])
-    rows = [["# researcher", "R"], HEADER, *RECORDS[:bad], blank, blank, row, *RECORDS[bad + 1:]]
+    header, records, bad = POSITIONS[position]
+    row = changed(records[bad], *CHANGES[change])
+    rows = [["# researcher", "R"], header, *records[:bad], blank, blank, row, *records[bad + 1:]]
     data = report(rows, fmt).replace(b"\n", ending)
-    return data, rows.index(row) + 1, rows.index(RECORDS[0] if bad else row) + 1, vouched(row)
+    return (data, rows.index(row) + 1, rows.index(records[0] if bad else row) + 1,
+            vouched(row, header))
 
 
 # a blank line: an empty one, or in CSV one whose one cell is empty (written as "")
-BLANKS = [(ReportFormat.TSV, []), (ReportFormat.CSV, []), (ReportFormat.CSV, [""])]
+BLANKS = {"tsv": (ReportFormat.TSV, []), "csv": (ReportFormat.CSV, []),
+          "csv-quoted-blank": (ReportFormat.CSV, [""])}
+ENDINGS = {"lf": b"\n", "crlf": b"\r\n"}
 
 
-@pytest.mark.parametrize("ending", [b"\n", b"\r\n"], ids=["lf", "crlf"])
-@pytest.mark.parametrize("fmt, blank", BLANKS, ids=["tsv", "csv", "csv-quoted-blank"])
-@pytest.mark.parametrize("change", list(CHANGES))
-@pytest.mark.parametrize("position", list(POSITIONS))
+def cases(positions, changes, blanks=BLANKS, endings=ENDINGS):
+    return [pytest.param(position, change, *BLANKS[blank], ENDINGS[ending],
+                         id=f"{position}-{change}-{blank}-{ending}")
+            for ending in endings for blank in blanks for position in positions for change in changes]
+
+
+# every change in the small blocks; in the wide ones, a table miss read by int(), a cell int()
+# refuses, a publication year past its bound and a short row, in the first and the last row
+@pytest.mark.parametrize("position, change, fmt, blank, ending", [
+    *cases(["first", "middle", "last", "no-years"], CHANGES),
+    *cases(["at-bulk-cap-first", "at-bulk-cap-last", "past-bulk-cap-first", "past-bulk-cap-last"],
+           ["count-'256'", "count-'x'", "year-'2101'", "short"], ["tsv", "csv"], ["lf"]),
+])
 def test_handoff_agrees_with_the_row_by_row_path(position, change, fmt, blank, ending, monkeypatch):
     data, bad_row, first_row, kind = handoff_case(position, change, fmt, ending, blank)
     expected = row_by_row(data, fmt)

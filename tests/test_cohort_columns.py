@@ -187,3 +187,36 @@ def test_cohort_makes_no_record_and_skips_what_its_document_omits(tmp_path, reco
     assert indicator_values["flags"] and documents["mismatch"]["warnings"]
     assert calls.keys() == {"best_lag", "_hcp_count", "flag_profile", "_mismatch_warnings"}
     assert records_made == []
+
+
+def test_cohort_never_reads_a_row_and_analyze_still_warns(tmp_path, monkeypatch):
+    # _read_report reshapes its count matrix into rows on the first row read; cohort reads none
+    names = write_corpus(tmp_path)
+    (tmp_path / "mismatch.tsv").write_bytes(report(*EXPLICIT["mismatching-totals"][:1]))
+    with open(tmp_path / "cohort.manifest", "a", encoding="utf-8") as manifest:
+        manifest.write("MISMATCH\tmismatch.tsv\n")
+    returned, read = [], []
+    read_report = ingest._read_report
+
+    def spy(data, fmt, default_name):
+        *columns, rows = read_report(data, fmt, default_name)
+        returned.append(data)
+        return (*columns, map(lambda row: read.append(row) or row, rows))
+    monkeypatch.setattr(cohort, "_read_report", spy)
+    monkeypatch.setattr(cli, "_read_report", spy)
+
+    assert cli.main(["cohort", str(tmp_path / "cohort.manifest"),
+                     "--json", str(tmp_path / "cohort.json")]) == 0
+    assert len(returned) == len(json.loads((tmp_path / "cohort.json").read_text())["points"]) == 14
+    assert read == []
+
+    # analyze reads every row of the same reports, and warns as parse_report does
+    warned = 0
+    for name in [*names, "mismatch"]:
+        data, out = (tmp_path / f"{name}.tsv").read_bytes(), tmp_path / f"{name}.json"
+        if cli.main(["analyze", str(tmp_path / f"{name}.tsv"), "--json", str(out)]) == 0:
+            warnings = json.loads(out.read_text())["warnings"]
+            assert warnings == parse_report(data, default_name=name).warnings
+            warned += bool(warnings)
+    assert len(read) == sum(len(parse_report(data).records) for data in returned[14:])
+    assert warned == 1

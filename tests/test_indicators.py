@@ -20,6 +20,7 @@ from papertrail.indicators import (
     IndicatorSet,
     Signal,
     SignalKind,
+    _h_index,
     analyze_profile,
     best_lag,
     flag_profile,
@@ -35,6 +36,8 @@ from papertrail.series import AnnualSeries, build_series
 
 from conftest import make_profile
 from reference_flags import flag_profile as reference_flag_profile
+from reference_indicators import _h_index as reference_h_index
+from reference_indicators import pearson as reference_pearson
 
 # independently computed with exact rationals: r = sqrt(1152/1265)
 PEARSON_ORACLE_1248 = 0.9542913269850529
@@ -83,6 +86,33 @@ class TestPearson:
         a = data.draw(st.floats(0.01, 100.0, allow_nan=False))
         b = data.draw(st.floats(-1000.0, 1000.0, allow_nan=False))
         assert pearson([a * v + b for v in x], y) == pytest.approx(r, abs=1e-12)
+
+
+# int series as the indicators see them: random counts, one count repeated, or a few counts tied
+int_series = st.one_of(
+    st.lists(st.integers(0, 10**6), min_size=2, max_size=60),
+    st.builds(lambda value, n: [value] * n, st.integers(0, 10**6), st.integers(2, 60)),
+    st.lists(st.sampled_from([0, 1, 7, 255]), min_size=2, max_size=60),
+)
+
+
+class TestMatchesReference:
+    """``pearson`` and ``_h_index`` against the comprehension versions they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(int_series, st.data())
+    def test_pearson_is_bit_identical(self, x, data):
+        y = data.draw(st.one_of(
+            st.lists(st.integers(0, 10**6), min_size=len(x), max_size=len(x)),
+            st.just(x), st.just(x[::-1]), st.just([x[0]] * len(x))))
+        expected = reference_pearson(x, y)
+        r = pearson(x, y)
+        assert (r if r is None else r.hex()) == (expected if expected is None else expected.hex())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.lists(st.integers(0, 10**6), max_size=200), int_series))
+    def test_h_index_is_equal(self, totals):
+        assert _h_index(totals) == reference_h_index(totals)
 
 
 class TestBestLag:

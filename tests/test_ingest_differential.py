@@ -320,6 +320,22 @@ BLOCK_ROWS = [["# researcher", "R"],
               ["first", "2010", "3", "1", "2"],
               ["second", "2011", "300", "0", "255"],
               ["third", "2011", "1", "0", "1"]]
+# 126 year columns, 128 numeric cells a row, and one row more than the block pass looks up in one
+# itemgetter call; every cell lies in the lookup table
+WIDE_HEADER = [*BLOCK_ROWS[1][:3], *map(str, range(1901, 2027))]
+BULK_ROWS = ingest._BULK_CELLS // (len(WIDE_HEADER) - 1)
+WIDE_RECORDS = [[f"p{i}", "2000", "1", *("1" if year == i % 126 else "0" for year in range(126))]
+                for i in range(BULK_ROWS + 1)]
+
+
+def wide_block(rows: int, row: int, column: int, cell: str):
+    """The change to a report of the first ``rows`` wide records with ``cell`` at ``row`` and
+    ``column``."""
+    def change(report_rows):
+        records = [record.copy() for record in WIDE_RECORDS[:rows]]
+        records[row][column] = cell
+        return [report_rows[0], WIDE_HEADER, *records]
+    return change
 
 
 @pytest.mark.parametrize("fmt", list(ReportFormat))
@@ -332,8 +348,21 @@ BLOCK_ROWS = [["# researcher", "R"],
     lambda rows: rows[:4] + [["table", "2100", "2100", "1900", "200"]] + rows[4:],
     *(lambda rows, cell=cell: rows[:4] + [["tricky", "2011", cell, "0", cell]] + rows[4:]
       for cell in ["\x1c7", "+5", "1_0", "05", "٣"]),
+    lambda rows: [rows[0], rows[1][:3], ["only", "2011", "3"]],
+    lambda rows: [rows[0], rows[1][:3], ["only", "2011", "300"]],
+    lambda rows: rows[:2] + [["first", "2010", "256", "1", "2"]] + rows[3:],
+    lambda rows: rows[:-1] + [["third", "2011", "1", "0", "256"]],
+    wide_block(BULK_ROWS, 0, 2, "256"),
+    wide_block(BULK_ROWS, BULK_ROWS - 1, -1, "256"),
+    wide_block(BULK_ROWS + 1, 0, 2, "256"),
+    wide_block(BULK_ROWS + 1, BULK_ROWS, 1, "02000"),
+    wide_block(BULK_ROWS + 1, BULK_ROWS, -1, "256"),
 ], ids=["blank-lines", "short-row", "long-row", "sum-over-max-count", "above-the-table",
-        "table-edges", "x1c7", "plus", "underscore", "leading-zero", "arabic-indic"])
+        "table-edges", "x1c7", "plus", "underscore", "leading-zero", "arabic-indic",
+        "no-year-columns", "no-year-columns-above-the-table", "above-the-table-first-cell",
+        "above-the-table-last-cell", "at-the-bulk-cap-miss-first", "at-the-bulk-cap-miss-last",
+        "past-the-bulk-cap-miss-first", "past-the-bulk-cap-miss-past-it",
+        "past-the-bulk-cap-miss-last"])
 @pytest.mark.parametrize("ending", [b"\n", b"\r\n"], ids=["lf", "crlf"])
 def test_block_pass_edge_cases(change, ending, fmt):
     data = report(change([row.copy() for row in BLOCK_ROWS]), fmt).replace(b"\n", ending)

@@ -1,9 +1,11 @@
 """Every supported CPython writes the same documents and charts.
 
-Runs ``analyze --svg``, ``synth`` (the default profiles and the wide
-``synth-write`` benchmark profile in both formats), ``cohort --svg-dir`` and
-``cohort --prefer-reported-h`` (over a CSV report, a mismatching total and reports with a bad
-first, middle or last row or a short row too) on this
+Runs ``analyze --svg``, ``analyze`` on a report of more numeric cells than
+the block pass looks up in one call, ``synth`` (the default profiles and
+the wide ``synth-write`` benchmark profile in both formats), ``cohort
+--svg-dir`` and ``cohort --prefer-reported-h`` (over a CSV report, a
+mismatching total, reports with a bad first, middle or last row or a short
+row, that large report and one with counts above 255 too) on this
 checkout's ``src`` under the running interpreter and under each other
 ``python3.10`` .. ``python3.13`` on PATH (a pyenv shim through an installed
 version of its own), and compares the JSON documents
@@ -28,6 +30,7 @@ from pathlib import Path
 
 import pytest
 
+from papertrail import ingest
 from papertrail.ingest import ReportFormat, serialize_report
 from papertrail.synth import conscientious_spec, generate, papermill_spec
 
@@ -90,6 +93,8 @@ def outputs(python: str, inputs: Path, out: Path) -> dict[str, object]:
     runs = [
         ["analyze", inputs / "pm3.tsv", "--json", out / "analyze.json",
          "--svg", out / "analyze.svg"],
+        # more numeric cells than the block pass looks up in one call
+        ["analyze", inputs / "large.tsv", "--json", out / "large.json"],
         ["synth", "--archetype", "papermill", "--seed", "4", "-o", out / "pm.tsv"],
         ["synth", "--archetype", "conscientious", "--seed", "4", "--format", "csv",
          "-o", out / "cs.csv"],
@@ -116,6 +121,13 @@ def outputs(python: str, inputs: Path, out: Path) -> dict[str, object]:
         else:
             files[name] = path.read_bytes()
     return files
+
+
+def numeric_cells(data: bytes) -> list[list[bytes]]:
+    """The numeric cells of each record row of a TSV report."""
+    lines = data.splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith(b"Title"))
+    return [line.split(b"\t")[1:] for line in lines[header + 1:]]
 
 
 def test_every_interpreter_writes_the_same_outputs(tmp_path):
@@ -148,10 +160,20 @@ def test_every_interpreter_writes_the_same_outputs(tmp_path):
         defect[row] = defect[row].rpartition(b"\t")[0] + cut
         (inputs / f"{stem}.tsv").write_bytes(b"\n".join(defect))
         columns.append(f"{stem}\t{stem}.tsv\n")
+    # a report of more numeric cells than the block pass looks up in one call, and one with
+    # counts past the lookup table
+    large = serialize_report(generate(conscientious_spec(10, n_years=40, peak_rate=60.0,
+                                                         start_year=1960)))
+    assert sum(map(len, numeric_cells(large))) > ingest._BULK_CELLS
+    above = serialize_report(generate(papermill_spec(10, cites_per_paper=40.0)))
+    assert max(int(cell) for row in numeric_cells(above) for cell in row[1:]) > 255
+    for stem, data in (("large", large), ("above", above)):
+        (inputs / f"{stem}.tsv").write_bytes(data)
+        columns.append(f"{stem}\t{stem}.tsv\n")
     (inputs / "columns.tsv").write_text("".join(columns), encoding="utf-8")
 
     expected = outputs(sys.executable, inputs, tmp_path / "running")
-    assert len(expected) == 12
+    assert len(expected) == 13
     diagnosed = {d["label"]: d["error"] for d in expected["columns.json"]["diagnostics"]}
     assert sorted(diagnosed) == ["bad-first", "bad-last", "bad-middle", "short"], diagnosed
     for n, python in enumerate(others):

@@ -1,10 +1,12 @@
 import math
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from papertrail.errors import InvalidSpecError
 from papertrail.indicators import SignalKind, analyze_profile, best_lag
-from papertrail.ingest import PublicationRecord, parse_report, serialize_report
+from papertrail.ingest import MAX_YEAR, MIN_YEAR, PublicationRecord, parse_report, serialize_report
 from papertrail.series import build_series
 from papertrail.synth import (
     MAX_CITES_PER_PAPER,
@@ -201,7 +203,43 @@ class TestArchetypeDiscrimination:
         assert ind.i_index < 0.3
 
 
+# n_years × peak_rate bounds a spec's paper count, and so the time one example takes
+PAPER_BUDGET = 400
+
+
+@st.composite
+def accepted_specs(draw):
+    """A spec that SynthSpec accepts: each field drawn over its range, with n_years × peak_rate
+    at most PAPER_BUDGET; a draw whose citations would run past MAX_YEAR is skipped."""
+    n_years = draw(st.integers(8, MAX_YEAR - MIN_YEAR))
+    rate = st.floats(MIN_BASE_RATE, PAPER_BUDGET / n_years) | st.integers(1, PAPER_BUDGET // n_years)
+    base_rate, peak_rate = sorted([draw(rate), draw(rate)])
+    try:
+        return SynthSpec(
+            archetype=draw(st.sampled_from(Archetype)),
+            start_year=draw(st.integers(MIN_YEAR, MAX_YEAR - n_years)),
+            n_years=n_years,
+            seed=draw(st.integers(0, 2 ** 64 - 1)),
+            base_rate=base_rate,
+            peak_rate=peak_rate,
+            cites_per_paper=draw(st.floats(0, MAX_CITES_PER_PAPER, exclude_min=True)
+                                 | st.integers(1, int(MAX_CITES_PER_PAPER))),
+            onset_offset=draw(st.integers(0, n_years - 1)),
+            kernel_peak_lag=draw(st.integers(1, MAX_KERNEL_PEAK_LAG)),
+        )
+    except InvalidSpecError:
+        reject()
+
+
 class TestGenerateContract:
+    @settings(max_examples=100, deadline=None)
+    @given(accepted_specs())
+    def test_an_accepted_spec_generates_or_raises_invalid_spec_error(self, spec):
+        try:
+            generate(spec)
+        except InvalidSpecError:
+            pass
+
     def test_spec_must_produce_at_least_one_paper(self):
         spec = SynthSpec(
             archetype=Archetype.CONSCIENTIOUS, start_year=2000, n_years=8, seed=0,
