@@ -8,15 +8,17 @@ Three subcommands::
 
 Exit codes: 0 success, 1 data error (unreadable/unparseable input, or an
 output file that cannot be written), 2 usage error (bad flags or parameters).
-Every output is rendered before any is written, and the JSON document is
-written last: when it exists, every chart of the run was written too.
+``analyze`` and ``cohort`` render every output before they write any, and the
+JSON document last: when it exists, every chart of the run was written too.
+``synth`` generates its report in full, then writes it into ``-o`` as it renders it.
 
 README.md describes the config file with its keys, ranges and flags, and
 the two JSON documents; ``build_report`` and ``build_cohort_document`` build
 them key by key.
 
 Importing this module loads, of the package, only ``config``, ``errors`` and
-``ingest``: what the parser, the config file and reading a report need.
+``ingest``: what the parser, the config file and reading a report need; not
+``json`` or ``csv``, which only a JSON document or a CSV report loads, nor ``datetime``.
 Each command imports the rest when it runs, once: ``analyze`` loads
 ``indicators`` (and ``series``), ``cohort`` loads ``cohort`` (and with it
 ``indicators`` and ``series``), ``synth`` loads ``synth``, and a chart loads
@@ -28,18 +30,17 @@ from __future__ import annotations
 
 import argparse
 import codecs
-import json
 import os
 import sys
+import time
 from contextlib import contextmanager
 from dataclasses import asdict, fields
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from .config import AnalysisConfig, Region
 from .errors import DegenerateAbscissaError, PapertrailError, TooFewPointsError
-from .ingest import ReportFormat, ResearcherProfile, _echo, _mismatch_warnings, _read_report
+from .ingest import ReportFormat, ResearcherProfile, _echo, _mismatch_warnings, _read_report, _write_report
 
 if TYPE_CHECKING:
     from .cohort import CohortPoint, CohortSummary, LinearFit, PowerLawFit, ScatterAxes
@@ -147,7 +148,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _now_iso() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
 def _read_text(path: str) -> str:
@@ -384,6 +385,8 @@ def _write(*outputs: tuple[str | Path | None, str | bytes], directory: str | Non
 
 
 def _json_text(document: dict[str, Any]) -> str:
+    import json
+
     return json.dumps(document, indent=2, ensure_ascii=False) + "\n"
 
 
@@ -463,7 +466,7 @@ def cmd_cohort(args: argparse.Namespace) -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> None:
-    from .synth import Archetype, _report, conscientious_spec, papermill_spec
+    from .synth import Archetype, _names, _rows, conscientious_spec, papermill_spec
 
     if Archetype(args.archetype) is Archetype.PAPERMILL:
         make_spec, own, other = papermill_spec, "onset_offset", "kernel_peak_lag"
@@ -475,10 +478,12 @@ def cmd_synth(args: argparse.Namespace) -> None:
     names = ("start_year", "n_years", "base_rate", "peak_rate", "cites_per_paper", own)
     kwargs = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     try:
-        data = _report(make_spec(args.seed, **kwargs), _detect_format(args.output, args.format))
+        spec = make_spec(args.seed, **kwargs)
+        rows = list(_rows(spec))  # in full, so that a refused spec leaves -o as it was
     except PapertrailError as exc:
         raise _Failure(EXIT_USAGE_ERROR, str(exc)) from None
-    _write((args.output, data))
+    with _writing(args.output), open(args.output, "wb") as out:
+        _write_report(_detect_format(args.output, args.format), *_names(spec), None, rows, out)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:

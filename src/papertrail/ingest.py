@@ -23,7 +23,6 @@ history); such rows are flagged with a warning instead of rejected.
 
 from __future__ import annotations
 
-import csv
 import io
 import re
 from contextlib import suppress
@@ -31,7 +30,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, compress, count, islice, repeat
 from operator import add, attrgetter, itemgetter, ne
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     EmptyProfileError,
@@ -68,8 +67,9 @@ _TEXT = tuple(map(str, range(256)))
 # them; a larger block gains nothing from the call and is looked up cell by cell
 _BULK_CELLS = 65_536
 
-# the decimal integers int() reads; each part ends where the next begins, so matching is linear
-_INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")
+# the decimal integers int() reads; each part ends where the next begins, so matching is linear.
+# Like _UNSAFE, a pattern string: ``re`` compiles it on first use, not at import
+_INTEGER = r"[+-]?\d+(?:_\d+)*"
 
 
 def _require_int(value: object, what: str) -> None:
@@ -224,6 +224,8 @@ def _lines(text: str, fmt: ReportFormat) -> list[str] | list[list[str]]:
         lines = text.split("\n")
         # a plain LF report has no carriage return, and its lines are kept as split
         return list(map(str.rstrip, lines, repeat("\r"))) if "\r" in text else lines
+    import csv
+
     try:
         lines = list(csv.reader(io.StringIO(text, newline="")))
     except csv.Error as exc:
@@ -254,7 +256,7 @@ def _int(cell: str, what: str, error: type[PapertrailError], most: int) -> int:
     try:
         digits = str(abs(int(text)))
     except ValueError:
-        if not _INTEGER.fullmatch(text):
+        if not re.fullmatch(_INTEGER, text):
             raise error(f"{what} {_echo(cell)} is not an integer") from None
         digits = text.lstrip("+-0_").replace("_", "") or "0"  # int() refused the length
     negative = text[0] == "-"
@@ -502,18 +504,25 @@ def parse_report(
 
 # TSV has no quoting; the csv writer leaves a lone CR unquoted, and Python 3.10's reader refuses NUL;
 # neither flavor carries a surrogate, which UTF-8 cannot encode
-_UNSAFE = {ReportFormat.TSV: re.compile(r"[\t\r\n\ud800-\udfff]"),
-           ReportFormat.CSV: re.compile(r"[\r\0\ud800-\udfff]")}
+_UNSAFE = {ReportFormat.TSV: r"[\t\r\n\ud800-\udfff]",
+           ReportFormat.CSV: r"[\r\0\ud800-\udfff]"}
 
 
-def _field(value: str, fmt: ReportFormat, what: str) -> str:
-    """``value`` as written, or ValueError if ``parse_report`` would not read it back."""
-    unsafe = _UNSAFE[fmt].search(value)
-    if unsafe:
-        raise ValueError(f"{what} holds {unsafe[0]!r}, which the {fmt.name} flavor cannot carry")
-    if fmt is ReportFormat.CSV and len(value) > csv.field_size_limit():
-        raise ValueError(f"{what} is longer than the CSV field limit ({csv.field_size_limit()})")
-    return value
+def _check_fields(fmt: ReportFormat, fields: Iterable[tuple[str, str]]) -> None:
+    """Raise ValueError naming ``what`` for the first ``(what, value)`` of ``fields`` that
+    ``parse_report`` would not read back in ``fmt``; the flavor's pattern is compiled, and the
+    CSV field limit read, once for them all."""
+    search, limit = re.compile(_UNSAFE[fmt]).search, None
+    if fmt is ReportFormat.CSV:
+        import csv
+
+        limit = csv.field_size_limit()
+    for what, value in fields:
+        unsafe = search(value)
+        if unsafe:
+            raise ValueError(f"{what} holds {unsafe[0]!r}, which the {fmt.name} flavor cannot carry")
+        if limit is not None and len(value) > limit:
+            raise ValueError(f"{what} is longer than the CSV field limit ({limit})")
 
 
 def serialize_report(profile: ResearcherProfile, fmt: ReportFormat = ReportFormat.TSV) -> bytes:
@@ -535,18 +544,18 @@ def serialize_report(profile: ResearcherProfile, fmt: ReportFormat = ReportForma
         raise ValueError("researcher name is empty; parse_report would read the file's name")
     if profile.reported_h is not None and not 0 <= profile.reported_h <= MAX_COUNT:
         raise ValueError(f"reported h-index must lie in 0..{MAX_COUNT}")
-    _field(profile.name, fmt, "researcher name")
-    if profile.source_id is not None:
-        _field(profile.source_id, fmt, "researcher id")
-    for rec in records:
-        _field(rec.title, fmt, "record title")
-    return _write_report(fmt, profile.name, profile.source_id, profile.reported_h, list(map(
-        attrgetter("title", "pub_year", "total_citations", "_years", "_counts"), records)))
+    named = [("researcher name", profile.name), ("researcher id", profile.source_id or "")]
+    _check_fields(fmt, chain(named, zip(repeat("record title"), map(attrgetter("title"), records))))
+    data = io.BytesIO()  # getvalue() hands its bytes over uncopied
+    _write_report(fmt, profile.name, profile.source_id, profile.reported_h, list(map(
+        attrgetter("title", "pub_year", "total_citations", "_years", "_counts"), records)), data)
+    return data.getvalue()
 
 
 def _write_report(fmt: ReportFormat, name: str, source_id: str | None, reported_h: int | None,
-                  rows: list[tuple[str, int, int, range, Sequence[int]]]) -> bytes:
-    """A report's bytes: the metadata, a header over the year window and one line per row.
+                  rows: list[tuple[str, int, int, range, Sequence[int]]], out: BinaryIO) -> None:
+    """Write a report into the binary stream ``out``: the metadata, a header over the year window
+    and one line per row, each encoded as it is rendered.
 
     A row is ``(title, pub_year, total, years, counts)``, with one count for
     each year of ``years``.  The window is the union of the rows' nonempty
@@ -556,14 +565,14 @@ def _write_report(fmt: ReportFormat, name: str, source_id: str | None, reported_
     """
     spans = [row[3] for row in rows if row[3]]
     window = range(min(s.start for s in spans), max(s.stop for s in spans)) if spans else _NO_YEARS
-    # the text is encoded as it is written, into a buffer whose bytes getvalue() hands over uncopied
-    data = io.BytesIO()
-    buffer = io.TextIOWrapper(data, encoding="utf-8", newline="\n")
+    buffer = io.TextIOWrapper(out, encoding="utf-8", newline="\n")
     if fmt is ReportFormat.TSV:
         def write_row(row: list[str]) -> None:
             buffer.write("\t".join(row))
             buffer.write("\n")
     else:
+        import csv
+
         write_row = csv.writer(buffer, lineterminator="\n").writerow
 
     write_row([META_RESEARCHER, name])
@@ -591,5 +600,6 @@ def _write_report(fmt: ReportFormat, name: str, source_id: str | None, reported_
             write(f"{title}\t{pub_year}\t{total}{before}{cited}{after}\n")
         else:
             write_row([title, str(pub_year), str(total), *before, *texts, *after])
-    buffer.flush()
-    return data.getvalue()
+    # detach flushes the wrapper and leaves ``out`` to its owner: collected while attached, the
+    # wrapper would flush (and close) ``out`` again, and a failed write would raise twice
+    buffer.detach()

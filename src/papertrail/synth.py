@@ -28,7 +28,7 @@ from typing import Iterator
 
 from .config import _check_types
 from .errors import InvalidSpecError
-from .ingest import MAX_YEAR, MIN_YEAR, ReportFormat, ResearcherProfile, _record, _trim, _write_report
+from .ingest import MAX_YEAR, MIN_YEAR, ResearcherProfile, _record, _trim
 
 _MASK64 = (1 << 64) - 1
 
@@ -321,7 +321,3 @@ def generate(spec: SynthSpec) -> ResearcherProfile:
     # start_year bounds every pub_year, and the counts are non-negative ints
     return ResearcherProfile(name=name, source_id=source_id, records=list(starmap(_record, _rows(spec))))
 
-
-def _report(spec: SynthSpec, fmt: ReportFormat) -> bytes:
-    """``serialize_report(generate(spec), fmt)``, written from the rows without a record."""
-    return _write_report(fmt, *_names(spec), None, list(_rows(spec)))

@@ -6,6 +6,8 @@ the tests run this file in one, under each supported CPython.  Keys:
 
 - ``bare_loads``: the modules that ``import papertrail`` adds.
 - ``cli_loads``: the modules that ``import papertrail.cli`` then adds.
+- ``ingest_patterns``: the names in ``papertrail.ingest`` bound, right after
+  that import, to a compiled regular expression or to a dict holding one.
 - ``threads_agree``: the threads that looked up the names in
   ``THREAD_NAMES`` at once, each for the first time, all finished and all
   got the same objects.
@@ -18,6 +20,7 @@ the tests run this file in one, under each supported CPython.  Keys:
 - ``unknown_raises``: a name the package lacks raises ``AttributeError``.
 """
 
+import re
 import sys
 import threading
 
@@ -30,6 +33,10 @@ before = set(sys.modules)
 import papertrail.cli  # noqa: E402, F401
 
 cli_loads = sorted(set(sys.modules) - before)
+# what the import left compiled in ingest: a module-level pattern, or a table of them
+ingest_patterns = sorted(
+    name for name, value in vars(papertrail.ingest).items()
+    if any(isinstance(v, re.Pattern) for v in (value.values() if isinstance(value, dict) else [value])))
 
 # names, and submodules, that the CLI import leaves unloaded
 THREAD_NAMES = ["render", "profile_chart", "ChartStyle", "synth", "Archetype", "generate"]
@@ -82,6 +89,7 @@ import json  # noqa: E402
 print(json.dumps({
     "bare_loads": bare_loads,
     "cli_loads": cli_loads,
+    "ingest_patterns": ingest_patterns,
     "threads_agree": threads_agree,
     "star": sorted(namespace),
     "all": papertrail.__all__,

@@ -2,8 +2,14 @@ import argparse
 import codecs
 import dataclasses
 import json
+import os
+import re
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +20,9 @@ from papertrail.ingest import serialize_report
 from papertrail.synth import Archetype, conscientious_spec, generate, papermill_spec
 
 from conftest import TWO_RECORD_TSV
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -63,6 +72,16 @@ class TestAnalyze:
             shown = f"({len(path)} characters)"
             expected = f"error: cannot read {shown}: [Errno {failure.errno}] {failure.strerror}: {shown}\n"
         assert capsys.readouterr().err == expected
+
+    def test_generated_at_is_the_time_in_utc_to_the_second(self, report_path, capsys):
+        before = datetime.now(timezone.utc)
+        assert main(["analyze", str(report_path)]) == 0
+        after = datetime.now(timezone.utc)
+        stamp = json.loads(capsys.readouterr().out)["generated_at"]
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", stamp)
+        moment = datetime.fromisoformat(stamp)
+        assert moment.utcoffset() == timedelta(0)
+        assert before - timedelta(seconds=2) <= moment <= after + timedelta(seconds=2)
 
     def test_unparseable_file_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
@@ -773,6 +792,29 @@ class TestWriteFailures:
         # nothing is written or made: no chart, no JSON document in a chart's place, no --svg-dir
         assert not (tmp_path / "out").exists()
         assert not (tmp_path / "charts").exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("flags", [[], ["--n-years", "8"]], ids=["in-the-rows", "at-the-end"])
+    def test_synth_into_a_full_device_fails_once(self, flags, capsys):
+        # the default report fails while its rows are written, the 8-year one only when the
+        # writer flushes; either way one error line, and no second flush of a collected text
+        # wrapper, which the fresh interpreter in development mode would report
+        argv = ["synth", "--archetype", "papermill", *flags, "-o", "/dev/full"]
+        expected = "error: cannot write /dev/full: [Errno 28] No space left on device\n"
+        assert main(argv) == 1
+        assert capsys.readouterr().err == expected
+        result = subprocess.run([sys.executable, "-X", "dev", "-m", "papertrail.cli", *argv],
+                                env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+                                text=True, timeout=120)
+        assert (result.returncode, result.stdout, result.stderr) == (1, "", expected)
+
+    def test_refused_synth_spec_leaves_the_output_as_it_was(self, tmp_path, capsys):
+        out = tmp_path / "x.tsv"
+        out.write_bytes(b"an earlier report\n")
+        assert main(["synth", "--archetype", "papermill", "--base-rate", "0.01", "--peak-rate",
+                     "0.01", "--n-years", "8", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "error: rates too low: zero publications generated\n"
+        assert out.read_bytes() == b"an earlier report\n"
 
     def test_manifest_not_utf8_exit_1(self, tmp_path, capsys):
         manifest = tmp_path / "cohort.tsv"

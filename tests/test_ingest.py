@@ -166,7 +166,8 @@ class TestParseErrors:
         ("-" + "9" * 5000, "is negative (5000 digits)"),
         ("9" * 4000, "is above {most} (4000 digits)"),  # int() takes it
         ("x" * 5000, "(5000 characters) is not an integer"),
-    ], ids=["5000-digits", "negative", "4000-digits", "5000-characters"])
+        ("9_" * 4999 + "9", "is above {most} (5000 digits)"),  # int() reads "_" between digits
+    ], ids=["5000-digits", "negative", "4000-digits", "5000-characters", "5000-digits-grouped"])
     @pytest.mark.parametrize("lines,error,what,most", [
         (["Title\tPublication Year\tTotal Citations\t{}", "x\t2010\t1\t1"],
          MalformedHeaderError, "year column", 2100),
@@ -356,6 +357,7 @@ class TestSerialize:
 
     @pytest.mark.parametrize("fmt,char", [
         (ReportFormat.TSV, "\n"), (ReportFormat.TSV, "\r"), (ReportFormat.CSV, "\r"),
+        (ReportFormat.CSV, "\0"),  # Python 3.10's csv reader refuses NUL
     ])
     def test_field_the_flavor_cannot_carry_raises(self, fmt, char):
         profile = ResearcherProfile(name="n", records=[PublicationRecord(f"a{char}b", 2018, 1, {2018: 1})])

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import papertrail
-from papertrail.ingest import serialize_report
+from papertrail.ingest import ReportFormat, serialize_report
 from papertrail.synth import generate, papermill_spec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -20,8 +20,9 @@ PROBE = Path(__file__).resolve().parent / "package_probe.py"
 DEFERRED = {"papertrail.cohort", "papertrail.indicators", "papertrail.series",
             "papertrail.render", "papertrail.synth", "decimal", "html",
             "xml.sax", "urllib.request", "http.client", "email.parser"}
-# what both analyze and cohort use stays a module-level import of the CLI
-EVERY_COMMAND = {"argparse", "json", "datetime", "csv"}
+# standard-library modules that a start does not load: only writing a JSON document loads json,
+# only a CSV report csv, and no command datetime
+ON_USE = {"json", "csv", "datetime"}
 
 
 def probe(python: str = sys.executable) -> dict:
@@ -37,8 +38,8 @@ def assert_lazy_package(report: dict) -> None:
     assert [m for m in report["bare_loads"] if m.startswith("papertrail")] == ["papertrail"]
     assert [m for m in report["cli_loads"] if m.startswith("papertrail")] == [
         "papertrail.cli", "papertrail.config", "papertrail.errors", "papertrail.ingest"]
-    assert DEFERRED.isdisjoint(report["cli_loads"])
-    assert EVERY_COMMAND <= set(report["cli_loads"])
+    assert (DEFERRED | ON_USE).isdisjoint(report["cli_loads"])
+    assert report["ingest_patterns"] == []
     assert report["threads_agree"]
     assert report["star"] == report["all"] and len(report["all"]) == 61
     assert report["modules"] == []
@@ -70,17 +71,18 @@ def test_package_loads_each_module_on_first_use():
     assert_lazy_package(probe())
 
 
-# run main(argv) in a fresh interpreter, then print its exit code and every loaded module
-RUN = ("import json, sys; sys.path.insert(0, sys.argv[1]); from papertrail.cli import main; "
-       "code = main(sys.argv[2:]); print(json.dumps([code, sorted(sys.modules)]))")
+# run main(argv) in a fresh interpreter, then print its exit code and every loaded module;
+# it imports nothing to print them, so json is loaded only if the command loaded it
+RUN = ("import sys; sys.path.insert(0, sys.argv[1]); from papertrail.cli import main; "
+       "print(main(sys.argv[2:]), *sorted(sys.modules))")
 
 
 def modules_after(*argv: object) -> set[str]:
     result = subprocess.run([sys.executable, "-c", RUN, str(SRC), *map(str, argv)],
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    code, modules = json.loads(result.stdout)
-    assert code == 0
+    code, *modules = result.stdout.split()
+    assert code == "0"
     return set(modules)
 
 
@@ -93,10 +95,23 @@ def test_each_command_loads_only_what_it_uses(tmp_path):
     loaded = {"analyze": modules_after(*analyze), "cohort": modules_after(*cohort)}
     for modules in loaded.values():
         assert {"papertrail.render", "papertrail.synth", "decimal", "html"}.isdisjoint(modules)
+        assert modules & ON_USE == {"json"}
     assert "papertrail.cohort" not in loaded["analyze"]
     synth = modules_after("synth", "--archetype", "papermill", "-o", tmp_path / "s.tsv")
     assert "papertrail.synth" in synth and "papertrail.render" not in synth
     assert {"papertrail.cohort", "papertrail.indicators", "papertrail.series"}.isdisjoint(synth)
+    assert ON_USE.isdisjoint(synth)
+    # a CSV report, named .csv or read with --format csv, loads csv
+    (tmp_path / "c.txt").write_bytes(serialize_report(generate(papermill_spec(0, n_years=8)),
+                                                      ReportFormat.CSV))
+    (tmp_path / "mc.tsv").write_text("R\tc.txt\n", encoding="utf-8")
+    for argv, expected in (
+            (["analyze", tmp_path / "c.txt", "--format", "csv", "--json", tmp_path / "a.json"],
+             {"csv", "json"}),
+            (["cohort", tmp_path / "mc.tsv", "--format", "csv", "--json", tmp_path / "c.json"],
+             {"csv", "json"}),
+            (["synth", "--archetype", "papermill", "-o", tmp_path / "s.csv"], {"csv"})):
+        assert modules_after(*argv) & ON_USE == expected
     for argv in ([*analyze, "--svg", tmp_path / "a.svg"], [*cohort, "--svg-dir", tmp_path / "f"]):
         charts = modules_after(*argv)
         assert "papertrail.render" in charts and "papertrail.synth" not in charts

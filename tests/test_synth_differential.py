@@ -16,6 +16,7 @@ import contextlib
 import functools
 import io
 import random
+import tracemalloc
 import warnings
 
 import pytest
@@ -352,3 +353,26 @@ def test_synth_command_builds_no_record(tmp_path, records_made, call_counter):
     profile = generate(papermill_spec(3))
     assert calls == {} and len(records_made) == len(profile.records)
     assert profile == expected[papermill_spec(3)][0]
+
+
+def traced_peak(call):
+    """What ``call()`` returns, and the peak of the memory that tracemalloc traced during it."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_synth_command_writes_its_report_as_it_renders_it(tmp_path):
+    # no timing bound: the command holds the generated rows, as generating them does, but the
+    # report it writes never whole: it goes into -o as it is rendered
+    out = tmp_path / "wide.tsv"
+    flags = [f"--{name.replace('_', '-')}={value!r}"
+             for name, value in spec_parameters(WIDE_SPEC).items()]
+    _, rows_peak = traced_peak(lambda: list(synth._rows(WIDE_SPEC)))
+    code, command_peak = traced_peak(lambda: main([
+        "synth", "--archetype", WIDE_SPEC.archetype.value, f"--seed={WIDE_SPEC.seed}", *flags,
+        "-o", str(out)]))
+    assert code == 0
+    assert command_peak - rows_peak < out.stat().st_size / 4
