@@ -28,7 +28,7 @@ from typing import Iterator
 
 from .config import _check_types
 from .errors import InvalidSpecError
-from .ingest import MAX_YEAR, MIN_YEAR, ResearcherProfile, _record, _trim
+from .ingest import _NO_YEARS, MAX_YEAR, MIN_YEAR, ResearcherProfile, _record, _trim
 
 _MASK64 = (1 << 64) - 1
 
@@ -270,10 +270,11 @@ def _conscientious_kernel(spec: SynthSpec) -> list[float]:
     return [w / total for w in weights]
 
 
-def _rows(spec: SynthSpec) -> Iterator[tuple[str, int, int, range, list[int]]]:
+def _rows(spec: SynthSpec) -> Iterator[tuple[str, int, int, range, tuple[int, ...]]]:
     """Each paper as a row of ``ingest._write_report``: ``(title, pub_year, total, years, counts)``,
     where ``years`` runs from its first to its last cited year (empty if it cites nothing) and
-    ``counts`` holds its citations in those years."""
+    ``counts`` holds its citations in those years.  Papers of one call with the same kernel output
+    share one ``counts`` tuple."""
     rng = Xorshift64Star(spec.seed)
 
     # the kernel takes no random draw, so building it here leaves the draw order as it was
@@ -296,6 +297,11 @@ def _rows(spec: SynthSpec) -> Iterator[tuple[str, int, int, range, list[int]]]:
     if sum(pub_counts) == 0:
         raise InvalidSpecError("rates too low: zero publications generated")
 
+    # the shape of each kernel output of this call: its total, its span from the paper's year and
+    # its counts.  The counts are keys too, so that equal counts are one tuple; both kinds of key
+    # agree, as the strict peak fixes where counts start, and an output equal to some counts is
+    # already peaked and trimmed
+    shapes: dict[tuple[int, ...], tuple[int, int, int, tuple[int, ...]]] = {}
     paper_no = 0
     for i, count in enumerate(pub_counts):
         year = spec.start_year + i
@@ -304,9 +310,15 @@ def _rows(spec: SynthSpec) -> Iterator[tuple[str, int, int, range, list[int]]]:
         for _ in range(count):
             paper_no += 1
             mass = max(spec.cites_per_paper * rng.jitter(_CITE_JITTER) * scale, 1.0)
-            offsets = _enforce_peak(_floor_carry(kernel, mass), peak_offset)
-            yield (f"Synthetic study {paper_no:04d}", year, sum(offsets),
-                   *_trim(year, offsets))
+            raw = _floor_carry(kernel, mass)
+            shape = shapes.get(key := tuple(raw))
+            if shape is None:  # the peak, the trim and the total depend on the output alone
+                span, counts = _trim(0, tuple(_enforce_peak(raw, peak_offset)))
+                shape = sum(counts), span.start, span.stop, counts
+                shape = shapes[key] = shapes.setdefault(counts, shape)
+            total, lo, hi, counts = shape
+            yield (f"Synthetic study {paper_no:04d}", year, total,
+                   range(year + lo, year + hi) if counts else _NO_YEARS, counts)
 
 
 def _names(spec: SynthSpec) -> tuple[str, str]:

@@ -8,6 +8,11 @@ public constructor and picks the rival bin with a keyed ``max``, and
 old write rule, which the package replaced with a ValueError: for the TSV
 flavor it replaces tab, CR and LF with spaces and warns.  The helpers that
 did not change (spec targets, kernels, the PRNG) are shared with the package.
+
+``serialize_report`` reads a record's ``citations_by_year``, a new dict on
+each access, once per year column.  ``serialize_report_reading_once`` runs
+it on stand-ins that hold each record's dict, read once: the same bytes,
+several times faster on a wide profile.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import io
 import math
 import re
 import warnings
+from types import SimpleNamespace
 
 from papertrail.errors import InvalidSpecError
 from papertrail.ingest import (
@@ -184,3 +190,15 @@ def serialize_report(profile: ResearcherProfile, fmt: ReportFormat = ReportForma
         writer.writerows(rows)
         text = buffer.getvalue()
     return text.encode("utf-8")
+
+
+def serialize_report_reading_once(profile: ResearcherProfile,
+                                  fmt: ReportFormat = ReportFormat.TSV) -> bytes:
+    """``serialize_report`` on stand-ins of ``profile`` and its records, each record's
+    ``citations_by_year`` read once."""
+    records = [SimpleNamespace(title=rec.title, pub_year=rec.pub_year,
+                               total_citations=rec.total_citations,
+                               citations_by_year=rec.citations_by_year)
+               for rec in profile.records]
+    return serialize_report(SimpleNamespace(name=profile.name, source_id=profile.source_id,
+                                            reported_h=profile.reported_h, records=records), fmt)

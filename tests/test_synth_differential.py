@@ -38,6 +38,7 @@ from papertrail.synth import Archetype, _enforce_peak, conscientious_spec, gener
 
 from conftest import profiles_equal_modulo_warnings
 import reference_synth
+from test_synth import accepted_specs
 
 # the synth-write benchmark profile: 11,703 records over 76 year columns
 WIDE_SPEC = conscientious_spec(1, n_years=60, peak_rate=400, start_year=1960)
@@ -45,9 +46,14 @@ WIDE_SPEC = conscientious_spec(1, n_years=60, peak_rate=400, start_year=1960)
 
 @functools.lru_cache(maxsize=None)
 def reference(spec):
-    """The reference profile of ``spec`` and its reference bytes in each format, made once."""
+    """The reference profile of ``spec`` and its reference bytes in each format, made once.
+
+    The wide profile's bytes come from the variant that reads each record's years once, which
+    ``test_reading_each_record_once_writes_the_verbatim_bytes`` checks against the verbatim one."""
     profile = reference_synth.generate(spec)
-    return profile, {fmt: reference_synth.serialize_report(profile, fmt) for fmt in ReportFormat}
+    serialize = (reference_synth.serialize_report_reading_once if spec == WIDE_SPEC
+                 else reference_synth.serialize_report)
+    return profile, {fmt: serialize(profile, fmt) for fmt in ReportFormat}
 
 
 def assert_same_output(spec):
@@ -66,6 +72,49 @@ def test_generate_and_serialize_match_reference(make_spec):
 
 def test_wide_profile_matches_reference():
     assert_same_output(WIDE_SPEC)
+
+
+@pytest.mark.parametrize("make_spec", [conscientious_spec, papermill_spec])
+def test_reading_each_record_once_writes_the_verbatim_bytes(make_spec):
+    for seed in range(50):
+        profile, data = reference(make_spec(seed))  # the verbatim reference's bytes
+        for fmt in ReportFormat:
+            assert reference_synth.serialize_report_reading_once(profile, fmt) == data[fmt]
+
+
+@settings(max_examples=100, deadline=None)
+@given(accepted_specs())
+def test_any_accepted_spec_generates_the_reference_profile(spec):
+    # the draws reach cites_per_paper 1e6, where no kernel output repeats and counts pass 255
+    try:
+        expected = reference_synth.generate(spec)
+    except InvalidSpecError:
+        with pytest.raises(InvalidSpecError):
+            generate(spec)
+    else:
+        assert generate(spec) == expected
+
+
+def test_rows_share_a_shape_within_one_call_and_never_across_calls(monkeypatch):
+    # no timing bound: papers of one call with the same kernel output share one counts tuple, and
+    # generate's records hold the rows' tuples; a second call builds its own
+    rows = list(synth._rows(WIDE_SPEC))
+    assert all(type(row[4]) is tuple for row in rows)
+    assert len({id(row[4]) for row in rows}) == len({row[4] for row in rows}) < len(rows)
+
+    seen = []
+
+    def recorded(spec, rows_of=synth._rows):
+        for row in rows_of(spec):
+            seen.append(row)
+            yield row
+
+    monkeypatch.setattr(synth, "_rows", recorded)
+    records = generate(WIDE_SPEC).records
+    assert all(rec._counts is row[4] for rec, row in zip(records, seen, strict=True))
+
+    assert seen == rows
+    assert all(again[4] is not row[4] for again, row in zip(seen, rows) if row[4])
 
 
 @settings(max_examples=400, deadline=None)
@@ -124,6 +173,17 @@ def test_serialize_matches_reference(profile, fmt):
     else:
         assert data == expected
         assert not caught
+
+
+@settings(max_examples=200, deadline=None)
+@given(profiles(), st.sampled_from(list(ReportFormat)))
+def test_reading_each_record_once_writes_the_verbatim_bytes_of_any_profile(profile, fmt):
+    # uncited records, a reported h-index and fields the TSV flavor sanitizes, which no synth
+    # profile has
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert (reference_synth.serialize_report_reading_once(profile, fmt)
+                == reference_synth.serialize_report(profile, fmt))
 
 
 @pytest.mark.parametrize("fmt", list(ReportFormat))
