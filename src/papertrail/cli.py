@@ -396,8 +396,8 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     config = _resolve_analysis_config(args)
     report = Path(args.report)
     try:
-        name, source_id, reported_h, titles, pub_years, totals, years, column_sums, rows = (
-            _read_report(*_read_report_file(report, args.format), report.stem))
+        name, source_id, reported_h, titles, pub_years, totals, years, column_sums, window_sums = (
+            _read_report(*_read_report_file(report, args.format), report.stem, sum))
         ind = _analyze_columns(pub_years, totals, years, column_sums, reported_h, config)
     except OSError as exc:
         raise _Failure(EXIT_DATA_ERROR, f"cannot read {_name(args.report)}: {_reason(exc)}") from None
@@ -411,7 +411,7 @@ def cmd_analyze(args: argparse.Namespace) -> None:
         style = ChartStyle(title=f"Times cited and publications over time: {name}")
         outputs.append((args.svg, profile_chart(ind.series, ind, style)))
     document = _analyze_document(name, source_id, reported_h, len(titles),
-                                 _mismatch_warnings(titles, totals, rows), ind)
+                                 _mismatch_warnings(titles, totals, window_sums), ind)
     _write(*outputs, (args.json or None, _json_text(document)))
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, compress, count, islice, repeat
 from operator import add, attrgetter, itemgetter, ne
-from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     EmptyProfileError,
@@ -59,12 +59,12 @@ _NO_YEARS = range(MIN_YEAR, MIN_YEAR)
 
 # the value of each cell text "0".."255" and of each year, read without int(): an import-time
 # constant, never changed.  Its values are shared objects (CPython caches the ints to 256), so
-# a report's count matrix holds no int object of its own for such cells.
+# looking such a cell up makes no int object.
 _CELL = {str(n): n for n in chain(range(256), range(MIN_YEAR, MAX_YEAR + 1))}
 # its mirror for writing: the text of each count 0..255, an import-time constant as well
 _TEXT = tuple(map(str, range(256)))
-# the most numeric cells _read_block looks up in one itemgetter call, which holds two tuples of
-# them; a larger block gains nothing from the call and is looked up cell by cell
+# the most numeric cells _read_chunk looks up in one itemgetter call, which holds two tuples of
+# them: _read_report reads the record block in chunks of as many whole rows as fit
 _BULK_CELLS = 65_536
 
 # the decimal integers int() reads; each part ends where the next begins, so matching is linear.
@@ -303,25 +303,23 @@ def _parse_row(cells: list[str], year_cols: range, row_no: int) -> list[int]:
     return [pub_year, *(_parse_count(cell, what, row_no) for what, cell in zip(whats, cells[2:]))]
 
 
-def _read_block(lines: list[str] | list[list[str]], fmt: ReportFormat,
-                columns: int) -> tuple[list[str], list[int], int] | None:
-    """The titles and the numeric cells, row by row, of the clean rows that open a record block,
-    and the index in ``lines`` of the first line left to ``_read_rows``; or None to leave it all.
+def _read_chunk(lines: list[str] | list[list[str]], fmt: ReportFormat,
+                columns: int) -> tuple[list[str], Sequence[int], int]:
+    """The titles and the numeric cells, row by row, of the clean rows that open ``lines``, a
+    chunk of at most ``_BULK_CELLS`` numeric cells after the header, which has ``columns`` cells;
+    and the index in ``lines`` of the first line left to ``_read_rows``.
 
-    ``lines`` follow the header, which has ``columns`` cells.  They are read
-    in one pass: one split, one tab count per line, one conversion of every
-    numeric cell and one bound test per kind of cell; blank lines, the false
-    ones, are skipped as ``_numbered`` skips them.  A block of at most
-    ``_BULK_CELLS`` numeric cells is looked up in ``_CELL`` by one
-    ``itemgetter`` call, a larger one cell by cell; at a cell the table
-    lacks, the block is looked up cell by cell up to that cell, and
-    ``int()`` converts the rest.  The pass stops at the
-    first line with a wrong cell count or a cell that ``int()`` refuses.
-    ``_read_rows`` reads the rest: it raises for the first bad row, or
-    accepts what only ``str.strip()`` cleans, such as "\x1c7".  The index is
-    ``len(lines)`` if the pass reads every line.  It is None if the pass
-    keeps no row, or if a kept publication year lies outside MIN_YEAR..MAX_YEAR
-    or a kept count outside 0..MAX_COUNT.
+    The chunk is read in one pass: one split, one tab count per line, one
+    ``itemgetter`` lookup of every numeric cell in ``_CELL`` and one bound
+    test per kind of cell; blank lines, the false ones, are skipped as
+    ``_numbered`` skips them.  At a cell the table lacks, the chunk is looked
+    up cell by cell up to that cell, and ``int()`` converts the rest.  The
+    pass stops at the first line with a wrong cell count or a cell that
+    ``int()`` refuses.  ``_read_rows`` reads the rest: it raises for the
+    first bad row, or accepts what only ``str.strip()`` cleans, such as
+    "\x1c7".  The index is ``len(lines)`` if the pass reads every line, and
+    0, with no row kept, if a kept publication year lies outside
+    MIN_YEAR..MAX_YEAR or a kept count outside 0..MAX_COUNT.
     """
     rows = list(filter(None, lines))  # blank lines
     if fmt is ReportFormat.TSV:
@@ -332,34 +330,28 @@ def _read_block(lines: list[str] | list[list[str]], fmt: ReportFormat,
     if kept != len(rows):  # the rows before the first line with a wrong cell count
         kept = list(map(ne, widths, repeat(width))).index(True)
     if not kept:
-        return None
+        return [], (), 0
     block = rows[:kept]
     cells = "\t".join(block).split("\t") if fmt is ReportFormat.TSV else list(chain.from_iterable(block))
     titles = cells[0::columns]
     del cells[0::columns]
-    values: list[int] = []
-    if len(cells) <= _BULK_CELLS:  # each row has two or more cells, so the call returns a tuple
-        with suppress(KeyError):
-            values += itemgetter(*cells)(_CELL)  # all within 0..MAX_COUNT
-    if not values:  # a larger block, or a cell the table lacks: cell by cell up to that cell
+    try:  # each row has two or more numeric cells, so the call returns a tuple
+        values = itemgetter(*cells)(_CELL)  # all within 0..MAX_COUNT
+    except KeyError:  # a cell the table lacks: cell by cell up to that cell, int() for the rest
+        values = []
         with suppress(KeyError):
             values.extend(map(_CELL.__getitem__, cells))
-    if len(values) < len(cells):
         looked_up = len(values)
-        try:
+        with suppress(ValueError):  # extend keeps the cells before the first one int() refuses
             values.extend(map(int, islice(cells, looked_up, None)))
-        except ValueError:  # extend kept the cells before the first one int() refuses
-            kept = len(values) // (columns - 1)
-            if not kept:
-                return None
-            del titles[kept:]
-            del values[kept * (columns - 1):]
+        kept = len(values) // (columns - 1)
+        del titles[kept:], values[kept * (columns - 1):]
         read = values[looked_up:]
-        if read and not (0 <= min(read) and max(read) <= MAX_COUNT):
-            return None
+        if not kept or read and not (0 <= min(read) and max(read) <= MAX_COUNT):
+            return [], (), 0
     pub_years = values[0::columns - 1]
     if not (MIN_YEAR <= min(pub_years) and max(pub_years) <= MAX_YEAR):
-        return None
+        return [], (), 0
     if kept == len(rows):
         return titles, values, len(lines)
     # the index in ``lines`` of the first row not kept, blank lines counted
@@ -379,7 +371,7 @@ def _read_rows(rows: Iterator[tuple[int, list[str]]], year_cols: range) -> tuple
             raise MalformedRowError(
                 f"row {row_no}: expected {expected} columns, got {len(cells)}"
             )
-        # _read_block leaves the rows from the first one it cannot read on, so most rows here are
+        # _read_chunk leaves the rows from the first one it cannot read on, so most rows here are
         # clean: one step and one bound test for such a row (with no negative cell, a sum within
         # MAX_COUNT bounds every count); a row failing either goes cell by cell, which raises for
         # the first bad cell or accepts cells such as "\x1c7" that str.strip() cleans
@@ -394,31 +386,33 @@ def _read_rows(rows: Iterator[tuple[int, list[str]]], year_cols: range) -> tuple
     return titles, values
 
 
-def _mismatch_warnings(titles: list[str], totals: list[int], rows: Iterable[Sequence[int]]) -> list[str]:
-    """A warning for each record whose row of year counts in ``rows`` does not sum to its total."""
-    window_sums = list(map(sum, rows))
+def _mismatch_warnings(titles: list[str], totals: list[int], window_sums: list[int]) -> list[str]:
+    """A warning for each record whose entry of ``window_sums``, the sum of its year counts,
+    differs from its total."""
     return [f"record {i + 1} ({_echo(titles[i])}): year columns sum to {window_sums[i]} but total "
             f"citations is {totals[i]}; keeping the declared total as authoritative"
             for i in compress(range(len(titles)), map(ne, window_sums, totals))]
 
 
-def _read_report(data: bytes, fmt: ReportFormat, default_name: str) -> tuple[
+def _read_report(data: bytes, fmt: ReportFormat, default_name: str,
+                 per_row: Callable[[tuple[int, ...]], object] | None = None) -> tuple[
         str, str | None, int | None, list[str], list[int], list[int], range, list[int],
-        Iterator[tuple[int, ...]]]:
+        list | None]:
     """A report as columns: name, id, reported h-index, titles, publication years, totals,
-    year window, the citations in each year of the window, and a lazy, read-once iterator of
-    each record's counts over the window (one empty row each if there are no year columns).
-    The years, totals and sums are taken from the row-major cells by stride; only the first
-    row read reshapes those cells into the count matrix, so ``cohort``, which reads no row,
-    never pays for it.
+    year window, the citations in each year of the window, and ``per_row`` of each record's
+    counts over the window as a tuple (empty without year columns), or None without ``per_row``.
+
+    The lines after the header are read in chunks of at most ``_BULK_CELLS`` numeric cells:
+    ``_read_chunk`` reads the clean rows that open one, ``_read_rows`` the rest of it, and its
+    columns, sums and ``per_row`` values are kept before the next chunk is split.  So only one
+    chunk's cells are held at once; ``cohort`` passes no ``per_row``, ``analyze`` passes ``sum``.
 
     Raises what ``parse_report`` raises, for the same bytes.
     """
-    text = _decode(data)
     name: str | None = None
     source_id: str | None = None
     reported_h: int | None = None
-    lines = _lines(text, fmt)
+    lines = _lines(_decode(data), fmt)  # the decoded text is freed once split
     rows = _numbered(lines, 1)
 
     for row_no, cells in rows:
@@ -453,31 +447,33 @@ def _read_report(data: bytes, fmt: ReportFormat, default_name: str) -> tuple[
     else:
         raise MalformedHeaderError("no header row found")
 
-    # the lines after the header (row_no counts from 1): the clean rows that open them in one
-    # pass, and the rows from the first other one on one by one
-    block = lines[row_no:]
-    titles, values, rest = _read_block(block, fmt, 3 + len(year_cols)) or ([], [], 0)
-    if rest < len(block):
-        more_titles, more_values = _read_rows(_numbered(block[rest:], row_no + rest + 1), year_cols)
-        titles += more_titles
-        values += more_values
+    # a row's numeric cells are its publication year, its total and one count per year column
+    numeric = len(year_cols) + 2
+    step = _BULK_CELLS // numeric  # the lines of a chunk
+    titles: list[str] = []
+    pub_years: list[int] = []
+    totals: list[int] = []
+    column_sums = [0] * len(year_cols)
+    per_rows = [] if per_row else None
+    # lines[start] is row start + 1, so the first chunk starts on the line after the header
+    for start in range(row_no, len(lines), step):
+        chunk = lines[start:start + step]
+        chunk_titles, values, rest = _read_chunk(chunk, fmt, numeric + 1)
+        if rest < len(chunk):
+            more_titles, more_values = _read_rows(_numbered(chunk[rest:], start + rest + 1), year_cols)
+            chunk_titles, values = chunk_titles + more_titles, [*values, *more_values]
+        # ``values`` holds each row's numeric cells, row after row
+        titles += chunk_titles
+        pub_years += values[0::numeric]
+        totals += values[1::numeric]
+        column_sums = [total + sum(values[column::numeric])
+                       for column, total in enumerate(column_sums, 2)]
+        if per_rows is not None:
+            per_rows += [per_row(row[2:]) for row in zip(*[iter(values)] * numeric)]
     if not titles:
         raise EmptyProfileError("report contains no publication records")
-
-    # ``values`` holds each row's publication year, total and counts, row after row
-    width = len(year_cols)
-    pub_years, totals = values[0::width + 2], values[1::width + 2]
-    column_sums = [sum(values[column::width + 2]) for column in range(2, width + 2)]
     return (name or default_name or "unknown", source_id, reported_h, titles, pub_years, totals,
-            year_cols, column_sums, _count_rows(values, width, len(titles)))
-
-
-def _count_rows(values: list[int], width: int, n: int) -> Iterator[tuple[int, ...]]:
-    """Each of the ``n`` rows of ``values`` without its first two cells (publication year and
-    total), as a tuple of ``width`` counts; the first read takes those cells out in place."""
-    del values[0::width + 2]
-    del values[0::width + 1]
-    yield from zip(*[iter(values)] * width) if width else repeat((), n)
+            year_cols, column_sums, per_rows)
 
 
 def parse_report(
@@ -496,10 +492,10 @@ def parse_report(
     a valid profile.
     """
     name, source_id, reported_h, titles, pub_years, totals, years, _, rows = _read_report(
-        data, fmt, default_name)
+        data, fmt, default_name, tuple)
     records = list(map(_record, titles, pub_years, totals, repeat(years), rows))
     return ResearcherProfile(name, source_id, reported_h, records,
-                             _mismatch_warnings(titles, totals, map(attrgetter("_counts"), records)))
+                             _mismatch_warnings(titles, totals, list(map(sum, rows))))
 
 
 # TSV has no quoting; the csv writer leaves a lone CR unquoted, and Python 3.10's reader refuses NUL;

@@ -45,7 +45,7 @@ def _series(pub_years: list[int], window: range, column_sums: list[int]) -> Annu
     # a tuple made from a list is allocated at its final length, so it reuses a freed tuple of
     # that length; tuple(generator) starts at 10 items and grows, so each result would add one to
     # CPython's free list for its length (up to 2,000 tuples each) until a full garbage
-    # collection, which parsing into a count matrix makes too little garbage to trigger
+    # collection, which reading a report into columns makes too little garbage to trigger
     return AnnualSeries(start_year=span.start, pubs=tuple([pubs[y] for y in span]),
                         cites=tuple([cites.get(y, 0) for y in span]))
 

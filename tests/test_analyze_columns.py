@@ -6,25 +6,29 @@ profile.  Its JSON document (without ``generated_at``) must equal
 ``build_report(parse_report(data, fmt), analyze_profile(profile, config))``
 with every float equal bit for bit, its chart must equal ``profile_chart``
 of that indicator set byte for byte, and a report that does not parse must
-give the same error.  No timing bound is asserted.
+give the same error.  Its read keeps each record's window sum, never the
+report's count matrix, which a memory bound pins.  No timing bound is asserted.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from papertrail import cli
+from papertrail import cli, ingest
 from papertrail.errors import PapertrailError
 from papertrail.indicators import AnalysisConfig, analyze_profile
-from papertrail.ingest import ReportFormat, parse_report
+from papertrail.ingest import ReportFormat, parse_report, serialize_report
 from papertrail.render import ChartStyle, profile_chart
+from papertrail.synth import generate
 
 from test_cohort_columns import BAD, EXPLICIT, report, reports
 from test_golden import write_corpus
+from test_synth_differential import WIDE_SPEC, traced_peak
 
 
 def flags(config: AnalysisConfig) -> list[str]:
@@ -116,3 +120,20 @@ def test_no_command_makes_a_record(tmp_path, records_made):
             assert cli.main(["synth", "--archetype", archetype,
                              "-o", str(tmp_path / f"s.{suffix}")]) == 0
     assert records_made == []
+
+
+def test_reading_a_wide_report_holds_one_chunk_of_its_cells():
+    # analyze's read of the 2.2 MB wide report: holding a matrix of its 925k counts peaked at
+    # about 11 times its bytes, its lines, one chunk of at most _BULK_CELLS cells and the row
+    # sums at about 3
+    data = serialize_report(generate(WIDE_SPEC))
+    columns, peak = traced_peak(lambda: ingest._read_report(data, ReportFormat.TSV, "", sum))
+    assert peak <= 5 * len(data)
+    # the sums of every chunk, each over its own rows
+    records = parse_report(data).records
+    cited = Counter()
+    for record in records:
+        cited.update(record.citations_by_year)
+    *_, window, column_sums, window_sums = columns
+    assert column_sums == [cited[year] for year in window]
+    assert window_sums == [record.window_sum for record in records]

@@ -1,11 +1,12 @@
-"""Where the one-pass read of a record block hands over to the row-by-row path.
+"""Where the one-pass read of a chunk of a record block hands over to the row-by-row path.
 
-``_read_block`` keeps the clean rows that open a record block and leaves
-``_read_rows`` only the rows from the first one it cannot vouch for: a line
-with a wrong cell count or a cell that ``int()`` refuses.  A kept row that
-fails a bound test leaves it the whole block.  Whatever the split, the
-outcome must equal the row-by-row path's, also in a block of more numeric
-cells than the pass looks up in one call.  The header's year cells are read
+``_read_report`` reads the record block in chunks of at most ``_BULK_CELLS``
+numeric cells.  ``_read_chunk`` keeps the clean rows that open a chunk and
+leaves ``_read_rows`` only the rows from the first one it cannot vouch for to
+the end of the chunk: a line with a wrong cell count or a cell that ``int()``
+refuses.  A kept row that fails a bound test leaves it the whole chunk.
+Whatever the split, the outcome must equal the row-by-row path's, also in a
+block of more numeric cells than one chunk holds.  The header's year cells are read
 through the lookup table first; the outcome must equal reading each through
 ``_int``.
 """
@@ -21,6 +22,7 @@ from test_ingest_differential import (
     BULK_ROWS,
     WIDE_HEADER,
     WIDE_RECORDS,
+    assert_same_outcome,
     outcome,
     report,
     row_by_row,
@@ -79,15 +81,23 @@ def vouched(row: list[str], header: list[str]) -> str:
     return "bound"
 
 
+def chunk_of(row_no: int, header_row: int, columns: int) -> range:
+    """The row numbers of the chunk that holds row ``row_no`` of the record block after the
+    header at row ``header_row``, which has ``columns`` cells."""
+    lines = ingest._BULK_CELLS // (columns - 1)
+    start = header_row + 1 + (row_no - header_row - 1) // lines * lines
+    return range(start, start + lines)
+
+
 def handoff_case(position: str, change: str, fmt: ReportFormat, ending: bytes, blank: list[str]):
     """The report with the changed row at ``position``, two ``blank`` lines before it; the row
-    number of that row, of the first record, and what the block pass makes of the row."""
+    number of that row, the row numbers of its chunk, and what the block pass makes of the row."""
     header, records, bad = POSITIONS[position]
     row = changed(records[bad], *CHANGES[change])
     rows = [["# researcher", "R"], header, *records[:bad], blank, blank, row, *records[bad + 1:]]
     data = report(rows, fmt).replace(b"\n", ending)
-    return (data, rows.index(row) + 1, rows.index(records[0] if bad else row) + 1,
-            vouched(row, header))
+    bad_row = rows.index(row) + 1
+    return data, bad_row, chunk_of(bad_row, 2, len(header)), vouched(row, header)
 
 
 # a blank line: an empty one, or in CSV one whose one cell is empty (written as "")
@@ -110,7 +120,7 @@ def cases(positions, changes, blanks=BLANKS, endings=ENDINGS):
            ["count-'256'", "count-'x'", "year-'2101'", "short"], ["tsv", "csv"], ["lf"]),
 ])
 def test_handoff_agrees_with_the_row_by_row_path(position, change, fmt, blank, ending, monkeypatch):
-    data, bad_row, first_row, kind = handoff_case(position, change, fmt, ending, blank)
+    data, bad_row, chunk, kind = handoff_case(position, change, fmt, ending, blank)
     expected = row_by_row(data, fmt)
     handed = []
     read_rows = ingest._read_rows
@@ -122,16 +132,48 @@ def test_handoff_agrees_with_the_row_by_row_path(position, change, fmt, blank, e
     monkeypatch.setattr(ingest, "_read_rows", spy)
     assert outcome(parse_report, data, fmt) == expected
 
-    # the numbers of the nonblank rows; _read_rows gets those from the changed row or the first record on
+    # the numbers of the nonblank rows of the changed row's chunk; _read_rows gets those from the
+    # changed row on, or all of them
     numbered = [n for n, cells in enumerate(split_report(data, fmt), 1)
-                if cells not in ([], [""], ["\r"])]
-    rows_on = [n for n in numbered if n >= bad_row]
+                if n in chunk and cells not in ([], [""], ["\r"])]
     if kind == "refused":  # a blank line of any kind, CRLF TSV's lone "\r" too, is skipped
-        assert handed == [rows_on]
-    elif kind == "bound":  # the whole block
-        assert handed == [[n for n in numbered if n >= first_row]]
+        assert handed == [[n for n in numbered if n >= bad_row]]
+    elif kind == "bound":  # the whole chunk
+        assert handed == [numbered]
     else:
         assert handed == []
+
+
+# the lines of a chunk of wide records, and a record block of two chunks: one full, one of two lines
+CHUNK_LINES = ingest._BULK_CELLS // (len(WIDE_HEADER) - 1)
+EDGE_RECORDS = [[f"e{i}", "2000", "1", *("1" if year == i % 126 else "0" for year in range(126))]
+                for i in range(CHUNK_LINES + 2)]
+# the line of the block the change lands on, and the lines made blank before it
+EDGES = {
+    "first-of-chunk": (0, ()),
+    "last-of-chunk": (CHUNK_LINES - 1, ()),
+    "first-of-next-chunk": (CHUNK_LINES, ()),
+    "after-blanks-across-the-edge": (CHUNK_LINES + 1, (CHUNK_LINES - 1, CHUNK_LINES)),
+}
+# the changes made in the wide blocks above: a table miss read by int(), a cell int() refuses, a
+# publication year past its bound and a short row; and, after the blank lines, none
+WIDE_CHANGES = ["count-'256'", "count-'x'", "year-'2101'", "short"]
+EDGE_CASES = [(edge, change) for edge, (_, blanks) in EDGES.items()
+              for change in (WIDE_CHANGES + [None] if blanks else WIDE_CHANGES)]
+
+
+@pytest.mark.parametrize("ending", ENDINGS.values(), ids=ENDINGS)
+@pytest.mark.parametrize("fmt", list(ReportFormat), ids=lambda fmt: fmt.value)
+@pytest.mark.parametrize("edge, change", EDGE_CASES, ids=[f"{e}-{c or 'clean'}" for e, c in EDGE_CASES])
+def test_chunk_edges_agree_with_the_row_by_row_path_and_the_reference(edge, change, fmt, ending):
+    line, blanks = EDGES[edge]
+    block = [record.copy() for record in EDGE_RECORDS]
+    if change is not None:
+        block[line] = changed(block[line], *CHANGES[change])
+    for blank in blanks:
+        block[blank] = []
+    data = report([["# researcher", "R"], WIDE_HEADER, *block], fmt).replace(b"\n", ending)
+    assert outcome(parse_report, data, fmt) == row_by_row(data, fmt) == assert_same_outcome(data, fmt)
 
 
 def int_only_year_columns(cells: list[str]) -> range:

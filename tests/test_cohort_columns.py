@@ -5,8 +5,8 @@ point with ``indicators._indicators``; it builds no record, profile or
 indicator set.  The point must equal ``point_from_indicators(label,
 analyze_profile(parse_report(data, fmt), config))`` with every float equal
 bit for bit, and a report that does not parse must give the same error.
-The column sums and rows that ``_read_report`` returns must agree with
-each other and with ``parse_report``'s records.  No timing bound is asserted.
+The column sums and per-row values that ``_read_report`` returns must agree
+with each other and with ``parse_report``'s records.  No timing bound is asserted.
 """
 
 from __future__ import annotations
@@ -107,12 +107,14 @@ def test_any_report_gives_the_same_point(case, prefer, r_min):
 
 
 def assert_columns_match_the_records(data: bytes, fmt: ReportFormat) -> None:
-    *_, window, column_sums, rows = ingest._read_report(data, fmt, "")
-    read = list(rows)
-    assert next(rows, None) is None  # read once
+    *columns, window, column_sums, read = ingest._read_report(data, fmt, "", tuple)
     assert column_sums == [sum(column) for column in zip(*read)] and len(column_sums) == len(window)
     records = parse_report(data, fmt).records
     assert read == [tuple(rec.citations_by_year.get(year, 0) for year in window) for rec in records]
+    # each row's sum instead, or nothing per row; the other columns are the same
+    assert ingest._read_report(data, fmt, "", sum) == (*columns, window, column_sums,
+                                                       list(map(sum, read)))
+    assert ingest._read_report(data, fmt, "") == (*columns, window, column_sums, None)
 
 
 @pytest.mark.parametrize("name", EXPLICIT)
@@ -129,8 +131,9 @@ def test_any_report_gives_column_sums_and_rows_of_the_records(case):
 
 def test_report_without_year_columns_gives_one_empty_row_per_record():
     rows, kwargs = EXPLICIT["no-year-columns"]
-    *_, window, column_sums, read = ingest._read_report(report(rows, **kwargs), ReportFormat.TSV, "")
-    assert (len(window), column_sums, list(read)) == (0, [], [(), ()])
+    *_, window, column_sums, read = ingest._read_report(report(rows, **kwargs), ReportFormat.TSV, "",
+                                                        tuple)
+    assert (len(window), column_sums, read) == (0, [], [(), ()])
 
 
 BAD = {
@@ -190,25 +193,27 @@ def test_cohort_makes_no_record_and_skips_what_its_document_omits(tmp_path, reco
 
 
 def test_cohort_never_reads_a_row_and_analyze_still_warns(tmp_path, monkeypatch):
-    # _read_report reshapes its count matrix into rows on the first row read; cohort reads none
+    # _read_report computes a value per row only for a per-row function; cohort passes none
     names = write_corpus(tmp_path)
     (tmp_path / "mismatch.tsv").write_bytes(report(*EXPLICIT["mismatching-totals"][:1]))
     with open(tmp_path / "cohort.manifest", "a", encoding="utf-8") as manifest:
         manifest.write("MISMATCH\tmismatch.tsv\n")
-    returned, read = [], []
+    returned, per_rows, read = [], [], []
     read_report = ingest._read_report
 
-    def spy(data, fmt, default_name):
-        *columns, rows = read_report(data, fmt, default_name)
+    def spy(data, fmt, default_name, per_row=None):
+        *columns, rows = read_report(data, fmt, default_name, per_row)
         returned.append(data)
-        return (*columns, map(lambda row: read.append(row) or row, rows))
+        per_rows.append(per_row)
+        read.extend(rows or ())
+        return (*columns, rows)
     monkeypatch.setattr(cohort, "_read_report", spy)
     monkeypatch.setattr(cli, "_read_report", spy)
 
     assert cli.main(["cohort", str(tmp_path / "cohort.manifest"),
                      "--json", str(tmp_path / "cohort.json")]) == 0
     assert len(returned) == len(json.loads((tmp_path / "cohort.json").read_text())["points"]) == 14
-    assert read == []
+    assert per_rows == [None] * 14 and read == []
 
     # analyze reads every row of the same reports, and warns as parse_report does
     warned = 0
@@ -218,5 +223,6 @@ def test_cohort_never_reads_a_row_and_analyze_still_warns(tmp_path, monkeypatch)
             warnings = json.loads(out.read_text())["warnings"]
             assert warnings == parse_report(data, default_name=name).warnings
             warned += bool(warnings)
-    assert len(read) == sum(len(parse_report(data).records) for data in returned[14:])
+    assert per_rows[14:] == [sum] * len(returned[14:])
+    assert read == [rec.window_sum for data in returned[14:] for rec in parse_report(data).records]
     assert warned == 1

@@ -8,8 +8,9 @@ MIN_YEAR..MAX_YEAR, ``parse_report`` rejects that header instead; and where
 the reference echoes a cell or a warning's title longer than the echo bound,
 ``parse_report`` names it by its length, or a number by its digit count.
 
-``parse_report`` reads a clean record block in one pass and any other one
-row by row; the two paths must also agree with each other on every input.
+``parse_report`` reads the clean rows of each chunk of a record block in one
+pass and the others row by row; the two paths must also agree with each
+other on every input.
 """
 
 import ast
@@ -272,8 +273,9 @@ def test_cell_over_the_echo_bound_is_the_other_difference(cell, row, column, fmt
 
 
 def row_by_row(data: bytes, fmt: ReportFormat):
-    """The outcome of ``parse_report`` with the one-pass read of the record block turned off."""
-    with mock.patch.object(ingest, "_read_block", return_value=None):
+    """The outcome of ``parse_report`` with the one-pass read of each chunk turned off: every
+    chunk goes to ``_read_rows`` whole, and each call gets lists of its own."""
+    with mock.patch.object(ingest, "_read_chunk", side_effect=lambda *args: ([], [], 0)):
         return outcome(parse_report, data, fmt)
 
 
