@@ -8,9 +8,13 @@ Three subcommands::
 
 Exit codes: 0 success, 1 data error (unreadable/unparseable input, or an
 output file that cannot be written), 2 usage error (bad flags or parameters).
-``analyze`` and ``cohort`` render every output before they write any, and the
-JSON document last: when it exists, every chart of the run was written too.
-``synth`` generates its report in full, then writes it into ``-o`` as it renders it.
+``analyze`` and ``cohort`` render every output before they write any.  ``synth``
+generates its rows in full, each shape of its kernel shaped and rendered once,
+then writes the report into ``-o`` as it renders it.  Each output file is
+written into a temporary file beside it, and the temporary files replace
+their targets only once all are written, the JSON document last (see
+``_open_output``): a failed run leaves every target as it was, and when the
+JSON document exists, every chart of the run was written too.
 
 README.md describes the config file with its keys, ranges and flags, and
 the two JSON documents; ``build_report`` and ``build_cohort_document`` build
@@ -33,10 +37,11 @@ import codecs
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from stat import S_IMODE, S_ISREG
+from typing import TYPE_CHECKING, Any, BinaryIO
 
 from .config import AnalysisConfig, Region
 from .errors import DegenerateAbscissaError, PapertrailError, TooFewPointsError
@@ -365,23 +370,98 @@ def _writing(path: str | Path):
         raise _Failure(EXIT_DATA_ERROR, f"cannot write {_name(str(path))}: {_reason(exc)}") from None
 
 
+def _open_output(path: str | Path) -> tuple[BinaryIO, tuple[str, str] | None]:
+    """A new binary stream for the output ``path``, and the move that puts what it writes in place:
+    ``(temporary file, target)``, or None for a path that it writes in place.
+
+    The target is the file that ``path``'s links lead to, so a link stays a link.  The temporary
+    file is a new one in the target's directory, with the target's permission bits, or a new
+    file's (0666 less the umask).  Written in place are a path or target under /dev or /proc
+    (as /dev/stdout is), an existing file that is not a regular file (a FIFO, a device; a
+    directory fails to open), and an existing file whose directory refuses a new one.
+    """
+    name = os.fspath(path)
+    target = os.path.realpath(name)
+    try:
+        mode = os.stat(target).st_mode
+    except OSError:  # no such file yet; or none can be made there, which creating one reports
+        mode = None
+    devices = ("/dev/", "/proc/")
+    if (os.path.abspath(name).startswith(devices) or target.startswith(devices)
+            or mode is not None and not S_ISREG(mode)):
+        return open(name, "wb"), None
+    temporary = os.path.join(os.path.dirname(target), f".papertrail-{os.urandom(8).hex()}.tmp")
+    try:
+        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        if isinstance(exc, PermissionError) and mode is not None:  # the file itself may be writable
+            return open(name, "wb"), None
+        exc.filename = name  # the message names the output, not its temporary file
+        raise
+    stream = open(fd, "wb")
+    if mode is not None:
+        os.chmod(fd, S_IMODE(mode))
+    return stream, (temporary, target)
+
+
+def _discard(stream: BinaryIO, move: tuple[str, str] | None) -> None:
+    """Close ``stream`` and remove the temporary file of ``move``, if any, after a failure."""
+    with suppress(OSError):
+        stream.close()
+    if move:
+        with suppress(OSError):
+            os.unlink(move[0])
+
+
 def _write(*outputs: tuple[str | Path | None, str | bytes], directory: str | None = None) -> None:
     """Write each (path, data) in order, text as UTF-8; a None path means stdout.  Two paths that
-    name one file are a usage error, raised before ``directory`` is made or anything is written."""
+    name one file are a usage error, raised before ``directory`` is made or anything is written.
+
+    Each file is written whole into its temporary file first (see ``_open_output``).  Then, in
+    order, each temporary file replaces its target, and stdout and the paths written in place are
+    written.  A failure removes the temporary files and the directories made for ``directory``.
+    """
     paths = set()
     for path in filter(None, (path for path, _ in outputs)):
         if os.path.abspath(path) in paths:
             raise _Failure(EXIT_USAGE_ERROR, f"two outputs would be written to {_name(str(path))}")
         paths.add(os.path.abspath(path))
-    if directory:
-        with _writing(directory):
-            Path(directory).mkdir(parents=True, exist_ok=True)
-    for path, data in outputs:
-        if path is None:
-            sys.stdout.write(data)
-            continue
-        with _writing(path):
-            Path(path).write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+    made: list[Path] = []
+    opened: list[tuple[BinaryIO, tuple[str, str] | None]] = []
+    try:
+        if directory:
+            with _writing(directory):
+                made = [d for d in (Path(directory), *Path(directory).parents) if not d.exists()]
+                Path(directory).mkdir(parents=True, exist_ok=True)
+        encoded = [(path, data.encode("utf-8") if path and isinstance(data, str) else data)
+                   for path, data in outputs]
+        for path, data in encoded:
+            if path is not None:
+                with _writing(path):
+                    stream, move = _open_output(path)
+                    opened.append((stream, move))
+                    if move:  # written whole now, moved into place below
+                        with stream:
+                            stream.write(data)
+        streams = iter(opened)
+        for path, data in encoded:
+            if path is None:
+                sys.stdout.write(data)
+                continue
+            stream, move = next(streams)
+            with _writing(path):
+                if move:
+                    os.replace(*move)
+                else:
+                    with stream:
+                        stream.write(data)
+    except BaseException:
+        for stream, move in opened:
+            _discard(stream, move)
+        for made_directory in made:  # the deepest first
+            with suppress(OSError, ValueError):
+                made_directory.rmdir()
+        raise
 
 
 def _json_text(document: dict[str, Any]) -> str:
@@ -479,11 +559,21 @@ def cmd_synth(args: argparse.Namespace) -> None:
     kwargs = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     try:
         spec = make_spec(args.seed, **kwargs)
-        rows = list(_rows(spec))  # in full, so that a refused spec leaves -o as it was
+        # in full, so that a refused spec leaves -o as it was; each row without its counts
+        rows = [row[:5] for row in _rows(spec)]
     except PapertrailError as exc:
         raise _Failure(EXIT_USAGE_ERROR, str(exc)) from None
-    with _writing(args.output), open(args.output, "wb") as out:
-        _write_report(_detect_format(args.output, args.format), *_names(spec), None, rows, out)
+    fmt = _detect_format(args.output, args.format)
+    with _writing(args.output):
+        out, move = _open_output(args.output)
+        try:
+            with out:
+                _write_report(fmt, *_names(spec), None, rows, out)
+            if move:
+                os.replace(*move)
+        except BaseException:
+            _discard(out, move)
+            raise
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:

@@ -61,8 +61,9 @@ _NO_YEARS = range(MIN_YEAR, MIN_YEAR)
 # constant, never changed.  Its values are shared objects (CPython caches the ints to 256), so
 # looking such a cell up makes no int object.
 _CELL = {str(n): n for n in chain(range(256), range(MIN_YEAR, MAX_YEAR + 1))}
-# its mirror for writing: the text of each count 0..255, an import-time constant as well
-_TEXT = tuple(map(str, range(256)))
+# its mirror for writing: the text of each count 0..255, an import-time constant as well.  A dict,
+# as its bound ``__getitem__`` is a builtin method, faster to call than a tuple's method-wrapper
+_TEXT = {n: str(n) for n in range(256)}
 # the most numeric cells _read_chunk looks up in one itemgetter call, which holds two tuples of
 # them: _read_report reads the record block in chunks of as many whole rows as fit
 _BULK_CELLS = 65_536
@@ -543,21 +544,36 @@ def serialize_report(profile: ResearcherProfile, fmt: ReportFormat = ReportForma
     named = [("researcher name", profile.name), ("researcher id", profile.source_id or "")]
     _check_fields(fmt, chain(named, zip(repeat("record title"), map(attrgetter("title"), records))))
     data = io.BytesIO()  # getvalue() hands its bytes over uncopied
-    _write_report(fmt, profile.name, profile.source_id, profile.reported_h, list(map(
-        attrgetter("title", "pub_year", "total_citations", "_years", "_counts"), records)), data)
+    # one _cells call renders every record's cells, with no Python call per record
+    fields = [map(attrgetter(name), records) for name in ("title", "pub_year", "total_citations", "_years")]
+    rows = list(zip(*fields, _cells(list(map(attrgetter("_counts"), records)))))
+    _write_report(fmt, profile.name, profile.source_id, profile.reported_h, rows, data)
     return data.getvalue()
 
 
+def _cells(rows: list[Sequence[int]]) -> list[list[str]]:
+    """The cell texts of each of ``rows``, sequences of counts in 0..MAX_COUNT: each count's text
+    from ``_TEXT``, or by ``str()`` in a row that holds a count above 255."""
+    # lists, not tuples: a tuple built from ``map`` is resized to its length, so it never comes from
+    # CPython's per-size tuple free lists, yet goes onto them when freed, and they would fill
+    text = _TEXT.__getitem__
+    try:
+        return list(map(list, map(map, repeat(text), rows)))
+    except KeyError:  # some row holds a count above 255
+        return [list(map(str if max(row, default=0) > 255 else text, row)) for row in rows]
+
+
 def _write_report(fmt: ReportFormat, name: str, source_id: str | None, reported_h: int | None,
-                  rows: list[tuple[str, int, int, range, Sequence[int]]], out: BinaryIO) -> None:
+                  rows: list[tuple[str, int, int, range, Sequence[str]]], out: BinaryIO) -> None:
     """Write a report into the binary stream ``out``: the metadata, a header over the year window
     and one line per row, each encoded as it is rendered.
 
-    A row is ``(title, pub_year, total, years, counts)``, with one count for
-    each year of ``years``.  The window is the union of the rows' nonempty
-    ``years``, the smallest range holding each; it is empty if every row's is.
-    The caller guarantees what ``serialize_report`` checks: every text is one
-    the flavor can carry.
+    A row is ``(title, pub_year, total, years, cells)``, with one cell for
+    each year of ``years``: the text of its count, as ``_cells`` renders it.
+    The window is the union of the rows' nonempty ``years``, the smallest
+    range holding each; it is empty if every row's is.  The caller
+    guarantees what ``serialize_report`` checks: every text is one the
+    flavor can carry.
     """
     spans = [row[3] for row in rows if row[3]]
     window = range(min(s.start for s in spans), max(s.stop for s in spans)) if spans else _NO_YEARS
@@ -583,19 +599,15 @@ def _write_report(fmt: ReportFormat, name: str, source_id: str | None, reported_
     tsv = fmt is ReportFormat.TSV
     zeros = "\t0" * (hi - lo) if tsv else ["0"] * (hi - lo)
     step = 2 if tsv else 1  # the length of one zero cell in ``zeros``
-    write, text = buffer.write, _TEXT.__getitem__
-    for title, pub_year, total, years, counts in rows:
+    write = buffer.write
+    for title, pub_year, total, years, cells in rows:
         start, stop = (years.start, years.stop) if years else (hi, hi)  # no years: all zeros
-        try:
-            texts = list(map(text, counts))
-        except IndexError:  # a count above 255
-            texts = list(map(str, counts))
         before, after = zeros[:step * (start - lo)], zeros[step * (stop - lo):]
         if tsv:
-            cited = "\t" + "\t".join(texts) if texts else ""
+            cited = "\t" + "\t".join(cells) if cells else ""
             write(f"{title}\t{pub_year}\t{total}{before}{cited}{after}\n")
         else:
-            write_row([title, str(pub_year), str(total), *before, *texts, *after])
+            write_row([title, str(pub_year), str(total), *before, *cells, *after])
     # detach flushes the wrapper and leaves ``out`` to its owner: collected while attached, the
     # wrapper would flush (and close) ``out`` again, and a failed write would raise twice
     buffer.detach()

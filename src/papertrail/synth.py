@@ -24,11 +24,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import starmap
+from operator import itemgetter
 from typing import Iterator
 
 from .config import _check_types
 from .errors import InvalidSpecError
-from .ingest import _NO_YEARS, MAX_YEAR, MIN_YEAR, ResearcherProfile, _record, _trim
+from .ingest import _NO_YEARS, MAX_YEAR, MIN_YEAR, ResearcherProfile, _cells, _record, _trim
 
 _MASK64 = (1 << 64) - 1
 
@@ -270,11 +271,12 @@ def _conscientious_kernel(spec: SynthSpec) -> list[float]:
     return [w / total for w in weights]
 
 
-def _rows(spec: SynthSpec) -> Iterator[tuple[str, int, int, range, tuple[int, ...]]]:
-    """Each paper as a row of ``ingest._write_report``: ``(title, pub_year, total, years, counts)``,
-    where ``years`` runs from its first to its last cited year (empty if it cites nothing) and
-    ``counts`` holds its citations in those years.  Papers of one call with the same kernel output
-    share one ``counts`` tuple."""
+def _rows(spec: SynthSpec) -> Iterator[tuple[str, int, int, range, list[str], tuple[int, ...]]]:
+    """Each paper as a row of ``ingest._write_report`` followed by its counts:
+    ``(title, pub_year, total, years, cells, counts)``, where ``years`` runs from its first to its
+    last cited year (empty if it cites nothing), ``counts`` holds its citations in those years and
+    ``cells`` their texts.  Papers of one call with the same kernel output share one ``counts``
+    tuple and one ``cells`` list, which no caller changes."""
     rng = Xorshift64Star(spec.seed)
 
     # the kernel takes no random draw, so building it here leaves the draw order as it was
@@ -297,11 +299,11 @@ def _rows(spec: SynthSpec) -> Iterator[tuple[str, int, int, range, tuple[int, ..
     if sum(pub_counts) == 0:
         raise InvalidSpecError("rates too low: zero publications generated")
 
-    # the shape of each kernel output of this call: its total, its span from the paper's year and
-    # its counts.  The counts are keys too, so that equal counts are one tuple; both kinds of key
-    # agree, as the strict peak fixes where counts start, and an output equal to some counts is
-    # already peaked and trimmed
-    shapes: dict[tuple[int, ...], tuple[int, int, int, tuple[int, ...]]] = {}
+    # the shape of each kernel output of this call: its total, its span from the paper's year, its
+    # counts and their cells.  The counts are keys too, so that equal counts are one shape; both
+    # kinds of key agree, as the strict peak fixes where counts start, and an output equal to some
+    # counts is already peaked and trimmed
+    shapes: dict[tuple[int, ...], tuple[int, int, int, list[str], tuple[int, ...]]] = {}
     paper_no = 0
     for i, count in enumerate(pub_counts):
         year = spec.start_year + i
@@ -312,13 +314,14 @@ def _rows(spec: SynthSpec) -> Iterator[tuple[str, int, int, range, tuple[int, ..
             mass = max(spec.cites_per_paper * rng.jitter(_CITE_JITTER) * scale, 1.0)
             raw = _floor_carry(kernel, mass)
             shape = shapes.get(key := tuple(raw))
-            if shape is None:  # the peak, the trim and the total depend on the output alone
+            if shape is None:  # the peak, the trim, the total and the texts depend on the output alone
                 span, counts = _trim(0, tuple(_enforce_peak(raw, peak_offset)))
-                shape = sum(counts), span.start, span.stop, counts
-                shape = shapes[key] = shapes.setdefault(counts, shape)
-            total, lo, hi, counts = shape
+                shape = shapes.get(counts) or (sum(counts), span.start, span.stop,
+                                               _cells([counts])[0], counts)
+                shapes[key] = shapes[counts] = shape
+            total, lo, hi, cells, counts = shape
             yield (f"Synthetic study {paper_no:04d}", year, total,
-                   range(year + lo, year + hi) if counts else _NO_YEARS, counts)
+                   range(year + lo, year + hi) if counts else _NO_YEARS, cells, counts)
 
 
 def _names(spec: SynthSpec) -> tuple[str, str]:
@@ -331,5 +334,6 @@ def generate(spec: SynthSpec) -> ResearcherProfile:
     """Produce a synthetic profile; identical specs yield identical output."""
     name, source_id = _names(spec)
     # start_year bounds every pub_year, and the counts are non-negative ints
-    return ResearcherProfile(name=name, source_id=source_id, records=list(starmap(_record, _rows(spec))))
+    return ResearcherProfile(name=name, source_id=source_id, records=list(starmap(
+        _record, map(itemgetter(0, 1, 2, 3, 5), _rows(spec)))))
 

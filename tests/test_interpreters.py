@@ -1,17 +1,17 @@
 """Every supported CPython writes the same documents and charts.
 
 Runs ``analyze --svg``, ``analyze`` on a report of more numeric cells than
-the block pass looks up in one call, ``synth`` (the default profiles and
-the wide ``synth-write`` benchmark profile in both formats), ``cohort
---svg-dir`` and ``cohort --prefer-reported-h`` (over a CSV report, a
-mismatching total, reports with a bad first, middle or last row or a short
-row, that large report and one with counts above 255 too) on this
-checkout's ``src`` under the running interpreter and under each other
-``python3.10`` .. ``python3.13`` on PATH (a pyenv shim through an installed
-version of its own), and compares the JSON documents
-(without ``generated_at``) and every other output byte for byte.  The
-cohort of 14 synth reports is one whose group means builtin ``sum`` rounds
-differently on 3.11 and 3.13.
+the block pass looks up in one call, ``synth`` (the default profiles, the
+wide ``synth-write`` benchmark profile in both formats, and one profile of
+each archetype with counts above 255, one in each format), ``cohort --svg-dir`` and ``cohort
+--prefer-reported-h`` (over a CSV report, a mismatching total, reports
+with a bad first, middle or last row or a short row, that large report and
+one with counts above 255 too) on this checkout's ``src`` under the running
+interpreter and under each other ``python3.10`` .. ``python3.13`` on PATH
+(a pyenv shim through an installed version of its own), and compares the
+JSON documents (without ``generated_at``) and every other output byte for
+byte.  The cohort of 14 synth reports is one whose group means builtin
+``sum`` rounds differently on 3.11 and 3.13.
 
 Each of those interpreters also runs ``package_probe.py``: the star import,
 the lazy lookups of the public names, and the modules that ``import
@@ -102,6 +102,11 @@ def outputs(python: str, inputs: Path, out: Path) -> dict[str, object]:
         *(["synth", "--archetype", "conscientious", "--seed", "1", "--n-years", "60",
            "--peak-rate", "400", "--start-year", "1960", "--format", fmt, "-o", out / f"wide.{fmt}"]
           for fmt in ("tsv", "csv")),
+        # counts past synth's lookup table, which it writes by str(), in both formats
+        ["synth", "--archetype", "papermill", "--seed", "5", "--cites-per-paper", "1e6",
+         "-o", out / "pm-high.tsv"],
+        ["synth", "--archetype", "conscientious", "--seed", "5", "--cites-per-paper", "1e6",
+         "--format", "csv", "-o", out / "cs-high.csv"],
         ["cohort", inputs / "cohort.tsv", "--json", out / "cohort.json", "--svg-dir", out / "figs"],
         # with a CSV report, a mismatching total and reported h-indices that the run prefers
         ["cohort", inputs / "columns.tsv", "--prefer-reported-h", "--json", out / "columns.json"],
@@ -173,7 +178,8 @@ def test_every_interpreter_writes_the_same_outputs(tmp_path):
     (inputs / "columns.tsv").write_text("".join(columns), encoding="utf-8")
 
     expected = outputs(sys.executable, inputs, tmp_path / "running")
-    assert len(expected) == 13
+    assert len(expected) == 15
+    assert max(int(cell) for row in numeric_cells(expected["pm-high.tsv"]) for cell in row[1:]) > 255
     diagnosed = {d["label"]: d["error"] for d in expected["columns.json"]["diagnostics"]}
     assert sorted(diagnosed) == ["bad-first", "bad-last", "bad-middle", "short"], diagnosed
     for n, python in enumerate(others):

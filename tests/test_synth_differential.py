@@ -96,11 +96,15 @@ def test_any_accepted_spec_generates_the_reference_profile(spec):
 
 
 def test_rows_share_a_shape_within_one_call_and_never_across_calls(monkeypatch):
-    # no timing bound: papers of one call with the same kernel output share one counts tuple, and
-    # generate's records hold the rows' tuples; a second call builds its own
+    # no timing bound: papers of one call with the same kernel output share one counts tuple and
+    # one cells list, and generate's records hold the rows' counts; a second call builds its own
     rows = list(synth._rows(WIDE_SPEC))
-    assert all(type(row[4]) is tuple for row in rows)
-    assert len({id(row[4]) for row in rows}) == len({row[4] for row in rows}) < len(rows)
+    for index, kind in ((4, list), (5, tuple)):  # the cells, then the counts
+        assert all(type(row[index]) is kind for row in rows)
+        assert (len({id(row[index]) for row in rows}) == len({tuple(row[index]) for row in rows})
+                < len(rows))
+    assert len({id(row[4]) for row in rows}) == len({id(row[5]) for row in rows})
+    assert all(row[4] == list(map(str, row[5])) for row in rows)
 
     seen = []
 
@@ -111,10 +115,11 @@ def test_rows_share_a_shape_within_one_call_and_never_across_calls(monkeypatch):
 
     monkeypatch.setattr(synth, "_rows", recorded)
     records = generate(WIDE_SPEC).records
-    assert all(rec._counts is row[4] for rec, row in zip(records, seen, strict=True))
+    assert all(rec._counts is row[5] for rec, row in zip(records, seen, strict=True))
 
     assert seen == rows
-    assert all(again[4] is not row[4] for again, row in zip(seen, rows) if row[4])
+    for index in (4, 5):
+        assert all(again[index] is not row[index] for again, row in zip(seen, rows) if row[index])
 
 
 @settings(max_examples=400, deadline=None)
@@ -204,9 +209,17 @@ COUNTS = [0, 0, 0, 1, 7, 255, 256, 1000, MAX_COUNT]
 
 
 def assert_writes_like_reference(records):
+    """``serialize_report`` writes ``records`` like the reference, and so does ``_write_report``
+    given each row's cells rendered on their own, as ``synth._rows`` renders each shape's."""
     profile = ResearcherProfile(name="n", source_id="id", records=records)
+    rows = [(rec.title, rec.pub_year, rec.total_citations, rec._years, ingest._cells([rec._counts])[0])
+            for rec in records]
     for fmt in ReportFormat:
-        assert serialize_report(profile, fmt) == reference_synth.serialize_report(profile, fmt)
+        expected = reference_synth.serialize_report(profile, fmt)
+        assert serialize_report(profile, fmt) == expected
+        out = io.BytesIO()
+        ingest._write_report(fmt, "n", "id", None, rows, out)
+        assert out.getvalue() == expected
 
 
 def parsed_records(rng: random.Random, n_records: int) -> list[PublicationRecord]:
@@ -257,8 +270,31 @@ def test_counts_around_the_text_table():
     records = [PublicationRecord(f"c{count}", 2000, count, {2000: count, 2003: 1})
                for count in (254, 255, 256, 10**6, MAX_COUNT)]
     assert_writes_like_reference(records)
+    # rows above the table among rows within it and an uncited one, which has no cells
+    mixed = [PublicationRecord("low", 2001, 9, {2001: 0, 2002: 255, 2004: 9}),
+             PublicationRecord("none", 2002, 3),
+             PublicationRecord("high", 2000, MAX_COUNT, {2000: 256, 2001: 0, 2002: MAX_COUNT}),
+             PublicationRecord("edge", 2003, 511, {2003: 255, 2004: 256})]
+    for order in (mixed, mixed[::-1], mixed[:2]):
+        assert_writes_like_reference(order)
+    assert ingest._cells([(), (255, 0), (256, 0, MAX_COUNT), (7,)]) == [
+        [], ["255", "0"], ["256", "0", str(MAX_COUNT)], ["7"]]
     assert_writes_like_reference(parse_report(serialize_report(
         ResearcherProfile(name="n", records=records))).records)
+
+
+@pytest.mark.parametrize("spec", [conscientious_spec(0, cites_per_paper=2000.0),
+                                  papermill_spec(2, cites_per_paper=20.0)],
+                         ids=["conscientious", "papermill"])
+def test_synth_counts_at_the_edge_of_the_text_table(spec, tmp_path):
+    # both producers and both flavors: the rows that synth renders shape by shape, and the records
+    # that serialize_report renders, hold counts of 255 and 256
+    assert {255, 256} <= {count for row in synth._rows(spec) for count in row[5]}
+    _, data = reference(spec)
+    assert_writes_like_reference(generate(spec).records)
+    for fmt in ReportFormat:
+        assert run_synth(tmp_path, fmt, spec.archetype, spec.seed,
+                         spec_parameters(spec)) == (0, "", data[fmt])
 
 
 @pytest.mark.parametrize("make_spec", [conscientious_spec, papermill_spec])
@@ -278,10 +314,10 @@ def test_synth_rows_are_trimmed_and_written_without_column_sums(spec, monkeypatc
     # is the union of the rows as they are, and the writer needs no per-year totals
     profile = generate(spec)
     for row, rec in zip(synth._rows(spec), profile.records, strict=True):
-        for years, counts in (row[3:], (rec._years, rec._counts)):
+        for years, counts in ((row[3], row[5]), (rec._years, rec._counts)):
             assert len(counts) == len(years)
             assert not counts and not years or counts[0] and counts[-1]
-        assert rec._years == row[3] and rec._counts == tuple(row[4])
+        assert rec._years == row[3] and rec._counts == row[5] and row[4] == list(map(str, row[5]))
 
     def refuse(records):
         raise AssertionError("serialize_report summed the columns")
