@@ -10,11 +10,12 @@ Exit codes: 0 success, 1 data error (unreadable/unparseable input, or an
 output file that cannot be written), 2 usage error (bad flags or parameters).
 ``analyze`` and ``cohort`` render every output before they write any.  ``synth``
 generates its rows in full, each shape of its kernel shaped and rendered once,
-then writes the report into ``-o`` as it renders it.  Each output file is
-written into a temporary file beside it, and the temporary files replace
-their targets only once all are written, the JSON document last (see
-``_open_output``): a failed run leaves every target as it was, and when the
-JSON document exists, every chart of the run was written too.
+then writes the report into ``-o`` as it renders it.  Every command writes its
+outputs through ``_write``, which takes text, or a function that streams into
+the file, and writes each output file into a temporary file beside it; the
+temporary files replace their targets only once all are written, the JSON
+document last (see ``_open_output``): a failed run leaves every target as it
+was, and when the JSON document exists, every chart of the run was written too.
 
 README.md describes the config file with its keys, ranges and flags, and
 the two JSON documents; ``build_report`` and ``build_cohort_document`` build
@@ -39,6 +40,7 @@ import sys
 import time
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, fields
+from operator import methodcaller
 from pathlib import Path
 from stat import S_IMODE, S_ISREG
 from typing import TYPE_CHECKING, Any, BinaryIO
@@ -48,6 +50,8 @@ from .errors import DegenerateAbscissaError, PapertrailError, TooFewPointsError
 from .ingest import ReportFormat, ResearcherProfile, _echo, _mismatch_warnings, _read_report, _write_report
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from .cohort import CohortPoint, CohortSummary, LinearFit, PowerLawFit, ScatterAxes
     from .indicators import IndicatorSet
 
@@ -404,60 +408,63 @@ def _open_output(path: str | Path) -> tuple[BinaryIO, tuple[str, str] | None]:
     return stream, (temporary, target)
 
 
-def _discard(stream: BinaryIO, move: tuple[str, str] | None) -> None:
-    """Close ``stream`` and remove the temporary file of ``move``, if any, after a failure."""
-    with suppress(OSError):
-        stream.close()
-    if move:
-        with suppress(OSError):
-            os.unlink(move[0])
+def _write(*outputs: tuple[str | Path | None, str | bytes | Callable[[BinaryIO], object]],
+           directory: str | None = None) -> None:
+    """Write each (path, data) in order; a None path means stdout.  ``data`` is text (UTF-8 in a
+    file), bytes, or a function that writes into a file's binary stream (``synth``'s report).  Two
+    paths that lead to one file are a usage error, raised before ``directory`` is made or anything
+    is written.
 
-
-def _write(*outputs: tuple[str | Path | None, str | bytes], directory: str | None = None) -> None:
-    """Write each (path, data) in order, text as UTF-8; a None path means stdout.  Two paths that
-    name one file are a usage error, raised before ``directory`` is made or anything is written.
-
-    Each file is written whole into its temporary file first (see ``_open_output``).  Then, in
-    order, each temporary file replaces its target, and stdout and the paths written in place are
-    written.  A failure removes the temporary files and the directories made for ``directory``.
+    The only code that opens, fills, commits or discards an output file: each file is written
+    whole into its temporary file (see ``_open_output``); then, in order, each temporary file
+    replaces its target, and stdout and the paths written in place are written.  A failure closes
+    every stream and removes the temporary files and the directories made for ``directory``.
     """
-    paths = set()
-    for path in filter(None, (path for path, _ in outputs)):
-        if os.path.abspath(path) in paths:
-            raise _Failure(EXIT_USAGE_ERROR, f"two outputs would be written to {_name(str(path))}")
-        paths.add(os.path.abspath(path))
+    targets = set()
+    for path in (path for path, _ in outputs if path is not None):
+        # a removed working directory fails here; a NUL byte, which realpath refuses, fails at open
+        with _writing(path), suppress(ValueError):
+            target = os.path.realpath(path)
+            if target in targets:
+                raise _Failure(EXIT_USAGE_ERROR, f"two outputs would be written to {_name(str(path))}")
+            targets.add(target)
     made: list[Path] = []
-    opened: list[tuple[BinaryIO, tuple[str, str] | None]] = []
+    pending: list[tuple] = []  # (path, write, stream, move) of each output, in order
     try:
-        if directory:
+        if directory is not None:
             with _writing(directory):
                 made = [d for d in (Path(directory), *Path(directory).parents) if not d.exists()]
-                Path(directory).mkdir(parents=True, exist_ok=True)
-        encoded = [(path, data.encode("utf-8") if path and isinstance(data, str) else data)
-                   for path, data in outputs]
-        for path, data in encoded:
-            if path is not None:
-                with _writing(path):
-                    stream, move = _open_output(path)
-                    opened.append((stream, move))
-                    if move:  # written whole now, moved into place below
-                        with stream:
-                            stream.write(data)
-        streams = iter(opened)
-        for path, data in encoded:
+                os.makedirs(directory, exist_ok=True)  # unlike Path("").mkdir, refuses "" as open does
+        for path, data in outputs:
+            if path is not None and isinstance(data, str):
+                data = data.encode("utf-8")
+            write = data if callable(data) else methodcaller("write", data)
             if path is None:
-                sys.stdout.write(data)
+                pending.append((None, write, sys.stdout, None))
                 continue
-            stream, move = next(streams)
             with _writing(path):
-                if move:
-                    os.replace(*move)
-                else:
+                stream, move = _open_output(path)
+                pending.append((path, write, stream, move))
+                if move:  # written whole now, moved into place below
                     with stream:
-                        stream.write(data)
+                        write(stream)
+        for path, write, stream, move in pending:
+            if move:
+                with _writing(path):
+                    os.replace(*move)
+            elif path is None:
+                write(stream)
+            else:
+                with _writing(path), stream:
+                    write(stream)
     except BaseException:
-        for stream, move in opened:
-            _discard(stream, move)
+        for path, _, stream, move in pending:
+            if path is not None:
+                with suppress(OSError):
+                    stream.close()
+            if move:
+                with suppress(OSError):
+                    os.unlink(move[0])
         for made_directory in made:  # the deepest first
             with suppress(OSError, ValueError):
                 made_directory.rmdir()
@@ -485,14 +492,14 @@ def cmd_analyze(args: argparse.Namespace) -> None:
         raise _Failure(EXIT_DATA_ERROR, f"{_name(args.report)}: {exc}") from None
 
     outputs = []
-    if args.svg:
+    if args.svg is not None:
         from .render import ChartStyle, profile_chart
 
         style = ChartStyle(title=f"Times cited and publications over time: {name}")
         outputs.append((args.svg, profile_chart(ind.series, ind, style)))
     document = _analyze_document(name, source_id, reported_h, len(titles),
                                  _mismatch_warnings(titles, totals, window_sums), ind)
-    _write(*outputs, (args.json or None, _json_text(document)))
+    _write(*outputs, (args.json, _json_text(document)))
 
 
 def cmd_cohort(args: argparse.Namespace) -> None:
@@ -531,7 +538,7 @@ def cmd_cohort(args: argparse.Namespace) -> None:
         print(f"warning: excluded {len(points) - power_fit['n_points']} point(s) with "
               "non-positive coordinates from the power-law fit", file=sys.stderr)
     charts = []
-    if args.svg_dir:
+    if args.svg_dir is not None:
         from .cohort import LinearFit, PowerLawFit, ScatterAxes
         from .render import ChartStyle, scatter_chart
 
@@ -542,7 +549,7 @@ def cmd_cohort(args: argparse.Namespace) -> None:
             style = ChartStyle(title=f"Cohort: {axes.value.replace('_', ' ')}")
             svg = scatter_chart(points, axes, fit=fits.get(axes), region=region, style=style)
             charts.append((Path(args.svg_dir) / filename, svg))
-    _write(*charts, (args.json or None, _json_text(document)), directory=args.svg_dir)
+    _write(*charts, (args.json, _json_text(document)), directory=args.svg_dir)
 
 
 def cmd_synth(args: argparse.Namespace) -> None:
@@ -564,16 +571,7 @@ def cmd_synth(args: argparse.Namespace) -> None:
     except PapertrailError as exc:
         raise _Failure(EXIT_USAGE_ERROR, str(exc)) from None
     fmt = _detect_format(args.output, args.format)
-    with _writing(args.output):
-        out, move = _open_output(args.output)
-        try:
-            with out:
-                _write_report(fmt, *_names(spec), None, rows, out)
-            if move:
-                os.replace(*move)
-        except BaseException:
-            _discard(out, move)
-            raise
+    _write((args.output, lambda out: _write_report(fmt, *_names(spec), None, rows, out)))
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:

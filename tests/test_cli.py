@@ -766,8 +766,13 @@ class TestWriteFailures:
         (["synth", "--archetype", "papermill", "-o", "{tmp}/missing/x.tsv"],
          "{tmp}/missing/x.tsv"),
         (["synth", "--archetype", "papermill", "-o", ""], ""),
+        (["analyze", "{report}", "--json", ""], ""),
+        (["analyze", "{report}", "--json", "{tmp}/o.json", "--svg", ""], ""),
+        (["cohort", "{manifest}", "--json", ""], ""),
+        (["cohort", "{manifest}", "--json", "{tmp}/o.json", "--svg-dir", ""], ""),
     ], ids=["analyze-json", "analyze-svg", "cohort-json", "cohort-svg-dir", "cohort-svg",
-            "synth", "synth-empty-path"])
+            "synth", "synth-empty-path", "analyze-json-empty-path", "analyze-svg-empty-path",
+            "cohort-json-empty-path", "cohort-svg-dir-empty-path"])
     def test_unwritable_output_exit_1(self, argv, target, inputs, tmp_path, capsys):
         fill = dict(inputs, tmp=str(tmp_path))
         assert main([arg.format(**fill) for arg in argv]) == 1
@@ -783,15 +788,19 @@ class TestWriteFailures:
         (["analyze", "{report}", "--svg", "x" * 300, "--json", "x" * 300], "(300 characters)"),
         (["cohort", "{manifest}", "--svg-dir", "charts", "--json", "charts/i_vs_r.svg"],
          "charts/i_vs_r.svg"),
-    ], ids=["analyze-same", "analyze-dot-slash", "analyze-long", "cohort-json-on-a-chart"])
+        (["analyze", "{report}", "--json", "out.json", "--svg", "l.svg"], "out.json"),
+    ], ids=["analyze-same", "analyze-dot-slash", "analyze-long", "cohort-json-on-a-chart",
+            "analyze-link-to-the-json"])
     def test_two_outputs_on_one_path_exit_2(self, argv, named, inputs, tmp_path, monkeypatch,
                                             capsys):
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "l.svg").symlink_to("out.json")  # a link that leads one output to another
         assert main([arg.format(**inputs) for arg in argv]) == 2
         assert capsys.readouterr().err == f"error: two outputs would be written to {named}\n"
         # nothing is written or made: no chart, no JSON document in a chart's place, no --svg-dir
         assert not (tmp_path / "out").exists()
         assert not (tmp_path / "charts").exists()
+        assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("flags", [[], ["--n-years", "8"]], ids=["in-the-rows", "at-the-end"])
@@ -807,6 +816,21 @@ class TestWriteFailures:
                                 env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
                                 text=True, timeout=120)
         assert (result.returncode, result.stdout, result.stderr) == (1, "", expected)
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{report}", "--json", "o.json"],
+        ["cohort", "{manifest}", "--json", "o.json"],
+        ["synth", "--archetype", "papermill", "-o", "o.tsv"],
+    ], ids=["analyze", "cohort", "synth"])
+    def test_relative_output_in_a_removed_working_directory_exit_1(self, argv, inputs, tmp_path,
+                                                                   monkeypatch, capsys):
+        gone = tmp_path / "gone"
+        gone.mkdir()
+        monkeypatch.chdir(gone)
+        gone.rmdir()
+        assert main([arg.format(**inputs) for arg in argv]) == 1
+        assert capsys.readouterr().err == (f"error: cannot write {argv[-1]}: "
+                                           "[Errno 2] No such file or directory\n")
 
     def test_refused_synth_spec_leaves_the_output_as_it_was(self, tmp_path, capsys):
         out = tmp_path / "x.tsv"

@@ -150,34 +150,46 @@ def test_a_file_size_limit_leaves_no_part_of_an_output(command, inputs):
     assert snapshot(inputs["out"]) == was
 
 
+# each command that can write one output file: its argv for that file, and a part of what it writes
+ONE_OUTPUT = {
+    "analyze": (lambda inputs, path: ["analyze", inputs["report"], "--json", str(path)],
+                b'"schema_version"'),
+    "synth": (lambda inputs, path: ["synth", "--archetype", "papermill", "-o", str(path)],
+              b"# researcher\tsynth-papermill-0\n"),
+}
+
+
 def test_a_link_stays_a_link(inputs, tmp_path):
-    report = inputs["report"]
-    elsewhere = tmp_path / "elsewhere"
-    elsewhere.mkdir()
-    existing, new = elsewhere / "existing.json", elsewhere / "new.json"
-    existing.write_text("{}")
-    for name, target in (("old.json", existing), ("new.json", new)):
-        link = inputs["out"] / name
-        link.symlink_to(target)
-        assert main(["analyze", report, "--json", str(link)]) == 0
-        assert link.is_symlink() and os.readlink(link) == str(target)
-        assert b'"schema_version"' in target.read_bytes()
-    assert sorted(os.listdir(elsewhere)) == ["existing.json", "new.json"]
+    for command, (argv, written) in ONE_OUTPUT.items():
+        elsewhere, out = tmp_path / "elsewhere" / command, inputs["out"] / command
+        elsewhere.mkdir(parents=True)
+        out.mkdir()
+        existing, new = elsewhere / "existing.json", elsewhere / "new.json"
+        existing.write_text("{}")
+        for name, target in (("old.json", existing), ("new.json", new)):
+            link = out / name
+            link.symlink_to(target)
+            assert main(argv(inputs, link)) == 0
+            assert link.is_symlink() and os.readlink(link) == str(target)
+            assert written in target.read_bytes()
+        assert sorted(os.listdir(elsewhere)) == ["existing.json", "new.json"]
 
 
 def test_permission_bits_are_kept_or_those_of_a_new_file(inputs):
-    out, report = inputs["out"], inputs["report"]
-    kept = out / "kept.json"
-    kept.write_text("{}")
-    kept.chmod(0o600)
-    mask = os.umask(0o027)
-    try:
-        for path in (kept, out / "new.json"):
-            assert main(["analyze", report, "--json", str(path)]) == 0
-    finally:
-        os.umask(mask)
-    assert stat.S_IMODE(kept.stat().st_mode) == 0o600
-    assert stat.S_IMODE((out / "new.json").stat().st_mode) == 0o666 & ~0o027
+    for command, (argv, _) in ONE_OUTPUT.items():
+        out = inputs["out"] / command
+        out.mkdir()
+        kept = out / "kept.json"
+        kept.write_text("{}")
+        kept.chmod(0o600)
+        mask = os.umask(0o027)
+        try:
+            for path in (kept, out / "new.json"):
+                assert main(argv(inputs, path)) == 0
+        finally:
+            os.umask(mask)
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o600
+        assert stat.S_IMODE((out / "new.json").stat().st_mode) == 0o666 & ~0o027
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
