@@ -366,7 +366,7 @@ def build_cohort_document(
 
 
 @contextmanager
-def _writing(path: str | Path):
+def _writing(path: str | Path | None):
     """An OSError (or a NUL byte in ``path``) inside the block fails the run as a data error."""
     try:
         yield
@@ -374,25 +374,24 @@ def _writing(path: str | Path):
         raise _Failure(EXIT_DATA_ERROR, f"cannot write {_name(str(path))}: {_reason(exc)}") from None
 
 
-def _open_output(path: str | Path) -> tuple[BinaryIO, tuple[str, str] | None]:
+def _open_output(path: str | Path, target: str) -> tuple[BinaryIO, tuple[str, str] | None]:
     """A new binary stream for the output ``path``, and the move that puts what it writes in place:
     ``(temporary file, target)``, or None for a path that it writes in place.
 
-    The target is the file that ``path``'s links lead to, so a link stays a link.  The temporary
-    file is a new one in the target's directory, with the target's permission bits, or a new
-    file's (0666 less the umask).  Written in place are a path or target under /dev or /proc
-    (as /dev/stdout is), an existing file that is not a regular file (a FIFO, a device; a
-    directory fails to open), and an existing file whose directory refuses a new one.
+    ``target`` is ``path`` as ``_write`` resolved it: the file that its links lead to, so a link
+    stays a link.  The temporary file is a new one in the target's directory, with the target's
+    permission bits, or a new file's (0666 less the umask).  Written in place are a target that
+    ends in a separator (a path that can only name a directory, which open refuses), a path or
+    target under /dev or /proc (as /dev/stdout is), an existing file that is not a regular file (a
+    FIFO, a device; a directory fails to open), and an existing file whose directory refuses a new one.
     """
     name = os.fspath(path)
-    target = os.path.realpath(name)
     try:
         mode = os.stat(target).st_mode
     except OSError:  # no such file yet; or none can be made there, which creating one reports
         mode = None
-    devices = ("/dev/", "/proc/")
-    if (os.path.abspath(name).startswith(devices) or target.startswith(devices)
-            or mode is not None and not S_ISREG(mode)):
+    if (target.endswith(os.sep) or mode is not None and not S_ISREG(mode)
+            or any(p.startswith(("/dev/", "/proc/")) for p in (os.path.abspath(name), target))):
         return open(name, "wb"), None
     temporary = os.path.join(os.path.dirname(target), f".papertrail-{os.urandom(8).hex()}.tmp")
     try:
@@ -411,23 +410,27 @@ def _open_output(path: str | Path) -> tuple[BinaryIO, tuple[str, str] | None]:
 def _write(*outputs: tuple[str | Path | None, str | bytes | Callable[[BinaryIO], object]],
            directory: str | None = None) -> None:
     """Write each (path, data) in order; a None path means stdout.  ``data`` is text (UTF-8 in a
-    file), bytes, or a function that writes into a file's binary stream (``synth``'s report).  Two
-    paths that lead to one file are a usage error, raised before ``directory`` is made or anything
-    is written.
+    file), bytes, or a function that writes into a file's binary stream (``synth``'s report).  Each
+    path is resolved once, before ``directory`` is made or anything is written, into the target
+    that ``_open_output`` reads: the file its links lead to, with a final separator if the path
+    can only name a directory (it ends in "/" or "/.").  A path that cannot be resolved (a NUL
+    byte, a relative path in a removed working directory) is a data error, two paths with one
+    target a usage error.
 
     The only code that opens, fills, commits or discards an output file: each file is written
     whole into its temporary file (see ``_open_output``); then, in order, each temporary file
     replaces its target, and stdout and the paths written in place are written.  A failure closes
     every stream and removes the temporary files and the directories made for ``directory``.
     """
-    targets = set()
-    for path in (path for path, _ in outputs if path is not None):
-        # a removed working directory fails here; a NUL byte, which realpath refuses, fails at open
-        with _writing(path), suppress(ValueError):
-            target = os.path.realpath(path)
-            if target in targets:
-                raise _Failure(EXIT_USAGE_ERROR, f"two outputs would be written to {_name(str(path))}")
-            targets.add(target)
+    targets: list[str | None] = []  # of each output, in order; None for stdout
+    for path, _ in outputs:
+        with _writing(path):
+            target = None if path is None else os.path.realpath(path)
+        if target and os.fspath(path).endswith((os.sep, os.sep + ".")):  # can only name a directory
+            target = os.path.join(target, "")
+        if target and target in targets:
+            raise _Failure(EXIT_USAGE_ERROR, f"two outputs would be written to {_name(str(path))}")
+        targets.append(target)
     made: list[Path] = []
     pending: list[tuple] = []  # (path, write, stream, move) of each output, in order
     try:
@@ -435,15 +438,12 @@ def _write(*outputs: tuple[str | Path | None, str | bytes | Callable[[BinaryIO],
             with _writing(directory):
                 made = [d for d in (Path(directory), *Path(directory).parents) if not d.exists()]
                 os.makedirs(directory, exist_ok=True)  # unlike Path("").mkdir, refuses "" as open does
-        for path, data in outputs:
+        for (path, data), target in zip(outputs, targets):
             if path is not None and isinstance(data, str):
                 data = data.encode("utf-8")
             write = data if callable(data) else methodcaller("write", data)
-            if path is None:
-                pending.append((None, write, sys.stdout, None))
-                continue
             with _writing(path):
-                stream, move = _open_output(path)
+                stream, move = (sys.stdout, None) if path is None else _open_output(path, target)
                 pending.append((path, write, stream, move))
                 if move:  # written whole now, moved into place below
                     with stream:

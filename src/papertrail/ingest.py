@@ -73,9 +73,10 @@ _BULK_CELLS = 65_536
 _INTEGER = r"[+-]?\d+(?:_\d+)*"
 
 
-def _require_int(value: object, what: str) -> None:
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an int, got {type(value).__name__}")
+def _require(value: object, kind: type[int] | type[str], what: str) -> None:
+    if type(value) is not kind:
+        article = "an" if kind is int else "a"
+        raise ValueError(f"{what} must be {article} {kind.__name__}, got {type(value).__name__}")
 
 
 class ReportFormat(str, Enum):
@@ -89,11 +90,11 @@ class PublicationRecord:
     An immutable value: setting or deleting an attribute raises
     AttributeError.  The per-year counts are held as a tuple over the
     record's cited span, from its first to its last cited year (empty if it
-    cites nothing); every constructor trims them to that span.
-    ``citations_by_year`` is derived from them on each access, in canonical
-    form: a new dict in year order with the zero-count years dropped, so two
-    records compare equal regardless of how many explicit zeros their source
-    files carried.
+    cites nothing); every constructor trims them to that span, so two records
+    compare equal by their stored fields regardless of how many explicit
+    zeros their source files carried.  ``citations_by_year`` is derived from
+    them on each access: a new dict in year order with the zero-count years
+    dropped.
     """
 
     __slots__ = ("title", "pub_year", "total_citations", "_years", "_counts")
@@ -101,8 +102,9 @@ class PublicationRecord:
     def __init__(self, title: str, pub_year: int, total_citations: int,
                  citations_by_year: Mapping[int, int] | None = None) -> None:
         by_year = citations_by_year or {}
-        _require_int(pub_year, "publication year")
-        _require_int(total_citations, "total citations")
+        _require(title, str, "title")
+        _require(pub_year, int, "publication year")
+        _require(total_citations, int, "total citations")
         if not MIN_YEAR <= pub_year <= MAX_YEAR:
             raise ValueError(f"publication year {pub_year} outside {MIN_YEAR}..{MAX_YEAR}")
         if total_citations < 0:
@@ -110,8 +112,8 @@ class PublicationRecord:
         if total_citations > MAX_COUNT:
             raise ValueError(f"total citations must be at most {MAX_COUNT}")
         for year, count in by_year.items():
-            _require_int(year, "cited year")
-            _require_int(count, f"citation count for year {year}")
+            _require(year, int, "cited year")
+            _require(count, int, f"citation count for year {year}")
             if not MIN_YEAR <= year <= MAX_YEAR:
                 raise ValueError(f"cited year {year} outside {MIN_YEAR}..{MAX_YEAR}")
             if count < 0:
@@ -145,8 +147,8 @@ class PublicationRecord:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.title, self.pub_year, self.total_citations, self.citations_by_year)
-                == (other.title, other.pub_year, other.total_citations, other.citations_by_year))
+        return ((self.title, self.pub_year, self.total_citations, self._years, self._counts)
+                == (other.title, other.pub_year, other.total_citations, other._years, other._counts))
 
     def __repr__(self) -> str:
         return (f"PublicationRecord(title={self.title!r}, pub_year={self.pub_year!r}, "
@@ -515,6 +517,7 @@ def _check_fields(fmt: ReportFormat, fields: Iterable[tuple[str, str]]) -> None:
 
         limit = csv.field_size_limit()
     for what, value in fields:
+        _require(value, str, what)
         unsafe = search(value)
         if unsafe:
             raise ValueError(f"{what} holds {unsafe[0]!r}, which the {fmt.name} flavor cannot carry")
@@ -530,18 +533,22 @@ def serialize_report(profile: ResearcherProfile, fmt: ReportFormat = ReportForma
     (empty when nothing was ever cited), which each record row fills with
     zeros outside its span.  ``parse_report(serialize_report(p))`` reproduces
     ``p`` in every field except ``warnings``.  A profile it would not reproduce raises
-    ValueError naming the field: no records, an empty name, a reported
-    h-index outside 0..MAX_COUNT, or a title, name or id that the flavor
-    cannot carry (a surrogate in any flavor).
+    ValueError naming the field: no records, an empty name, a title, name or
+    id that is not a str, a reported h-index that is not an int or lies
+    outside 0..MAX_COUNT, or a title, name or id that the flavor cannot
+    carry (a surrogate in any flavor).
     """
     records = profile.records
     if not records:
         raise ValueError("profile has no records; parse_report rejects a report without any")
-    if not profile.name:
+    if profile.name == "":
         raise ValueError("researcher name is empty; parse_report would read the file's name")
-    if profile.reported_h is not None and not 0 <= profile.reported_h <= MAX_COUNT:
-        raise ValueError(f"reported h-index must lie in 0..{MAX_COUNT}")
-    named = [("researcher name", profile.name), ("researcher id", profile.source_id or "")]
+    if profile.reported_h is not None:
+        _require(profile.reported_h, int, "reported h-index")
+        if not 0 <= profile.reported_h <= MAX_COUNT:
+            raise ValueError(f"reported h-index must lie in 0..{MAX_COUNT}")
+    named = [("researcher name", profile.name),
+             ("researcher id", "" if profile.source_id is None else profile.source_id)]
     _check_fields(fmt, chain(named, zip(repeat("record title"), map(attrgetter("title"), records))))
     data = io.BytesIO()  # getvalue() hands its bytes over uncopied
     # one _cells call renders every record's cells, with no Python call per record

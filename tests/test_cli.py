@@ -20,6 +20,7 @@ from papertrail.ingest import serialize_report
 from papertrail.synth import Archetype, conscientious_spec, generate, papermill_spec
 
 from conftest import TWO_RECORD_TSV
+from test_output_files import snapshot
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -770,17 +771,34 @@ class TestWriteFailures:
         (["analyze", "{report}", "--json", "{tmp}/o.json", "--svg", ""], ""),
         (["cohort", "{manifest}", "--json", ""], ""),
         (["cohort", "{manifest}", "--json", "{tmp}/o.json", "--svg-dir", ""], ""),
+        (["analyze", "{report}", "--json", "{tmp}/out/"], "{tmp}/out/"),
+        (["analyze", "{report}", "--json", "{tmp}/o.json", "--svg", "{tmp}/out/"], "{tmp}/out/"),
+        (["analyze", "{report}", "--json", "{tmp}/out/."], "{tmp}/out/."),
+        (["cohort", "{manifest}", "--json", "{tmp}/out/"], "{tmp}/out/"),
+        (["cohort", "{manifest}", "--json", "{tmp}/out/."], "{tmp}/out/."),
+        (["synth", "--archetype", "papermill", "-o", "{tmp}/r.tsv/"], "{tmp}/r.tsv/"),
+        (["synth", "--archetype", "papermill", "-o", "{tmp}/r.tsv/."], "{tmp}/r.tsv/."),
+        (["analyze", "{report}", "--json", "{tmp}/o\x00.json"], "{tmp}/o\x00.json"),
     ], ids=["analyze-json", "analyze-svg", "cohort-json", "cohort-svg-dir", "cohort-svg",
             "synth", "synth-empty-path", "analyze-json-empty-path", "analyze-svg-empty-path",
-            "cohort-json-empty-path", "cohort-svg-dir-empty-path"])
+            "cohort-json-empty-path", "cohort-svg-dir-empty-path", "analyze-json-dir-slash",
+            "analyze-svg-dir-slash", "analyze-json-dir-dot", "cohort-json-dir-slash",
+            "cohort-json-dir-dot", "synth-dir-slash", "synth-dir-dot", "analyze-json-nul-byte"])
     def test_unwritable_output_exit_1(self, argv, target, inputs, tmp_path, capsys):
         fill = dict(inputs, tmp=str(tmp_path))
-        assert main([arg.format(**fill) for arg in argv]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot write {target.format(**fill)}: ")
-        assert "Traceback" not in err
-        # the JSON document is written last, so a failed chart leaves none behind
-        assert not (tmp_path / "o.json").exists()
+        argv, target = [arg.format(**fill) for arg in argv], target.format(**fill)
+        # a path that can only name a directory fails alike with no file and with a file there
+        files = [None, Path(target)] if target.endswith(("/", "/.")) else [None]
+        for file in files:
+            if file is not None:
+                file.write_bytes(b"an earlier output\n")
+            was = snapshot(tmp_path)
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+            # nothing is written, replaced or left behind: no file, temporary file or directory;
+            # the JSON document is written last, so a failed chart leaves none behind
+            assert snapshot(tmp_path) == was
 
     @pytest.mark.parametrize("argv,named", [
         (["analyze", "{report}", "--svg", "out", "--json", "out"], "out"),

@@ -5,7 +5,9 @@ each imported name is used in that module, and each private module-level
 function, class or constant is referenced somewhere in the package.  No
 module imports ``warnings``: its registry is process-wide state, so the
 package reports data issues as values or errors instead.  No module but
-``ingest.py`` reads a record's private slots or methods.
+``ingest.py`` reads a record's private slots or methods.  Only ``cli._write``
+and ``cli._open_output`` open, replace, remove or make files, and only
+``cli._write`` resolves an output path.
 """
 
 import ast
@@ -104,6 +106,29 @@ def test_only_ingest_reads_a_record_s_private_attributes(path):
             if isinstance(node, ast.Attribute) or isinstance(node, ast.Constant)
             and isinstance(node.value, str)}
     assert read & record_private_names() == set()
+
+
+def callers() -> dict[str, set[str]]:
+    """Each function the package calls, by its name as written (``os.path.realpath``), and the
+    module-level definitions that call it (``cli._write``)."""
+    found: dict[str, set[str]] = {}
+    for path, tree in TREES.items():
+        for top in tree.body:
+            caller = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    found.setdefault(ast.unparse(node.func), set()).add(caller)
+    return found
+
+
+def test_one_output_path():
+    # only _write and _open_output open, fill, commit or discard an output file, and only _write
+    # resolves an output path; so a second writer or a second resolution cannot come in unseen
+    calls = callers()
+    writers = {"cli._write", "cli._open_output"}
+    for name in ("open", "os.open", "os.replace", "os.unlink", "os.chmod", "os.makedirs"):
+        assert name in calls and calls[name] <= writers, name
+    assert calls["os.path.realpath"] == {"cli._write"}
 
 
 def test_the_checks_see_the_package():

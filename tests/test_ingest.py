@@ -298,6 +298,12 @@ def test_record_rejects_invalid_fields(pub_year, total, by_year, message):
         PublicationRecord("p", pub_year, total, by_year)
 
 
+@pytest.mark.parametrize("title", [5, b"p", None], ids=["int", "bytes", "none"])
+def test_record_rejects_a_title_that_is_not_a_str(title):
+    with pytest.raises(ValueError, match=f"^title must be a str, got {type(title).__name__}$"):
+        PublicationRecord(title, 2000, 1)
+
+
 def test_record_accepts_counts_at_max_count():
     record = PublicationRecord("p", 2000, MAX_COUNT, {2000: MAX_COUNT, 2001: MAX_COUNT})
     assert record.citations_by_year == {2000: MAX_COUNT, 2001: MAX_COUNT}
@@ -387,7 +393,16 @@ class TestSerialize:
         ({"reported_h": -1}, "reported h-index must lie in 0..1000000000000"),
         ({"reported_h": MAX_COUNT + 1}, "reported h-index must lie in 0..1000000000000"),
         ({"records": []}, "profile has no records"),
-    ], ids=["empty-name", "negative-h", "h-above-max-count", "no-records"])
+        ({"name": 5}, "researcher name must be a str, got int"),
+        ({"name": None}, "researcher name must be a str, got NoneType"),
+        ({"source_id": 5}, "researcher id must be a str, got int"),
+        ({"reported_h": True}, "reported h-index must be an int, got bool"),
+        ({"reported_h": 2.0}, "reported h-index must be an int, got float"),
+        # a record whose title is not a str, made past the constructor, which refuses it
+        ({"records": [ingest._record(5, 2018, 1, range(2018, 2019), (1,))]},
+         "record title must be a str, got int"),
+    ], ids=["empty-name", "negative-h", "h-above-max-count", "no-records", "name-an-int",
+            "name-none", "id-an-int", "h-a-bool", "h-a-float", "title-an-int"])
     def test_profile_that_would_not_read_back_raises(self, changes, message, fmt):
         # parse_report would read each of these back as another profile, or as none
         fields = {"name": "n", "records": [PublicationRecord("t", 2018, 1, {2018: 1})], **changes}

@@ -75,8 +75,8 @@ def fail_output(monkeypatch):
         opened = []
         open_output = cli._open_output
 
-        def failing(path):
-            stream, move = open_output(path)
+        def failing(path, *args):
+            stream, move = open_output(path, *args)
             opened.append(path)
             if len(opened) == n:
                 raw = stream.detach()
@@ -119,6 +119,24 @@ def test_a_run_that_succeeds_replaces_every_output(command, inputs, capsys):
     assert capsys.readouterr() == ("", "")
     assert {p for p in inputs["out"].rglob("*") if p.is_file()} == set(targets)  # no temporary file
     assert all(t.read_bytes() != b"an earlier output" for t in targets)
+
+
+@pytest.mark.parametrize("command", ["analyze", "cohort"])
+def test_each_output_path_is_resolved_once(command, inputs, monkeypatch, capsys):
+    # one target decides the two-outputs check, whether a path is written in place, and where
+    # its temporary file goes
+    argv, targets = commands(inputs)[command]
+    resolved = []
+    realpath = os.path.realpath
+
+    def counting(path, *args, **kwargs):
+        resolved.append(os.fspath(path))
+        return realpath(path, *args, **kwargs)
+
+    monkeypatch.setattr(os.path, "realpath", counting)
+    assert main(argv) == 0
+    assert capsys.readouterr() == ("", "")
+    assert sorted(resolved) == sorted(map(str, targets))
 
 
 def limited_run(argv, limit: int, cwd: Path) -> subprocess.CompletedProcess:
