@@ -1,4 +1,4 @@
-"""Analysis settings: the flag thresholds, the flag region and the type rule of the settings classes.
+"""Analysis settings: the flag thresholds, the flag region and the package's one type rule.
 
 This module imports nothing of the package, so the CLI can read its config
 keys and build an ``AnalysisConfig`` without loading the analysis itself.
@@ -11,19 +11,20 @@ from dataclasses import dataclass, fields
 DEFAULT_MAX_LAG = 10
 
 
-def _check_types(obj: object, error: type[Exception] = ValueError) -> None:
-    """Raise ``error`` naming the first field of the dataclass ``obj`` whose value is not of the
-    field's declared type.  A float field also takes an int; no field but a bool one takes a bool.
+def _check_type(value: object, declared: str, what: str, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` saying ``<what> must be <declared>, got <type>`` unless the class of ``value``
+    is the one named ``declared``, or is int for a float: the package's one type rule.  A subclass
+    (a bool for an int, an ``IntEnum`` member) is refused, as its ``str()`` need not be its value's."""
+    got = type(value).__name__
+    if got != declared and (declared, got) != ("float", "int"):
+        raise error(f"{what} must be {declared}, got {got}")
 
-    The declared types are names (the package's modules postpone annotations), so a value is of
-    one when it names the value's class or a base of it: ``str`` takes an ``Archetype``.
-    """
+
+def _check_types(obj: object, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` naming the first field of the dataclass ``obj`` whose value breaks
+    ``_check_type`` for the field's declared type (a name, as annotations are postponed)."""
     for f in fields(obj):
-        value = getattr(obj, f.name)
-        kinds = {kind.__name__ for kind in type(value).__mro__}
-        if (type(value) is bool) != (f.type == "bool") or not (
-                f.type in kinds or f.type == "float" and "int" in kinds):
-            raise error(f"{f.name} must be {f.type}, got {type(value).__name__}")
+        _check_type(getattr(obj, f.name), f.type, f.name, error)
 
 
 @dataclass(frozen=True)

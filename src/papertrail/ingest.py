@@ -32,6 +32,7 @@ from itertools import chain, compress, count, islice, repeat
 from operator import add, attrgetter, itemgetter, ne
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
+from .config import _check_type
 from .errors import (
     EmptyProfileError,
     EncodingError,
@@ -73,12 +74,6 @@ _BULK_CELLS = 65_536
 _INTEGER = r"[+-]?\d+(?:_\d+)*"
 
 
-def _require(value: object, kind: type[int] | type[str], what: str) -> None:
-    if type(value) is not kind:
-        article = "an" if kind is int else "a"
-        raise ValueError(f"{what} must be {article} {kind.__name__}, got {type(value).__name__}")
-
-
 class ReportFormat(str, Enum):
     TSV = "tsv"
     CSV = "csv"
@@ -102,9 +97,9 @@ class PublicationRecord:
     def __init__(self, title: str, pub_year: int, total_citations: int,
                  citations_by_year: Mapping[int, int] | None = None) -> None:
         by_year = citations_by_year or {}
-        _require(title, str, "title")
-        _require(pub_year, int, "publication year")
-        _require(total_citations, int, "total citations")
+        _check_type(title, "str", "title")
+        _check_type(pub_year, "int", "publication year")
+        _check_type(total_citations, "int", "total citations")
         if not MIN_YEAR <= pub_year <= MAX_YEAR:
             raise ValueError(f"publication year {pub_year} outside {MIN_YEAR}..{MAX_YEAR}")
         if total_citations < 0:
@@ -112,8 +107,8 @@ class PublicationRecord:
         if total_citations > MAX_COUNT:
             raise ValueError(f"total citations must be at most {MAX_COUNT}")
         for year, count in by_year.items():
-            _require(year, int, "cited year")
-            _require(count, int, f"citation count for year {year}")
+            _check_type(year, "int", "cited year")
+            _check_type(count, "int", f"citation count for year {year}")
             if not MIN_YEAR <= year <= MAX_YEAR:
                 raise ValueError(f"cited year {year} outside {MIN_YEAR}..{MAX_YEAR}")
             if count < 0:
@@ -288,12 +283,13 @@ def _parse_year_columns(cells: list[str]) -> range:
     return range(years[0], years[-1] + 1)
 
 
-def _parse_count(cell: str, what: str, row_no: int) -> int:
-    value = _int(cell, f"row {row_no}: {what}", MalformedRowError, MAX_COUNT)
+def _parse_count(cell: str, what: str, row_no: int, error: type[PapertrailError]) -> int:
+    """Read ``cell`` as a count in 0..MAX_COUNT, or raise ``error`` naming ``what`` on row ``row_no``."""
+    value = _int(cell, f"row {row_no}: {what}", error, MAX_COUNT)
     if value < 0:
-        raise MalformedRowError(f"row {row_no}: {what} must be non-negative, got {value}")
+        raise error(f"row {row_no}: {what} must be non-negative, got {value}")
     if value > MAX_COUNT:
-        raise MalformedRowError(f"row {row_no}: {what} is above {MAX_COUNT} ({len(str(value))} digits)")
+        raise error(f"row {row_no}: {what} is above {MAX_COUNT} ({len(str(value))} digits)")
     return value
 
 
@@ -303,7 +299,8 @@ def _parse_row(cells: list[str], year_cols: range, row_no: int) -> list[int]:
     if not MIN_YEAR <= pub_year <= MAX_YEAR:
         raise MalformedRowError(f"row {row_no}: publication year {pub_year} outside {MIN_YEAR}..{MAX_YEAR}")
     whats = ["total citations", *(f"citation count for {year}" for year in year_cols)]
-    return [pub_year, *(_parse_count(cell, what, row_no) for what, cell in zip(whats, cells[2:]))]
+    return [pub_year, *(_parse_count(cell, what, row_no, MalformedRowError)
+                        for what, cell in zip(whats, cells[2:]))]
 
 
 def _read_chunk(lines: list[str] | list[list[str]], fmt: ReportFormat,
@@ -440,13 +437,7 @@ def _read_report(data: bytes, fmt: ReportFormat, default_name: str,
         elif key == META_ID:
             source_id = cells[1]
         else:
-            reported_h = _int(cells[1], f"row {row_no}: h-index", MalformedHeaderError, MAX_COUNT)
-            if reported_h < 0:
-                raise MalformedHeaderError(f"row {row_no}: h-index must be non-negative")
-            if reported_h > MAX_COUNT:
-                raise MalformedHeaderError(
-                    f"row {row_no}: h-index is above {MAX_COUNT} ({len(str(reported_h))} digits)"
-                )
+            reported_h = _parse_count(cells[1], "h-index", row_no, MalformedHeaderError)
     else:
         raise MalformedHeaderError("no header row found")
 
@@ -517,7 +508,7 @@ def _check_fields(fmt: ReportFormat, fields: Iterable[tuple[str, str]]) -> None:
 
         limit = csv.field_size_limit()
     for what, value in fields:
-        _require(value, str, what)
+        _check_type(value, "str", what)
         unsafe = search(value)
         if unsafe:
             raise ValueError(f"{what} holds {unsafe[0]!r}, which the {fmt.name} flavor cannot carry")
@@ -544,7 +535,7 @@ def serialize_report(profile: ResearcherProfile, fmt: ReportFormat = ReportForma
     if profile.name == "":
         raise ValueError("researcher name is empty; parse_report would read the file's name")
     if profile.reported_h is not None:
-        _require(profile.reported_h, int, "reported h-index")
+        _check_type(profile.reported_h, "int", "reported h-index")
         if not 0 <= profile.reported_h <= MAX_COUNT:
             raise ValueError(f"reported h-index must lie in 0..{MAX_COUNT}")
     named = [("researcher name", profile.name),

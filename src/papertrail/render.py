@@ -9,6 +9,7 @@ back into data coordinates exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from html import escape
 from typing import Iterator, Sequence
@@ -28,6 +29,8 @@ FIT_CURVE_SAMPLES = 100
 BUBBLE_RADIUS_MIN = 3.0
 BUBBLE_RADIUS_MAX = 14.0
 MARKER_RADIUS = 4.0
+_TARGET_TICKS = 5  # the ticks an axis aims at
+_PAD_FRACTION = 0.05  # the share of a scatter axis's data span padded onto each of its ends
 BAR_COLOR = "#4682b4"
 LINE_COLOR = "#8b0000"
 
@@ -37,7 +40,7 @@ _FONT = "font-family=\"sans-serif\""
 @dataclass(frozen=True)
 class ChartStyle:
     """A chart's size in pixels and its title.  A value of the wrong type, or a size that is not
-    positive, raises ValueError."""
+    positive or that a float cannot hold, raises ValueError."""
 
     width: int = 900
     height: int = 500
@@ -47,6 +50,8 @@ class ChartStyle:
         _check_types(self)
         if self.width <= 0 or self.height <= 0:
             raise ValueError("chart dimensions must be positive")
+        if max(self.width, self.height) > sys.float_info.max:  # the charts compute in floats
+            raise ValueError(f"chart dimensions must be at most {sys.float_info.max:g}")
 
 
 @dataclass(frozen=True)
@@ -75,8 +80,8 @@ def _value_axis(max_value: float, px_bottom: float, px_top: float) -> AxisTransf
     return AxisTransform(0.0, max_value if max_value > 0 else 1.0, px_bottom, px_top)
 
 
-def _nice_step(span: float, target_ticks: int = 5) -> float:
-    raw = span / target_ticks
+def _nice_step(span: float) -> float:
+    raw = span / _TARGET_TICKS
     mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0 else 1.0
     for mult in (1.0, 2.0, 5.0):
         if raw <= mult * mag:
@@ -250,10 +255,10 @@ def scatter_axes_transforms(
     return AxisTransform(xlo, xhi, left, right), AxisTransform(ylo, yhi, bottom, top)
 
 
-def _padded(lo: float, hi: float, frac: float = 0.05) -> tuple[float, float]:
+def _padded(lo: float, hi: float) -> tuple[float, float]:
     if hi == lo:
         return lo - 1.0, hi + 1.0
-    pad = (hi - lo) * frac
+    pad = (hi - lo) * _PAD_FRACTION
     return lo - pad, hi + pad
 
 

@@ -107,7 +107,8 @@ def parse_report(
                             f"row {row_no}: h-index {cells[1]!r} is not an integer"
                         ) from None
                     if reported_h < 0:
-                        raise MalformedHeaderError(f"row {row_no}: h-index must be non-negative")
+                        raise MalformedHeaderError(
+                            f"row {row_no}: h-index must be non-negative, got {reported_h}")
                 continue
             raise MalformedHeaderError(
                 f"row {row_no}: expected metadata or header row, got {key!r}"

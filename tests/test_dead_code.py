@@ -7,7 +7,8 @@ module imports ``warnings``: its registry is process-wide state, so the
 package reports data issues as values or errors instead.  No module but
 ``ingest.py`` reads a record's private slots or methods.  Only ``cli._write``
 and ``cli._open_output`` open, replace, remove or make files, and only
-``cli._write`` resolves an output path.
+``cli._write`` resolves an output path.  No module but ``config.py``, which
+holds the package's one type rule, compares a value's ``type(...)``.
 """
 
 import ast
@@ -129,6 +130,28 @@ def test_one_output_path():
     for name in ("open", "os.open", "os.replace", "os.unlink", "os.chmod", "os.makedirs"):
         assert name in calls and calls[name] <= writers, name
     assert calls["os.path.realpath"] == {"cli._write"}
+
+
+def compares_a_type(tree: ast.AST) -> bool:
+    """Whether a comparison in ``tree`` has an operand that is a value's type or an attribute of
+    it, as in ``type(value) is int``, or a name bound to one, as ``got`` in
+    ``got = type(value).__name__`` and then ``got != declared``."""
+    def is_a_type(node: ast.AST) -> bool:
+        while isinstance(node, ast.Attribute):
+            node = node.value
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "type"
+
+    bound = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign) and is_a_type(node.value)
+             for target in node.targets if isinstance(target, ast.Name)}
+    return any(is_a_type(operand) or isinstance(operand, ast.Name) and operand.id in bound
+               for node in ast.walk(tree) if isinstance(node, ast.Compare)
+               for operand in (node.left, *node.comparators))
+
+
+def test_only_config_compares_a_type():
+    # a second type rule, with its own idea of subclasses and its own message, cannot come in unseen
+    assert compares_a_type(TREES[PACKAGE / "config.py"])
+    assert [path.name for path, tree in TREES.items() if compares_a_type(tree)] == ["config.py"]
 
 
 def test_the_checks_see_the_package():

@@ -209,6 +209,13 @@ def test_first_bad_cell_is_named():
     assert result[2] == "row 2: citation count for 2010 must be non-negative, got -2"
 
 
+@pytest.mark.parametrize("fmt", list(ReportFormat))
+def test_negative_h_index_is_named_like_a_negative_count(fmt):
+    rows = [["# h-index", "-1"], ["Title", "Publication Year", "Total Citations"], ["p", "2010", "1"]]
+    result = assert_same_outcome(report(rows, fmt), fmt)
+    assert result[1:] == (MalformedHeaderError, "row 1: h-index must be non-negative, got -1")
+
+
 cell_text = st.one_of(
     st.sampled_from(TRICKY_CELLS),
     st.integers(-5, 10 ** 6).map(str),

@@ -1,4 +1,5 @@
 import math
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -217,8 +218,16 @@ def _interp(curve, x):
 
 class TestStyleValidation:
     def test_dimensions_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ChartStyle(width=0)
+        # and fit a float, as the charts compute in floats: a larger size raised OverflowError there
+        too_large = f"chart dimensions must be at most {sys.float_info.max:g}"
+        for kwargs, message in [({"width": 0}, "chart dimensions must be positive"),
+                                ({"height": -1}, "chart dimensions must be positive"),
+                                ({"width": 10**400}, too_large), ({"height": 10**400}, too_large),
+                                ({"width": int(sys.float_info.max) + 1}, too_large)]:
+            with pytest.raises(ValueError) as raised:
+                ChartStyle(**kwargs)
+            assert str(raised.value) == message
+        assert ChartStyle(width=int(sys.float_info.max)).width == int(sys.float_info.max)
 
 
 def assert_nice_step(span: float) -> None:
