@@ -6,9 +6,13 @@ keys and build an ``AnalysisConfig`` without loading the analysis itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 DEFAULT_MAX_LAG = 10
+# a message names a longer cell or title by its length, and a number of more digits by its digit count,
+# also one that int() or str() refuses for its length (over 4,300 digits on Python 3.11, and 3.10.7 on)
+_ECHO_LIMIT = 40
 
 
 def _check_type(value: object, declared: str, what: str, error: type[Exception] = ValueError) -> None:
@@ -18,6 +22,17 @@ def _check_type(value: object, declared: str, what: str, error: type[Exception] 
     got = type(value).__name__
     if got != declared and (declared, got) != ("float", "int"):
         raise error(f"{what} must be {declared}, got {got}")
+
+
+def _echo_int(value: float) -> str:
+    """``value`` as a message shows it: an int of over ``_ECHO_LIMIT`` digits by its digit count,
+    found without ``str()``; any other number as ``str()`` gives it."""
+    size = abs(value)
+    if not isinstance(value, int) or size < 10**_ECHO_LIMIT:
+        return str(value)
+    digits = int(math.log10(size))  # the digit count less one, or one off it near a power of ten
+    digits += 1 + (size >= 10 ** (digits + 1)) - (size < 10**digits)
+    return f"{'-' * (value < 0)}({digits} digits)"
 
 
 def _check_types(obj: object, error: type[Exception] = ValueError) -> None:
@@ -38,9 +53,9 @@ class Region:
     def __post_init__(self) -> None:
         _check_types(self)
         if not -1.0 < self.r_min < 1.0:
-            raise ValueError(f"r_min must lie in (-1, 1), got {self.r_min}")
+            raise ValueError(f"r_min must lie in (-1, 1), got {_echo_int(self.r_min)}")
         if not 0.0 < self.i_max < 1.0:
-            raise ValueError(f"i_max must lie in (0, 1), got {self.i_max}")
+            raise ValueError(f"i_max must lie in (0, 1), got {_echo_int(self.i_max)}")
 
 
 @dataclass(frozen=True)
@@ -63,11 +78,12 @@ class AnalysisConfig:
         _check_types(self)
         Region(self.r_min, self.i_max)  # raises on an out-of-range r_min or i_max
         if self.pubs_per_year_limit < 1:
-            raise ValueError(f"pubs_per_year_limit must be >= 1, got {self.pubs_per_year_limit}")
+            raise ValueError(
+                f"pubs_per_year_limit must be >= 1, got {_echo_int(self.pubs_per_year_limit)}")
         if self.growth_window < 0:
-            raise ValueError(f"growth_window must be >= 0, got {self.growth_window}")
+            raise ValueError(f"growth_window must be >= 0, got {_echo_int(self.growth_window)}")
         if self.max_lag < 0:
-            raise ValueError(f"max_lag must be >= 0, got {self.max_lag}")
+            raise ValueError(f"max_lag must be >= 0, got {_echo_int(self.max_lag)}")
 
     @property
     def region(self) -> Region:

@@ -17,7 +17,7 @@ from operator import ge, gt, le, lt, mul, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .config import DEFAULT_MAX_LAG, AnalysisConfig
+from .config import DEFAULT_MAX_LAG, AnalysisConfig, _echo_int
 from .errors import (
     AllDegenerateError,
     HExceedsPublicationsError,
@@ -138,7 +138,7 @@ def best_lag(series: AnnualSeries, max_lag: int = DEFAULT_MAX_LAG) -> LagResult:
     n = len(series.pubs)
     if n < max_lag + 3:
         raise TooShortError(
-            f"series of {n} years cannot support lags up to {max_lag} "
+            f"series of {n} years cannot support lags up to {_echo_int(max_lag)} "
             "(each lag needs at least 3 overlapping pairs)"
         )
     best: LagResult | None = None
@@ -169,7 +169,7 @@ def i_index(h: int, total_pubs: int) -> float:
     if total_pubs < 1:
         raise ZeroPublicationsError("integrity index needs at least one publication")
     if not 0 <= h <= total_pubs:
-        raise HExceedsPublicationsError(f"h={h} outside 0..{total_pubs}")
+        raise HExceedsPublicationsError(f"h={_echo_int(h)} outside 0..{_echo_int(total_pubs)}")
     return h / total_pubs
 
 

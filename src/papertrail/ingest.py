@@ -32,7 +32,7 @@ from itertools import chain, compress, count, islice, repeat
 from operator import add, attrgetter, itemgetter, ne
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .config import _check_type
+from .config import _ECHO_LIMIT, _check_type, _echo_int
 from .errors import (
     EmptyProfileError,
     EncodingError,
@@ -45,9 +45,6 @@ MIN_YEAR = 1900
 MAX_YEAR = 2100
 # largest count a cell or record may carry; it keeps the analysis's sums and squares finite floats
 MAX_COUNT = 10**12
-# a message names a longer cell or title by its length, and a number of more digits by its digit
-# count, also one that int() refuses for its length (over 4,300 digits on Python 3.11, and 3.10.7 on)
-_ECHO_LIMIT = 40
 
 META_RESEARCHER = "# researcher"
 META_ID = "# id"
@@ -101,16 +98,16 @@ class PublicationRecord:
         _check_type(pub_year, "int", "publication year")
         _check_type(total_citations, "int", "total citations")
         if not MIN_YEAR <= pub_year <= MAX_YEAR:
-            raise ValueError(f"publication year {pub_year} outside {MIN_YEAR}..{MAX_YEAR}")
+            raise ValueError(f"publication year {_echo_int(pub_year)} outside {MIN_YEAR}..{MAX_YEAR}")
         if total_citations < 0:
             raise ValueError("total citations must be non-negative")
         if total_citations > MAX_COUNT:
             raise ValueError(f"total citations must be at most {MAX_COUNT}")
         for year, count in by_year.items():
             _check_type(year, "int", "cited year")
-            _check_type(count, "int", f"citation count for year {year}")
             if not MIN_YEAR <= year <= MAX_YEAR:
-                raise ValueError(f"cited year {year} outside {MIN_YEAR}..{MAX_YEAR}")
+                raise ValueError(f"cited year {_echo_int(year)} outside {MIN_YEAR}..{MAX_YEAR}")
+            _check_type(count, "int", f"citation count for year {year}")
             if count < 0:
                 raise ValueError(f"negative citation count for year {year}")
             if count > MAX_COUNT:
@@ -293,16 +290,6 @@ def _parse_count(cell: str, what: str, row_no: int, error: type[PapertrailError]
     return value
 
 
-def _parse_row(cells: list[str], year_cols: range, row_no: int) -> list[int]:
-    """Convert a record row's cells one by one, raising for the first bad one in column order."""
-    pub_year = _int(cells[1], f"row {row_no}: publication year", MalformedRowError, MAX_YEAR)
-    if not MIN_YEAR <= pub_year <= MAX_YEAR:
-        raise MalformedRowError(f"row {row_no}: publication year {pub_year} outside {MIN_YEAR}..{MAX_YEAR}")
-    whats = ["total citations", *(f"citation count for {year}" for year in year_cols)]
-    return [pub_year, *(_parse_count(cell, what, row_no, MalformedRowError)
-                        for what, cell in zip(whats, cells[2:]))]
-
-
 def _read_chunk(lines: list[str] | list[list[str]], fmt: ReportFormat,
                 columns: int) -> tuple[list[str], Sequence[int], int]:
     """The titles and the numeric cells, row by row, of the clean rows that open ``lines``, a
@@ -314,12 +301,12 @@ def _read_chunk(lines: list[str] | list[list[str]], fmt: ReportFormat,
     test per kind of cell; blank lines, the false ones, are skipped as
     ``_numbered`` skips them.  At a cell the table lacks, the chunk is looked
     up cell by cell up to that cell, and ``int()`` converts the rest.  The
-    pass stops at the first line with a wrong cell count or a cell that
-    ``int()`` refuses.  ``_read_rows`` reads the rest: it raises for the
-    first bad row, or accepts what only ``str.strip()`` cleans, such as
-    "\x1c7".  The index is ``len(lines)`` if the pass reads every line, and
-    0, with no row kept, if a kept publication year lies outside
-    MIN_YEAR..MAX_YEAR or a kept count outside 0..MAX_COUNT.
+    pass keeps the rows before the first line with a wrong cell count, a
+    cell that ``int()`` refuses, or a publication year outside
+    MIN_YEAR..MAX_YEAR or a count outside 0..MAX_COUNT.  ``_read_rows``
+    reads that line and the rest of the chunk, never a kept row: it raises
+    for the first bad row, or accepts what only ``str.strip()`` cleans, such
+    as "\x1c7".  The index is ``len(lines)`` if the pass keeps every row.
     """
     rows = list(filter(None, lines))  # blank lines
     if fmt is ReportFormat.TSV:
@@ -335,6 +322,7 @@ def _read_chunk(lines: list[str] | list[list[str]], fmt: ReportFormat,
     cells = "\t".join(block).split("\t") if fmt is ReportFormat.TSV else list(chain.from_iterable(block))
     titles = cells[0::columns]
     del cells[0::columns]
+    numeric = columns - 1
     try:  # each row has two or more numeric cells, so the call returns a tuple
         values = itemgetter(*cells)(_CELL)  # all within 0..MAX_COUNT
     except KeyError:  # a cell the table lacks: cell by cell up to that cell, int() for the rest
@@ -344,45 +332,38 @@ def _read_chunk(lines: list[str] | list[list[str]], fmt: ReportFormat,
         looked_up = len(values)
         with suppress(ValueError):  # extend keeps the cells before the first one int() refuses
             values.extend(map(int, islice(cells, looked_up, None)))
-        kept = len(values) // (columns - 1)
-        del titles[kept:], values[kept * (columns - 1):]
-        read = values[looked_up:]
-        if not kept or read and not (0 <= min(read) and max(read) <= MAX_COUNT):
-            return [], (), 0
-    pub_years = values[0::columns - 1]
-    if not (MIN_YEAR <= min(pub_years) and max(pub_years) <= MAX_YEAR):
-        return [], (), 0
+        kept = len(values) // numeric
+        read = values[looked_up:kept * numeric]
+        if read and not (0 <= min(read) and max(read) <= MAX_COUNT):  # keep the rows before the first
+            kept = (looked_up + next(i for i, v in enumerate(read) if not 0 <= v <= MAX_COUNT)) // numeric
+    pub_years = values[:kept * numeric:numeric]
+    if pub_years and not (MIN_YEAR <= min(pub_years) and max(pub_years) <= MAX_YEAR):
+        kept = next(i for i, year in enumerate(pub_years) if not MIN_YEAR <= year <= MAX_YEAR)
     if kept == len(rows):
         return titles, values, len(lines)
     # the index in ``lines`` of the first row not kept, blank lines counted
-    return titles, values, next(islice(compress(count(), lines), kept, None))
+    return titles[:kept], values[:kept * numeric], next(islice(compress(count(), lines), kept, None))
 
 
 def _read_rows(rows: Iterator[tuple[int, list[str]]], year_cols: range) -> tuple[list[str], list[int]]:
-    """The titles and the numeric cells, row by row, of numbered record rows read one at a time.
+    """The titles and the numeric cells, row by row, of numbered record rows read cell by cell: the
+    exact path, for the rows from the first one ``_read_chunk`` does not keep.
 
     Raises MalformedRowError for the first row with a wrong column count or a bad cell.
     """
     titles: list[str] = []
     values: list[int] = []
     expected = 3 + len(year_cols)
+    whats = ["total citations", *(f"citation count for {year}" for year in year_cols)]
     for row_no, cells in rows:
         if len(cells) != expected:
-            raise MalformedRowError(
-                f"row {row_no}: expected {expected} columns, got {len(cells)}"
-            )
-        # _read_chunk leaves the rows from the first one it cannot read on, so most rows here are
-        # clean: one step and one bound test for such a row (with no negative cell, a sum within
-        # MAX_COUNT bounds every count); a row failing either goes cell by cell, which raises for
-        # the first bad cell or accepts cells such as "\x1c7" that str.strip() cleans
-        try:
-            row = list(map(int, cells[1:]))
-        except ValueError:
-            row = []
-        if not (row and MIN_YEAR <= row[0] <= MAX_YEAR and 0 <= min(row) and sum(row) <= MAX_COUNT):
-            row = _parse_row(cells, year_cols, row_no)
+            raise MalformedRowError(f"row {row_no}: expected {expected} columns, got {len(cells)}")
+        pub_year = _int(cells[1], f"row {row_no}: publication year", MalformedRowError, MAX_YEAR)
+        if not MIN_YEAR <= pub_year <= MAX_YEAR:
+            raise MalformedRowError(f"row {row_no}: publication year {pub_year} outside {MIN_YEAR}..{MAX_YEAR}")
+        values.append(pub_year)
+        values += [_parse_count(cell, what, row_no, MalformedRowError) for what, cell in zip(whats, cells[2:])]
         titles.append(cells[0])
-        values += row
     return titles, values
 
 
@@ -403,9 +384,10 @@ def _read_report(data: bytes, fmt: ReportFormat, default_name: str,
     counts over the window as a tuple (empty without year columns), or None without ``per_row``.
 
     The lines after the header are read in chunks of at most ``_BULK_CELLS`` numeric cells:
-    ``_read_chunk`` reads the clean rows that open one, ``_read_rows`` the rest of it, and its
-    columns, sums and ``per_row`` values are kept before the next chunk is split.  So only one
-    chunk's cells are held at once; ``cohort`` passes no ``per_row``, ``analyze`` passes ``sum``.
+    ``_read_chunk`` keeps the clean rows that open one, ``_read_rows`` reads the rest of it from
+    the first row not kept, so each row is read once, and the chunk's columns, sums and ``per_row``
+    values are kept before the next chunk is split.  So only one chunk's cells are held at once;
+    ``cohort`` passes no ``per_row``, ``analyze`` passes ``sum``.
 
     Raises what ``parse_report`` raises, for the same bytes.
     """

@@ -9,7 +9,6 @@ back into data coordinates exactly.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from html import escape
 from typing import Iterator, Sequence
@@ -39,8 +38,10 @@ _FONT = "font-family=\"sans-serif\""
 
 @dataclass(frozen=True)
 class ChartStyle:
-    """A chart's size in pixels and its title.  A value of the wrong type, or a size that is not
-    positive or that a float cannot hold, raises ValueError."""
+    """A chart's size in pixels and its title.  A value of the wrong type, a width outside
+    137..100000 or a height outside 93..100000 raises ValueError.  The least size leaves a plot
+    frame of one pixel inside the ``MARGIN_*`` constants, and the most keeps each coordinate
+    finite, of at most six digits before the point."""
 
     width: int = 900
     height: int = 500
@@ -48,10 +49,9 @@ class ChartStyle:
 
     def __post_init__(self) -> None:
         _check_types(self)
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("chart dimensions must be positive")
-        if max(self.width, self.height) > sys.float_info.max:  # the charts compute in floats
-            raise ValueError(f"chart dimensions must be at most {sys.float_info.max:g}")
+        for name, margins in (("width", MARGIN_LEFT + MARGIN_RIGHT), ("height", MARGIN_TOP + MARGIN_BOTTOM)):
+            if not margins < getattr(self, name) <= 100_000:
+                raise ValueError(f"chart {name} must lie in {margins + 1:g}..100000 pixels")
 
 
 @dataclass(frozen=True)

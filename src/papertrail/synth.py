@@ -27,7 +27,7 @@ from itertools import starmap
 from operator import itemgetter
 from typing import Iterator
 
-from .config import _check_types
+from .config import _check_types, _echo_int
 from .errors import InvalidSpecError
 from .ingest import _NO_YEARS, MAX_YEAR, MIN_YEAR, ResearcherProfile, _cells, _record, _trim
 
@@ -143,7 +143,8 @@ class SynthSpec:
             )
         if not MIN_YEAR <= self.start_year <= MAX_YEAR - self.n_years:
             raise InvalidSpecError(
-                f"start_year {self.start_year} leaves no room for {self.n_years} years"
+                f"start_year {_echo_int(self.start_year)} leaves no room for "
+                f"{_echo_int(self.n_years)} years"
             )
         # the kernel carries citations past the last publication year
         tail = (_KERNEL_SPAN * self.kernel_peak_lag if self.archetype is Archetype.CONSCIENTIOUS

@@ -3,8 +3,9 @@
 ``_read_report`` reads the record block in chunks of at most ``_BULK_CELLS``
 numeric cells.  ``_read_chunk`` keeps the clean rows that open a chunk and
 leaves ``_read_rows`` only the rows from the first one it cannot vouch for to
-the end of the chunk: a line with a wrong cell count or a cell that ``int()``
-refuses.  A kept row that fails a bound test leaves it the whole chunk.
+the end of the chunk: a line with a wrong cell count, a cell that ``int()``
+refuses, or a cell past its bound.  A row that fails a bound test leaves it
+the chunk from that row on, as the other two kinds of stop do.
 Whatever the split, the outcome must equal the row-by-row path's, also in a
 block of more numeric cells than one chunk holds.  The header's year cells are read
 through the lookup table first; the outcome must equal reading each through
@@ -133,15 +134,11 @@ def test_handoff_agrees_with_the_row_by_row_path(position, change, fmt, blank, e
     assert outcome(parse_report, data, fmt) == expected
 
     # the numbers of the nonblank rows of the changed row's chunk; _read_rows gets those from the
-    # changed row on, or all of them
+    # changed row on, whichever kind of stop it is, and never a row the block pass kept
     numbered = [n for n, cells in enumerate(split_report(data, fmt), 1)
                 if n in chunk and cells not in ([], [""], ["\r"])]
-    if kind == "refused":  # a blank line of any kind, CRLF TSV's lone "\r" too, is skipped
-        assert handed == [[n for n in numbered if n >= bad_row]]
-    elif kind == "bound":  # the whole chunk
-        assert handed == [numbered]
-    else:
-        assert handed == []
+    # a blank line of any kind, CRLF TSV's lone "\r" too, is skipped
+    assert handed == ([] if kind == "clean" else [[n for n in numbered if n >= bad_row]])
 
 
 # the lines of a chunk of wide records, and a record block of two chunks: one full, one of two lines

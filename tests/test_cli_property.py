@@ -17,7 +17,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from papertrail.cli import CONFIG_FLAGS, CONFIG_KEYS, main
@@ -164,9 +164,14 @@ MAX_LINE = 500
 long_fields = st.builds(operator.mul, st.text(min_size=1, max_size=4),
                         st.integers(1, 60) | st.integers(1, 25_000))
 
+# integers of up to 4,300 digits, the most int() reads, and past that, of either sign: a flag
+# reads them, and an error message must not echo them in full
+long_numbers = st.builds(operator.add, st.sampled_from(["", "-"]),
+                         st.integers(1, 60).map("9".__mul__) | st.integers(4_000, 4_400).map("9".__mul__))
+
 FIELD_PLACES = ["report path", "manifest path", "manifest label", "manifest entry path",
                 "config line", "config path", "output path", "flag value", "flag value after =",
-                "choice", "unknown argument", "unknown arguments"]
+                "synth flag value", "choice", "unknown argument", "unknown arguments"]
 
 
 def field_argv(workdir, place: str, field: str, with_good_entry: bool) -> list[str]:
@@ -188,6 +193,9 @@ def field_argv(workdir, place: str, field: str, with_good_entry: bool) -> list[s
         return ["analyze", missing, "--json", out]
     if place == "choice":
         return ["synth", "--archetype", field, "-o", str(workdir / "synth.tsv")]
+    if place == "synth flag value":
+        return ["synth", "--archetype", "conscientious", "--start-year", field,
+                "-o", str(workdir / "synth.tsv")]
     argv = ["analyze", str(workdir / "r.tsv")]
     if place == "flag value":
         return [*argv, "--max-lag", field, "--json", out]
@@ -206,7 +214,11 @@ def field_argv(workdir, place: str, field: str, with_good_entry: bool) -> list[s
 
 
 @settings(max_examples=300, deadline=None)
-@given(place=st.sampled_from(FIELD_PLACES), field=long_fields, with_good_entry=st.booleans())
+@given(place=st.sampled_from(FIELD_PLACES), field=long_fields | long_numbers,
+       with_good_entry=st.booleans())
+@example(place="flag value", field="-" + "9" * 4_000, with_good_entry=False)
+@example(place="synth flag value", field="9" * 4_000, with_good_entry=False)
+@example(place="synth flag value", field="-" + "9" * 4_300, with_good_entry=False)
 def test_no_diagnostic_outgrows_a_fixed_size(workdir, place, field, with_good_entry):
     out = workdir / "bounded.json"
     out.unlink(missing_ok=True)

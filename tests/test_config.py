@@ -8,6 +8,10 @@ comparison, and never acceptance.  ``PublicationRecord`` and
 check.  The value's class must be the declared one, not a subclass of it; a
 float field also takes an int.  Every refusal reads
 ``<what> must be <type>, got <type>``.
+
+A message that shows an int a caller passed shows it through
+``config._echo_int``: as is up to 40 digits, and past that by its digit
+count, never through ``str()``, which refuses an int of over 4,300 digits.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -20,10 +24,12 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from papertrail import ingest
-from papertrail.config import AnalysisConfig, Region
-from papertrail.errors import InvalidSpecError
+from papertrail.config import AnalysisConfig, Region, _echo_int
+from papertrail.errors import HExceedsPublicationsError, InvalidSpecError, TooShortError
+from papertrail.indicators import best_lag, i_index
 from papertrail.ingest import PublicationRecord, ResearcherProfile, serialize_report
 from papertrail.render import ChartStyle
+from papertrail.series import AnnualSeries
 from papertrail.synth import Archetype, conscientious_spec, papermill_spec
 
 # a valid instance of each settings class, and the error that a wrong-typed field raises
@@ -171,3 +177,51 @@ def test_a_float_field_takes_an_int():
     assert conscientious_spec(0, base_rate=2, peak_rate=16, cites_per_paper=90) == (
         conscientious_spec(0))
     assert AnalysisConfig(r_min=0, i_max=0.5).r_min == 0
+
+
+# an int past the digits str() writes (4,300 on Python 3.11, and 3.10.7 on)
+HUGE = 10**5000
+
+
+@pytest.mark.parametrize("make, error, shown", [
+    (lambda: conscientious_spec(n_years=HUGE), InvalidSpecError,
+     "start_year 1998 leaves no room for (5001 digits) years"),
+    (lambda: conscientious_spec(start_year=HUGE), InvalidSpecError,
+     "start_year (5001 digits) leaves no room for 25 years"),
+    (lambda: conscientious_spec(start_year=-HUGE), InvalidSpecError,
+     "start_year -(5001 digits) leaves no room for 25 years"),
+    (lambda: i_index(HUGE, 1), HExceedsPublicationsError, "h=(5001 digits) outside 0..1"),
+    (lambda: i_index(-1, HUGE), HExceedsPublicationsError, "h=-1 outside 0..(5001 digits)"),
+    (lambda: best_lag(AnnualSeries(2000, (1, 2, 3), (1, 2, 3)), HUGE), TooShortError,
+     "series of 3 years cannot support lags up to (5001 digits) "
+     "(each lag needs at least 3 overlapping pairs)"),
+    (lambda: AnalysisConfig(max_lag=-HUGE), ValueError, "max_lag must be >= 0, got -(5001 digits)"),
+    (lambda: AnalysisConfig(pubs_per_year_limit=-HUGE), ValueError,
+     "pubs_per_year_limit must be >= 1, got -(5001 digits)"),
+    (lambda: AnalysisConfig(growth_window=-HUGE), ValueError,
+     "growth_window must be >= 0, got -(5001 digits)"),
+    (lambda: Region(r_min=HUGE), ValueError, "r_min must lie in (-1, 1), got (5001 digits)"),
+    (lambda: Region(i_max=-HUGE), ValueError, "i_max must lie in (0, 1), got -(5001 digits)"),
+    (lambda: PublicationRecord("t", HUGE, 1), ValueError,
+     "publication year (5001 digits) outside 1900..2100"),
+    (lambda: PublicationRecord("t", 2000, 1, {HUGE: 1}), ValueError,
+     "cited year (5001 digits) outside 1900..2100"),
+], ids=["synth-n_years", "synth-start_year", "synth-negative-start_year", "i_index-h",
+        "i_index-total", "best_lag", "max_lag", "pubs_per_year_limit", "growth_window", "r_min",
+        "i_max", "publication-year", "cited-year"])
+def test_a_long_integer_is_named_by_its_digit_count(make, error, shown):
+    with pytest.raises(error) as raised:
+        make()
+    assert type(raised.value) is error
+    assert str(raised.value) == shown
+
+
+@pytest.mark.parametrize("value, shown", [
+    (0, "0"), (-7, "-7"), (10**40 - 1, "9" * 40), (-(10**40 - 1), "-" + "9" * 40),
+    (10**40, "(41 digits)"), (-(10**40), "-(41 digits)"), (10**4299, "(4300 digits)"),
+    (HUGE - 1, "(5000 digits)"), (HUGE, "(5001 digits)"), (HUGE + 1, "(5001 digits)"),
+    (10**100_000, "(100001 digits)"), (0.5, "0.5"), (1e300, "1e+300"),
+], ids=["0", "-7", "40-digits", "-40-digits", "41-digits", "-41-digits", "4300-digits",
+        "5000-digits", "5001-digits-power", "5001-digits", "100001-digits", "float", "large-float"])
+def test_echo_int_counts_the_digits_of_a_long_integer_exactly(value, shown):
+    assert _echo_int(value) == shown

@@ -8,7 +8,9 @@ package reports data issues as values or errors instead.  No module but
 ``ingest.py`` reads a record's private slots or methods.  Only ``cli._write``
 and ``cli._open_output`` open, replace, remove or make files, and only
 ``cli._write`` resolves an output path.  No module but ``config.py``, which
-holds the package's one type rule, compares a value's ``type(...)``.
+holds the package's one type rule, compares a value's ``type(...)``.  In
+``ingest.py`` only the block pass, ``_read_chunk``, and the exact cell
+reader, ``_int``, convert text with ``int``.
 """
 
 import ast
@@ -152,6 +154,23 @@ def test_only_config_compares_a_type():
     # a second type rule, with its own idea of subclasses and its own message, cannot come in unseen
     assert compares_a_type(TREES[PACKAGE / "config.py"])
     assert [path.name for path, tree in TREES.items() if compares_a_type(tree)] == ["config.py"]
+
+
+def int_users(tree: ast.Module) -> set[str]:
+    """The module-level definitions in ``tree`` that call ``int`` or pass it to a call, as in
+    ``map(int, cells)``; an annotation such as ``list[int]`` holds no call, so it is not counted."""
+    def is_int(node: ast.AST) -> bool:
+        return isinstance(node, ast.Name) and node.id == "int"
+
+    return {getattr(top, "name", "<module>") for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Call)
+            and any(map(is_int, [node.func, *node.args, *(k.value for k in node.keywords)]))}
+
+
+def test_one_conversion_path_per_tier():
+    # the block pass converts a chunk's cells with int() at once, and the exact path each cell
+    # through _int; a third conversion, such as a row-level int() pass, cannot come in unseen
+    assert int_users(TREES[PACKAGE / "ingest.py"]) == {"_read_chunk", "_int"}
 
 
 def test_the_checks_see_the_package():

@@ -57,6 +57,22 @@ def test_public_names_are_the_package_imports():
     assert {"analyze_profile", "parse_report", "profile_chart"} <= set(papertrail.__all__)
 
 
+# dir() of the bare package in a fresh interpreter, and the submodules it loaded
+DIR = ("import json, sys; sys.path.insert(0, sys.argv[1]); import papertrail; "
+       "print(json.dumps([dir(papertrail), papertrail.__all__, sorted(sys.modules)]))")
+
+
+def test_dir_lists_every_public_name_and_loads_no_submodule():
+    result = subprocess.run([sys.executable, "-c", DIR, str(SRC)], capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    names, public, modules = json.loads(result.stdout)
+    assert names == sorted(names) and set(public) <= set(names)
+    assert [m for m in modules if m.startswith("papertrail")] == ["papertrail"]
+    # and in this process too, where a line tracer sees __dir__ run
+    assert dir(papertrail) == sorted(set(dir(papertrail)) | set(papertrail.__all__))
+
+
 def test_the_version_is_spelled_once():
     # pyproject.toml takes the version from the package, so a release changes one line
     pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")

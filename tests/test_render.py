@@ -1,14 +1,17 @@
 import math
+import re
 import sys
 import xml.etree.ElementTree as ET
+from contextlib import suppress
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from papertrail.cohort import CohortPoint, Region, fit_linear, fit_power_law
-from papertrail.errors import EmptyCohortError
-from papertrail.indicators import IndicatorSet
+from papertrail.errors import EmptyCohortError, PapertrailError
+from papertrail.indicators import IndicatorSet, analyze_profile
+from papertrail.ingest import MAX_COUNT, PublicationRecord, ResearcherProfile
 from papertrail.render import (
     ChartStyle,
     ScatterAxes,
@@ -18,9 +21,11 @@ from papertrail.render import (
     scatter_axes_transforms,
     scatter_chart,
     profile_year_slot,
+    scatter_coords,
     _nice_step,
 )
 from papertrail.series import AnnualSeries
+from papertrail.synth import conscientious_spec, generate
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -218,16 +223,99 @@ def _interp(curve, x):
 
 class TestStyleValidation:
     def test_dimensions_must_be_positive(self):
-        # and fit a float, as the charts compute in floats: a larger size raised OverflowError there
-        too_large = f"chart dimensions must be at most {sys.float_info.max:g}"
-        for kwargs, message in [({"width": 0}, "chart dimensions must be positive"),
-                                ({"height": -1}, "chart dimensions must be positive"),
-                                ({"width": 10**400}, too_large), ({"height": 10**400}, too_large),
-                                ({"width": int(sys.float_info.max) + 1}, too_large)]:
+        # and leave a plot frame of one pixel inside the margins, which 1x1, 50x50, 100x40 and
+        # 136x92 did not (bars of negative size, a frame of 0x0); the bound above keeps each
+        # coordinate finite and short, which a height of 10**307 (inf) and a width of 10**300 did not
+        width = "chart width must lie in 137..100000 pixels"
+        height = "chart height must lie in 93..100000 pixels"
+        for kwargs, message in [({"width": 0}, width), ({"height": -1}, height),
+                                ({"width": 1, "height": 1}, width), ({"width": 50, "height": 50}, width),
+                                ({"width": 100, "height": 40}, width), ({"width": 137, "height": 40}, height),
+                                ({"width": 136, "height": 92}, width), ({"height": 92}, height),
+                                ({"width": 10**400}, width), ({"height": 10**400}, height),
+                                ({"height": 10**307}, height), ({"width": 10**300}, width),
+                                ({"width": 100_001}, width), ({"height": 100_001}, height),
+                                ({"width": int(sys.float_info.max)}, width)]:
             with pytest.raises(ValueError) as raised:
                 ChartStyle(**kwargs)
             assert str(raised.value) == message
-        assert ChartStyle(width=int(sys.float_info.max)).width == int(sys.float_info.max)
+        assert ChartStyle(width=137, height=93) == ChartStyle(137, 93, "")
+        assert ChartStyle(width=100_000, height=100_000).width == 100_000
+
+
+def record(year: int, total: int, cited: dict | None = None) -> PublicationRecord:
+    return PublicationRecord(f"p{year}", year, total, cited)
+
+
+# profiles that stress the value axes: one record, no citations, counts at MAX_COUNT, the widest
+# window; and a synthetic profile, on which the sizes outside the range were seen to fail
+STRESS_PROFILES = {
+    "synth": generate(conscientious_spec(0)).records,
+    "one-record": [record(2000, 0)],
+    "no-citations": [record(year, 0) for year in range(1990, 2000)],
+    "one-count-at-max": [record(2000, MAX_COUNT, {2001: MAX_COUNT})],
+    "every-count-at-max": [record(year, MAX_COUNT, {year: MAX_COUNT, 2100: MAX_COUNT})
+                           for year in range(1900, 2101, 4)],
+}
+# cohorts that stress the scatter axes: one point, all points on one x or on one y, the bounds of
+# r and I, a count at MAX_COUNT, and points without r
+STRESS_COHORTS = {
+    "one-point": [CohortPoint("a", 0.5, 0.2, 10, 3, 1.0)],
+    "one-x": [CohortPoint(f"p{k}", 0.3, k / 4, 40, 4 + k, 2.0) for k in range(5)],
+    "one-y": [CohortPoint(f"p{k}", k / 2 - 1, 0.5, 10 + k, 4, 2.0) for k in range(5)],
+    "corners": [CohortPoint("lo", -1.0, 0.0, 1, 1, 1.0),
+                CohortPoint("hi", 1.0, 1.0, MAX_COUNT, MAX_COUNT, float(MAX_COUNT))],
+    "no-r": [CohortPoint("n", None, 0.5, 7, 2, 1.0), CohortPoint("m", None, 0.1, 70, 20, 10.0)],
+}
+SIZES = st.integers(137, 140) | st.integers(99_997, 100_000), st.integers(93, 96) | st.integers(99_997, 100_000)
+
+
+def assert_valid_svg(svg: str, style: ChartStyle) -> None:
+    """The chart parses; every number in an attribute is finite, every width and height at least
+    0, and each bar's and marker's centre inside the viewBox."""
+    root = svg_root(svg)
+    assert root.get("viewBox") == f"0 0 {style.width} {style.height}"
+    for elem in root.iter():
+        for name, value in elem.attrib.items():
+            for token in re.split(r"[\s,()]+", value):
+                with suppress(ValueError):
+                    assert math.isfinite(float(token)), (elem.tag, name, value)
+            if name in ("width", "height"):
+                assert float(value) >= 0, (elem.tag, name, value)
+    centres = [(float(bar.get("x")) + float(bar.get("width")) / 2,
+                float(bar.get("y")) + float(bar.get("height")) / 2)
+               for bar in find_class(root, "rect", "bar")]
+    centres += [(float(m.get("cx")), float(m.get("cy"))) for m in find_class(root, "circle", "marker")]
+    assert all(0 <= x <= style.width and 0 <= y <= style.height for x, y in centres), centres
+
+
+@settings(max_examples=150, deadline=None)
+@given(width=SIZES[0], height=SIZES[1], profile=st.sampled_from(list(STRESS_PROFILES)))
+def test_a_profile_chart_of_any_size_is_valid_svg(width, height, profile):
+    style = ChartStyle(width, height)
+    ind = analyze_profile(ResearcherProfile("R", records=STRESS_PROFILES[profile]))
+    assert_valid_svg(profile_chart(ind.series, ind, style), style)
+
+
+def cohort_fit(points: list, axes: ScatterAxes):
+    """The fit the cohort command draws on ``axes``, or None where it has none or cannot fit."""
+    fit = {ScatterAxes.I_VS_P_POWERFIT: fit_power_law, ScatterAxes.M_VS_P_LINFIT: fit_linear}.get(axes)
+    coords = [(x, y) for _, x, y in scatter_coords(points, axes)]
+    try:
+        return fit(coords) if fit else None
+    except PapertrailError:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(width=SIZES[0], height=SIZES[1], cohort=st.sampled_from(list(STRESS_COHORTS)),
+       axes=st.sampled_from(list(ScatterAxes)), fitted=st.booleans(), shaded=st.booleans())
+def test_a_scatter_chart_of_any_size_is_valid_svg(width, height, cohort, axes, fitted, shaded):
+    style = ChartStyle(width, height)
+    points = STRESS_COHORTS[cohort]
+    fit = cohort_fit(points, axes) if fitted else None
+    svg = scatter_chart(points, axes, fit=fit, region=Region() if shaded else None, style=style)
+    assert_valid_svg(svg, style)
 
 
 def assert_nice_step(span: float) -> None:
