@@ -9,8 +9,8 @@ Three subcommands::
 Exit codes: 0 success, 1 data error (unreadable/unparseable input, or an
 output file that cannot be written), 2 usage error (bad flags or parameters).
 ``analyze`` and ``cohort`` render every output before they write any.  ``synth``
-generates its rows in full, each shape of its kernel shaped and rendered once,
-then writes the report into ``-o`` as it renders it.  Every command writes its
+shapes every paper first, each distinct kernel output once, keeping one shape
+per paper; it renders each row as it writes it into ``-o``.  Every command writes its
 outputs through ``_write``, which takes text, or a function that streams into
 the file, and writes each output file into a temporary file beside it; the
 temporary files replace their targets only once all are written, the JSON
@@ -40,7 +40,7 @@ import sys
 import time
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, fields
-from operator import methodcaller
+from operator import itemgetter, methodcaller
 from pathlib import Path
 from stat import S_IMODE, S_ISREG
 from typing import TYPE_CHECKING, Any, BinaryIO
@@ -553,7 +553,7 @@ def cmd_cohort(args: argparse.Namespace) -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> None:
-    from .synth import Archetype, _names, _rows, conscientious_spec, papermill_spec
+    from .synth import Archetype, _names, _papers, conscientious_spec, papermill_spec
 
     if Archetype(args.archetype) is Archetype.PAPERMILL:
         make_spec, own, other = papermill_spec, "onset_offset", "kernel_peak_lag"
@@ -566,12 +566,12 @@ def cmd_synth(args: argparse.Namespace) -> None:
     kwargs = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     try:
         spec = make_spec(args.seed, **kwargs)
-        # in full, so that a refused spec leaves -o as it was; each row without its counts
-        rows = [row[:5] for row in _rows(spec)]
+        window, rows = _papers(spec)  # every paper shaped, so a refused spec leaves -o as it was
     except PapertrailError as exc:
         raise _Failure(EXIT_USAGE_ERROR, str(exc)) from None
     fmt = _detect_format(args.output, args.format)
-    _write((args.output, lambda out: _write_report(fmt, *_names(spec), None, rows, out)))
+    rows = map(itemgetter(0, 1, 2, 3, 4), rows)  # each rendered as it is written, without its counts
+    _write((args.output, lambda out: _write_report(fmt, *_names(spec), None, window, rows, out)))
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:

@@ -69,6 +69,7 @@ _BULK_CELLS = 65_536
 # the decimal integers int() reads; each part ends where the next begins, so matching is linear.
 # Like _UNSAFE, a pattern string: ``re`` compiles it on first use, not at import
 _INTEGER = r"[+-]?\d+(?:_\d+)*"
+_LONG = 10**_ECHO_LIMIT  # the least magnitude of over _ECHO_LIMIT digits: a message counts them
 
 
 class ReportFormat(str, Enum):
@@ -245,18 +246,21 @@ def _echo(cell: str, limit: int = _ECHO_LIMIT) -> str:
     return shown if len(shown) <= limit + 2 else f"({len(cell)} characters)"
 
 
-def _int(cell: str, what: str, error: type[PapertrailError], most: int) -> int:
-    """Read ``cell`` as ``int(cell.strip())``, or raise ``error`` naming ``what`` and its bound ``most``."""
+def _int(cell: str, what: str, error: type[PapertrailError], most: int, row_no: int | None = None) -> int:
+    """Read ``cell`` as ``int(cell.strip())``, or raise ``error`` naming ``what``, row ``row_no`` and bound ``most``."""
     text = cell.strip()
-    try:
-        digits = str(abs(int(text)))
+    try:  # an accepted cell is converted once; digits are counted, and messages built, only to raise
+        if -_LONG < (value := int(text)) < _LONG:
+            return value
+        digits = str(abs(value))
     except ValueError:
         if not re.fullmatch(_INTEGER, text):
-            raise error(f"{what} {_echo(cell)} is not an integer") from None
+            raise error(f"{'' if row_no is None else f'row {row_no}: '}{what} {_echo(cell)} is not an integer") from None
         digits = text.lstrip("+-0_").replace("_", "") or "0"  # int() refused the length
     negative = text[0] == "-"
     if len(digits) > _ECHO_LIMIT:
-        raise error(f"{what} is {'negative' if negative else f'above {most}'} ({len(digits)} digits)")
+        raise error(f"{'' if row_no is None else f'row {row_no}: '}{what} is "
+                    f"{'negative' if negative else f'above {most}'} ({len(digits)} digits)")
     return -int(digits) if negative else int(digits)
 
 
@@ -282,12 +286,12 @@ def _parse_year_columns(cells: list[str]) -> range:
 
 def _parse_count(cell: str, what: str, row_no: int, error: type[PapertrailError]) -> int:
     """Read ``cell`` as a count in 0..MAX_COUNT, or raise ``error`` naming ``what`` on row ``row_no``."""
-    value = _int(cell, f"row {row_no}: {what}", error, MAX_COUNT)
+    value = _int(cell, what, error, MAX_COUNT, row_no)
+    if 0 <= value <= MAX_COUNT:
+        return value
     if value < 0:
         raise error(f"row {row_no}: {what} must be non-negative, got {value}")
-    if value > MAX_COUNT:
-        raise error(f"row {row_no}: {what} is above {MAX_COUNT} ({len(str(value))} digits)")
-    return value
+    raise error(f"row {row_no}: {what} is above {MAX_COUNT} ({len(str(value))} digits)")
 
 
 def _read_chunk(lines: list[str] | list[list[str]], fmt: ReportFormat,
@@ -358,7 +362,7 @@ def _read_rows(rows: Iterator[tuple[int, list[str]]], year_cols: range) -> tuple
     for row_no, cells in rows:
         if len(cells) != expected:
             raise MalformedRowError(f"row {row_no}: expected {expected} columns, got {len(cells)}")
-        pub_year = _int(cells[1], f"row {row_no}: publication year", MalformedRowError, MAX_YEAR)
+        pub_year = _int(cells[1], "publication year", MalformedRowError, MAX_YEAR, row_no)
         if not MIN_YEAR <= pub_year <= MAX_YEAR:
             raise MalformedRowError(f"row {row_no}: publication year {pub_year} outside {MIN_YEAR}..{MAX_YEAR}")
         values.append(pub_year)
@@ -501,15 +505,13 @@ def _check_fields(fmt: ReportFormat, fields: Iterable[tuple[str, str]]) -> None:
 def serialize_report(profile: ResearcherProfile, fmt: ReportFormat = ReportFormat.TSV) -> bytes:
     """Render a profile back into canonical bytes.
 
-    The year-column window is the union of the records' cited spans: the
-    smallest contiguous range covering every cited year across all records
-    (empty when nothing was ever cited), which each record row fills with
-    zeros outside its span.  ``parse_report(serialize_report(p))`` reproduces
-    ``p`` in every field except ``warnings``.  A profile it would not reproduce raises
-    ValueError naming the field: no records, an empty name, a title, name or
-    id that is not a str, a reported h-index that is not an int or lies
-    outside 0..MAX_COUNT, or a title, name or id that the flavor cannot
-    carry (a surrogate in any flavor).
+    The year-column window is the union of the records' cited spans: the smallest contiguous range
+    covering every cited year across all records (empty when nothing was ever cited), which it works
+    out and hands to ``_write_report``; each record row fills it with zeros outside its span.
+    ``parse_report(serialize_report(p))`` reproduces ``p`` in every field except ``warnings``.  A
+    profile it would not reproduce raises ValueError naming the field: no records, an empty name, a
+    title, name or id that is not a str, a reported h-index that is not an int or lies outside
+    0..MAX_COUNT, or a title, name or id that the flavor cannot carry (a surrogate in any flavor).
     """
     records = profile.records
     if not records:
@@ -523,11 +525,13 @@ def serialize_report(profile: ResearcherProfile, fmt: ReportFormat = ReportForma
     named = [("researcher name", profile.name),
              ("researcher id", "" if profile.source_id is None else profile.source_id)]
     _check_fields(fmt, chain(named, zip(repeat("record title"), map(attrgetter("title"), records))))
+    spans = [years for years in map(attrgetter("_years"), records) if years]
+    window = range(min(s.start for s in spans), max(s.stop for s in spans)) if spans else _NO_YEARS
     data = io.BytesIO()  # getvalue() hands its bytes over uncopied
     # one _cells call renders every record's cells, with no Python call per record
     fields = [map(attrgetter(name), records) for name in ("title", "pub_year", "total_citations", "_years")]
-    rows = list(zip(*fields, _cells(list(map(attrgetter("_counts"), records)))))
-    _write_report(fmt, profile.name, profile.source_id, profile.reported_h, rows, data)
+    rows = zip(*fields, _cells(list(map(attrgetter("_counts"), records))))
+    _write_report(fmt, profile.name, profile.source_id, profile.reported_h, window, rows, data)
     return data.getvalue()
 
 
@@ -543,20 +547,16 @@ def _cells(rows: list[Sequence[int]]) -> list[list[str]]:
         return [list(map(str if max(row, default=0) > 255 else text, row)) for row in rows]
 
 
-def _write_report(fmt: ReportFormat, name: str, source_id: str | None, reported_h: int | None,
-                  rows: list[tuple[str, int, int, range, Sequence[str]]], out: BinaryIO) -> None:
-    """Write a report into the binary stream ``out``: the metadata, a header over the year window
+def _write_report(fmt: ReportFormat, name: str, source_id: str | None, reported_h: int | None, window: range,
+                  rows: Iterable[tuple[str, int, int, range, Sequence[str]]], out: BinaryIO) -> None:
+    """Write a report into the binary stream ``out``: the metadata, a header over the year ``window``
     and one line per row, each encoded as it is rendered.
 
-    A row is ``(title, pub_year, total, years, cells)``, with one cell for
-    each year of ``years``: the text of its count, as ``_cells`` renders it.
-    The window is the union of the rows' nonempty ``years``, the smallest
-    range holding each; it is empty if every row's is.  The caller
-    guarantees what ``serialize_report`` checks: every text is one the
-    flavor can carry.
+    A row is ``(title, pub_year, total, years, cells)``, with one cell for each year of ``years``: the
+    text of its count, as ``_cells`` renders it.  ``rows`` is iterated once, and no row is kept.  The
+    caller guarantees that ``window`` is the union of the rows' nonempty ``years`` (``_NO_YEARS`` if
+    there is none), and what ``serialize_report`` checks: every text is one the flavor can carry.
     """
-    spans = [row[3] for row in rows if row[3]]
-    window = range(min(s.start for s in spans), max(s.stop for s in spans)) if spans else _NO_YEARS
     buffer = io.TextIOWrapper(out, encoding="utf-8", newline="\n")
     if fmt is ReportFormat.TSV:
         def write_row(row: list[str]) -> None:

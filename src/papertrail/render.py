@@ -9,6 +9,7 @@ back into data coordinates exactly.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from html import escape
 from typing import Iterator, Sequence
@@ -34,6 +35,9 @@ BAR_COLOR = "#4682b4"
 LINE_COLOR = "#8b0000"
 
 _FONT = "font-family=\"sans-serif\""
+# the characters XML 1.0 forbids: the C0 controls but tab, LF and CR, the surrogates, U+FFFE and
+# U+FFFF.  A pattern string: ``re`` compiles it on first use, not at import
+_NOT_XML = r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
 
 
 @dataclass(frozen=True)
@@ -111,6 +115,14 @@ def _y_ticks(t: AxisTransform, edge: float, side: int, fill: str | None = None) 
         yield _label(edge + 7 * side, y + 4, anchor, f"{v:g}", fill)
 
 
+def _text(text: str) -> str:
+    """``text`` as a chart's text element holds it: escaped, and with each character that XML 1.0
+    forbids (see ``_NOT_XML``) shown as U+FFFD, the replacement character, a visible stand-in that
+    keeps the text's length and marks where such a character stood.  Every text of a chart but a
+    number passes through here."""
+    return re.sub(_NOT_XML, "\ufffd", escape(text, quote=False))
+
+
 def _label(x: float, y: float, anchor: str, text: object, fill: str | None = None) -> str:
     """An 11 px axis label: a tick value or a year."""
     paint = f' fill="{fill}"' if fill else ""
@@ -127,7 +139,7 @@ def _svg_open(style: ChartStyle) -> list[str]:
     if style.title:
         parts.append(
             f'<text x="{style.width / 2:.1f}" y="24" text-anchor="middle" '
-            f'{_FONT} font-size="16">{escape(style.title, quote=False)}</text>'
+            f'{_FONT} font-size="16">{_text(style.title)}</text>'
         )
     return parts
 
@@ -211,7 +223,7 @@ def profile_chart(series: AnnualSeries, ind: IndicatorSet, style: ChartStyle = C
 
     parts.append(
         f'<text class="caption" x="{_fmt(left)}" y="{_fmt(style.height - 8)}" {_FONT} '
-        f'font-size="13">{escape(_caption(ind), quote=False)}</text>'
+        f'font-size="13">{_text(_caption(ind))}</text>'
     )
     return "\n".join(parts) + "\n</svg>\n"
 
@@ -325,7 +337,7 @@ def scatter_chart(
         parts.append(
             f'<circle class="marker" cx="{_fmt(xt.to_px(x))}" cy="{_fmt(yt.to_px(y))}" '
             f'r="{_fmt(radius)}" fill="{BAR_COLOR}" fill-opacity="0.75">'
-            f'<title>{escape(p.label, quote=False)}</title></circle>'
+            f'<title>{_text(p.label)}</title></circle>'
         )
 
     # frame and ticks
@@ -338,11 +350,11 @@ def scatter_chart(
     parts += _y_ticks(yt, left, -1)
     parts.append(
         f'<text x="{_fmt((left + right) / 2)}" y="{_fmt(style.height - 8)}" text-anchor="middle" '
-        f'{_FONT} font-size="12">{escape(x_label, quote=False)}</text>'
+        f'{_FONT} font-size="12">{_text(x_label)}</text>'
     )
     parts.append(
         f'<text x="14" y="{_fmt((top + bottom) / 2)}" {_FONT} font-size="12" '
         f'transform="rotate(-90 14 {_fmt((top + bottom) / 2)})" text-anchor="middle">'
-        f'{escape(y_label, quote=False)}</text>'
+        f'{_text(y_label)}</text>'
     )
     return "\n".join(parts) + "\n</svg>\n"

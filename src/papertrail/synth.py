@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import starmap
+from itertools import islice, starmap
 from operator import itemgetter
 from typing import Iterator
 
@@ -272,12 +272,24 @@ def _conscientious_kernel(spec: SynthSpec) -> list[float]:
     return [w / total for w in weights]
 
 
-def _rows(spec: SynthSpec) -> Iterator[tuple[str, int, int, range, list[str], tuple[int, ...]]]:
-    """Each paper as a row of ``ingest._write_report`` followed by its counts:
-    ``(title, pub_year, total, years, cells, counts)``, where ``years`` runs from its first to its
-    last cited year (empty if it cites nothing), ``counts`` holds its citations in those years and
-    ``cells`` their texts.  Papers of one call with the same kernel output share one ``counts``
-    tuple and one ``cells`` list, which no caller changes."""
+# the shape of a paper: its total, its cited span from its year (``lo``, ``hi``), its counts over
+# that span and their cells
+_Shape = tuple[int, int, int, list[str], tuple[int, ...]]
+# a row of ``ingest._write_report`` followed by its counts
+_Row = tuple[str, int, int, range, list[str], tuple[int, ...]]
+
+
+def _papers(spec: SynthSpec) -> tuple[range, Iterator[_Row]]:
+    """Shape every paper of ``spec``, and return the year window of its report and its rows.
+
+    This eager pass draws every random number and raises InvalidSpecError
+    before it returns.  It keeps, in paper order, one reference per paper to
+    the shape of its kernel output; papers of one call with the same output
+    share one shape, which no caller changes.  The window is the least
+    ``year + lo`` and the greatest ``year + hi`` over the papers that cite
+    something, ``_NO_YEARS`` if none does.  The rows are rendered from the
+    references as they are asked for (see ``_rows``).
+    """
     rng = Xorshift64Star(spec.seed)
 
     # the kernel takes no random draw, so building it here leaves the draw order as it was
@@ -300,18 +312,17 @@ def _rows(spec: SynthSpec) -> Iterator[tuple[str, int, int, range, list[str], tu
     if sum(pub_counts) == 0:
         raise InvalidSpecError("rates too low: zero publications generated")
 
-    # the shape of each kernel output of this call: its total, its span from the paper's year, its
-    # counts and their cells.  The counts are keys too, so that equal counts are one shape; both
-    # kinds of key agree, as the strict peak fixes where counts start, and an output equal to some
-    # counts is already peaked and trimmed
-    shapes: dict[tuple[int, ...], tuple[int, int, int, list[str], tuple[int, ...]]] = {}
-    paper_no = 0
-    for i, count in enumerate(pub_counts):
-        year = spec.start_year + i
+    # the shape of each kernel output of this call.  The counts are keys too, so that equal counts
+    # are one shape; both kinds of key agree, as the strict peak fixes where counts start, and an
+    # output equal to some counts is already peaked and trimmed
+    shapes: dict[tuple[int, ...], _Shape] = {}
+    papers: list[_Shape] = []
+    first, last = MAX_YEAR, MIN_YEAR  # the window, while no paper cites anything: empty
+    for year, count in enumerate(pub_counts, spec.start_year):
         # papermill masses scale with the year's output; x * 1.0 == x exactly
         scale = count / spec.base_rate if spec.archetype is Archetype.PAPERMILL else 1.0
+        drawn = []  # the shapes of the year's papers
         for _ in range(count):
-            paper_no += 1
             mass = max(spec.cites_per_paper * rng.jitter(_CITE_JITTER) * scale, 1.0)
             raw = _floor_carry(kernel, mass)
             shape = shapes.get(key := tuple(raw))
@@ -320,9 +331,35 @@ def _rows(spec: SynthSpec) -> Iterator[tuple[str, int, int, range, list[str], tu
                 shape = shapes.get(counts) or (sum(counts), span.start, span.stop,
                                                _cells([counts])[0], counts)
                 shapes[key] = shapes[counts] = shape
-            total, lo, hi, cells, counts = shape
+            drawn.append(shape)
+        papers += drawn
+        if cited := list(filter(itemgetter(4), drawn)):  # the shapes with counts
+            first = min(first, year + min(map(itemgetter(1), cited)))
+            last = max(last, year + max(map(itemgetter(2), cited)))
+    window = range(first, last) if first < last else _NO_YEARS
+    return window, _rendered(spec.start_year, pub_counts, papers)
+
+
+def _rendered(start_year: int, pub_counts: list[int], papers: list[_Shape]) -> Iterator[_Row]:
+    """The row of each of ``papers``, the shapes of the ``pub_counts[i]`` papers of each year
+    ``start_year + i`` in turn, rendered as it is asked for."""
+    shapes = iter(papers)
+    paper_no = 0
+    for year, count in enumerate(pub_counts, start_year):
+        for total, lo, hi, cells, counts in islice(shapes, count):
+            paper_no += 1
             yield (f"Synthetic study {paper_no:04d}", year, total,
                    range(year + lo, year + hi) if counts else _NO_YEARS, cells, counts)
+
+
+def _rows(spec: SynthSpec) -> Iterator[_Row]:
+    """Each paper as a row of ``ingest._write_report`` followed by its counts:
+    ``(title, pub_year, total, years, cells, counts)``, where ``years`` runs from its first to its
+    last cited year (empty if it cites nothing), ``counts`` holds its citations in those years and
+    ``cells`` their texts.  Papers of one call with the same kernel output share one ``counts``
+    tuple and one ``cells`` list, which no caller changes.  Every paper is shaped, and a refused
+    spec raises, before this returns; each row is rendered as it is asked for."""
+    return _papers(spec)[1]
 
 
 def _names(spec: SynthSpec) -> tuple[str, str]:

@@ -10,7 +10,9 @@ and ``cli._open_output`` open, replace, remove or make files, and only
 ``cli._write`` resolves an output path.  No module but ``config.py``, which
 holds the package's one type rule, compares a value's ``type(...)``.  In
 ``ingest.py`` only the block pass, ``_read_chunk``, and the exact cell
-reader, ``_int``, convert text with ``int``.
+reader, ``_int``, convert text with ``int``, and ``_int`` and ``_parse_count``
+build a message only to raise it.  In ``render.py`` only ``_text`` escapes
+a chart's text.
 """
 
 import ast
@@ -173,8 +175,39 @@ def test_one_conversion_path_per_tier():
     assert int_users(TREES[PACKAGE / "ingest.py"]) == {"_read_chunk", "_int"}
 
 
+def function(module: str, name: str) -> ast.FunctionDef:
+    """The module-level function ``name`` of the package module ``module``."""
+    (found,) = [node for node in TREES[PACKAGE / module].body
+                if isinstance(node, ast.FunctionDef) and node.name == name]
+    return found
+
+
+def unraised_f_strings(tree: ast.AST) -> list[str]:
+    """The f-strings in ``tree`` outside every ``raise`` statement, as written."""
+    raised = {id(node) for top in ast.walk(tree) if isinstance(top, ast.Raise) for node in ast.walk(top)}
+    return [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.JoinedStr) and id(node) not in raised]
+
+
+@pytest.mark.parametrize("name", ["_int", "_parse_count"])
+def test_the_cell_reader_builds_a_message_only_to_raise_it(name):
+    # an accepted cell costs one conversion, no text: a per-cell "row N: ..." prefix cannot come
+    # back in unseen
+    assert unraised_f_strings(function("ingest.py", name)) == []
+
+
+def test_one_chart_text_helper():
+    # every text of a chart goes through _text, which also stands in for what XML forbids; a text
+    # escaped on its own, which could carry a control character into the SVG, cannot come in unseen
+    assert callers()["escape"] == {"render._text"}
+
+
 def test_the_checks_see_the_package():
     assert {"_years", "_counts"} <= record_private_names()
     assert {p.name for p in MODULES} >= {"cli.py", "ingest.py", "render.py"}
-    assert "_parse_count" in private_definitions(TREES[PACKAGE / "ingest.py"])
+    assert {"_int", "_parse_count"} <= private_definitions(TREES[PACKAGE / "ingest.py"])
+    # _int's messages are f-strings, all raised; _echo returns one
+    assert any(isinstance(node, ast.JoinedStr) for node in ast.walk(function("ingest.py", "_int")))
+    assert unraised_f_strings(function("ingest.py", "_echo")) == ["f'({len(cell)} characters)'"]
     assert "escape" in imported_names(TREES[PACKAGE / "render.py"])
+    assert "_text" in private_definitions(TREES[PACKAGE / "render.py"])

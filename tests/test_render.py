@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import sys
@@ -8,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from papertrail.cli import main
 from papertrail.cohort import CohortPoint, Region, fit_linear, fit_power_law
 from papertrail.errors import EmptyCohortError, PapertrailError
 from papertrail.indicators import IndicatorSet, analyze_profile
-from papertrail.ingest import MAX_COUNT, PublicationRecord, ResearcherProfile
+from papertrail.ingest import MAX_COUNT, PublicationRecord, ResearcherProfile, serialize_report
 from papertrail.render import (
     ChartStyle,
     ScatterAxes,
@@ -109,6 +111,25 @@ class TestProfileChart:
     def test_title_escaped(self):
         style = ChartStyle(title="A <b>bold</b> & strange title")
         svg_root(profile_chart(SERIES, sample_indicators(), style))  # must stay parseable
+
+    def test_characters_xml_forbids_are_shown_as_a_stand_in(self):
+        # the C0 controls but tab, LF and CR, a surrogate, U+FFFE and U+FFFF; each keeps its place
+        forbidden = "".join(map(chr, [*range(9), 11, 12, *range(14, 32), 0xD800, 0xDFFF, 0xFFFE, 0xFFFF]))
+        style = ChartStyle(title=f"<{forbidden}\t\x7f\U0001F600>")
+        (title,) = [e for e in svg_root(profile_chart(SERIES, sample_indicators(), style)).iter()
+                    if e.text and e.text.startswith("<")]
+        assert title.text == "<" + "\ufffd" * len(forbidden) + "\t\x7f\U0001F600>"
+
+
+def test_analyze_writes_a_valid_chart_for_a_name_with_a_control_character(tmp_path):
+    # the name reaches the chart's title; XML 1.0 forbids U+0001, so html.escape alone wrote a
+    # chart that no XML parser reads
+    report, chart = tmp_path / "r.tsv", tmp_path / "r.svg"
+    profile = ResearcherProfile("A\x01B", records=generate(conscientious_spec(0)).records)
+    report.write_bytes(serialize_report(profile))
+    assert main(["analyze", str(report), "--json", str(tmp_path / "r.json"), "--svg", str(chart)]) == 0
+    root = ET.parse(chart).getroot()
+    assert any(e.text and e.text.endswith("A\ufffdB") for e in root.iter(f"{SVG_NS}text"))
 
 
 def cohort_points():
@@ -290,9 +311,9 @@ def assert_valid_svg(svg: str, style: ChartStyle) -> None:
 
 
 @settings(max_examples=150, deadline=None)
-@given(width=SIZES[0], height=SIZES[1], profile=st.sampled_from(list(STRESS_PROFILES)))
-def test_a_profile_chart_of_any_size_is_valid_svg(width, height, profile):
-    style = ChartStyle(width, height)
+@given(width=SIZES[0], height=SIZES[1], profile=st.sampled_from(list(STRESS_PROFILES)), title=st.text())
+def test_a_profile_chart_of_any_size_is_valid_svg(width, height, profile, title):
+    style = ChartStyle(width, height, title)
     ind = analyze_profile(ResearcherProfile("R", records=STRESS_PROFILES[profile]))
     assert_valid_svg(profile_chart(ind.series, ind, style), style)
 
@@ -309,10 +330,13 @@ def cohort_fit(points: list, axes: ScatterAxes):
 
 @settings(max_examples=200, deadline=None)
 @given(width=SIZES[0], height=SIZES[1], cohort=st.sampled_from(list(STRESS_COHORTS)),
-       axes=st.sampled_from(list(ScatterAxes)), fitted=st.booleans(), shaded=st.booleans())
-def test_a_scatter_chart_of_any_size_is_valid_svg(width, height, cohort, axes, fitted, shaded):
-    style = ChartStyle(width, height)
-    points = STRESS_COHORTS[cohort]
+       axes=st.sampled_from(list(ScatterAxes)), fitted=st.booleans(), shaded=st.booleans(),
+       title=st.text(), labels=st.lists(st.text(), min_size=5, max_size=5))
+def test_a_scatter_chart_of_any_size_is_valid_svg(width, height, cohort, axes, fitted, shaded,
+                                                  title, labels):
+    # the researcher names, which the markers carry as labels, and the title are any text
+    style = ChartStyle(width, height, title)
+    points = [dataclasses.replace(p, label=label) for p, label in zip(STRESS_COHORTS[cohort], labels)]
     fit = cohort_fit(points, axes) if fitted else None
     svg = scatter_chart(points, axes, fit=fit, region=Region() if shaded else None, style=style)
     assert_valid_svg(svg, style)
