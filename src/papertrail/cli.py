@@ -9,8 +9,8 @@ Three subcommands::
 Exit codes: 0 success, 1 data error (unreadable/unparseable input, or an
 output file that cannot be written), 2 usage error (bad flags or parameters).
 ``analyze`` and ``cohort`` render every output before they write any.  ``synth``
-shapes every paper first, each distinct kernel output once, keeping one shape
-per paper; it renders each row as it writes it into ``-o``.  Every command writes its
+shapes every paper first, running the kernel only where the output can change,
+keeps one shape per paper, and renders each row as it writes it into ``-o``.  Every command writes its
 outputs through ``_write``, which takes text, or a function that streams into
 the file, and writes each output file into a temporary file beside it; the
 temporary files replace their targets only once all are written, the JSON

@@ -21,6 +21,7 @@ specs produce byte-identical serialized profiles on any platform.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, starmap
@@ -94,6 +95,19 @@ class Xorshift64Star:
     def jitter(self, amplitude: float) -> float:
         """Multiplicative jitter factor in [1 - amplitude, 1 + amplitude)."""
         return 1.0 + amplitude * (2.0 * self.uniform() - 1.0)
+
+    def _jitters(self, amplitude: float, n: int) -> list[float]:
+        """``[self.jitter(amplitude) for _ in range(n)]``, the same values drawn in one loop."""
+        x = self._state
+        factors = []
+        for _ in range(n):
+            x ^= x >> 12
+            x = (x ^ (x << 25)) & _MASK64
+            x ^= x >> 27
+            u = (((x * 0x2545F4914F6CDD1D) & _MASK64) >> 11) * 2.0 ** -53
+            factors.append(1.0 + amplitude * (2.0 * u - 1.0))
+        self._state = x
+        return factors
 
 
 class Archetype(str, Enum):
@@ -289,7 +303,30 @@ def _papers(spec: SynthSpec) -> tuple[range, Iterator[_Row]]:
     ``year + lo`` and the greatest ``year + hi`` over the papers that cite
     something, ``_NO_YEARS`` if none does.  The rows are rendered from the
     references as they are asked for (see ``_rows``).
+
+    The kernel (``_floor_carry``) runs only for a mass whose output the masses
+    already shaped cannot settle.  Every kernel weight is >= 0, and each step of
+    ``_floor_carry`` is monotone in its float inputs under IEEE round-to-nearest:
+    ``v * m``, ``+ carry``, ``math.floor``, and ``t - c`` with ``c`` fixed.  Take
+    masses ``a <= m <= b`` where ``a`` and ``b`` give the same output.  By
+    induction over the kernel, every running value ``t`` at ``m`` lies between
+    its values at ``a`` and at ``b``: the floors at ``a`` and ``b`` are equal, so
+    the floor at ``m`` is the same, and its carry stays between theirs.  So ``m``
+    gives the same output, and the masses that give any one output form an
+    interval.  A paper whose mass equals a mass already shaped, or lies between
+    two shaped masses of its unit (``int(mass)``) with the same output, takes that
+    output without the kernel; any other runs it and joins its unit's sorted
+    masses, where, next to two masses with its output, it takes the place of
+    the nearer one (a run's two ends settle every mass between them).  The
+    lemma alone carries correctness; the units only bound the cost: each
+    kernel prefix sum is at most 1, so it crosses at most one integer per unit
+    of mass, a unit holds few outputs and at most two masses of each, and an
+    insert touches one short array.
     """
+    # imported here: a process that loads this module without generating a profile does not map
+    # the array extension (about 75 KB resident)
+    from array import array
+
     rng = Xorshift64Star(spec.seed)
 
     # the kernel takes no random draw, so building it here leaves the draw order as it was
@@ -312,26 +349,50 @@ def _papers(spec: SynthSpec) -> tuple[range, Iterator[_Row]]:
     if sum(pub_counts) == 0:
         raise InvalidSpecError("rates too low: zero publications generated")
 
-    # the shape of each kernel output of this call.  The counts are keys too, so that equal counts
-    # are one shape; both kinds of key agree, as the strict peak fixes where counts start, and an
-    # output equal to some counts is already peaked and trimmed
+    # per call: ``found`` holds the shape of each distinct raw kernel output, in the order found,
+    # and ``outputs`` the index there of each raw output: a table of its own, as a raw output can
+    # equal some other output's trimmed counts.  ``shapes`` holds the shape of each trimmed counts,
+    # so that equal counts are one shape.  ``units[int(mass)]`` holds the masses of that unit shaped
+    # so far, sorted, then the index of each one's output, in one array of floats: the garbage
+    # collector does not track arrays, and where no output repeats each paper adds a unit
+    found: list[_Shape] = []
+    outputs: dict[tuple[int, ...], int] = {}
     shapes: dict[tuple[int, ...], _Shape] = {}
+    units: dict[int, array[float]] = {}
     papers: list[_Shape] = []
+    cites = spec.cites_per_paper
     first, last = MAX_YEAR, MIN_YEAR  # the window, while no paper cites anything: empty
     for year, count in enumerate(pub_counts, spec.start_year):
         # papermill masses scale with the year's output; x * 1.0 == x exactly
         scale = count / spec.base_rate if spec.archetype is Archetype.PAPERMILL else 1.0
         drawn = []  # the shapes of the year's papers
-        for _ in range(count):
-            mass = max(spec.cites_per_paper * rng.jitter(_CITE_JITTER) * scale, 1.0)
+        for jitter in rng._jitters(_CITE_JITTER, count):
+            mass = max(cites * jitter * scale, 1.0)
+            unit = units.get(whole := int(mass), ())
+            n = len(unit) >> 1  # the unit's masses: unit[:n]; their outputs: unit[n:]
+            i = bisect_left(unit, mass, 0, n)  # unit[i - 1] < mass <= unit[i]
+            if i < n and (unit[i] == mass or i and unit[n + i - 1] == unit[n + i]):
+                drawn.append(found[int(unit[n + i])])
+                continue
             raw = _floor_carry(kernel, mass)
-            shape = shapes.get(key := tuple(raw))
-            if shape is None:  # the peak, the trim, the total and the texts depend on the output alone
+            if (output := outputs.get(key := tuple(raw))) is None:
+                # the peak, the trim, the total and the texts depend on the output alone
                 span, counts = _trim(0, tuple(_enforce_peak(raw, peak_offset)))
-                shape = shapes.get(counts) or (sum(counts), span.start, span.stop,
-                                               _cells([counts])[0], counts)
-                shapes[key] = shapes[counts] = shape
-            drawn.append(shape)
+                if (shape := shapes.get(counts)) is None:
+                    shape = shapes[counts] = (sum(counts), span.start, span.stop,
+                                              _cells([counts])[0], counts)
+                output = outputs[key] = len(found)
+                found.append(shape)
+            if i > 1 and unit[n + i - 2] == unit[n + i - 1] == output:
+                unit[i - 1] = mass  # the run of this output to the left now ends at ``mass``
+            elif i + 1 < n and unit[n + i] == unit[n + i + 1] == output:
+                unit[i] = mass  # the run of this output to the right now starts at ``mass``
+            elif unit:
+                unit.insert(n + i, output)
+                unit.insert(i, mass)
+            else:
+                units[whole] = array("d", (mass, output))
+            drawn.append(found[output])
         papers += drawn
         if cited := list(filter(itemgetter(4), drawn)):  # the shapes with counts
             first = min(first, year + min(map(itemgetter(1), cited)))

@@ -16,6 +16,9 @@ from papertrail.synth import (
     Archetype,
     SynthSpec,
     Xorshift64Star,
+    _PAPERMILL_KERNEL,
+    _conscientious_kernel,
+    _floor_carry,
     conscientious_spec,
     generate,
     papermill_spec,
@@ -51,6 +54,12 @@ class TestPrng:
         rng = Xorshift64Star(3)
         for _ in range(1000):
             assert 0.85 <= rng.jitter(0.15) <= 1.15
+
+    def test_a_batch_of_jitters_draws_what_one_at_a_time_draws(self):
+        batched, single = Xorshift64Star(7), Xorshift64Star(7)
+        assert batched._jitters(0.25, 0) == []
+        assert batched._jitters(0.25, 500) == [single.jitter(0.25) for _ in range(500)]
+        assert batched.next_u64() == single.next_u64()  # and leaves the same state
 
 
 class TestSpecValidation:
@@ -261,3 +270,37 @@ class TestGenerateContract:
     def test_totals_equal_window_sums(self):
         for rec in generate(papermill_spec(5)).records:
             assert rec.total_citations == sum(rec.citations_by_year.values())
+
+
+# the conscientious kernel of each lag, and the papermill kernel
+KERNELS = [_conscientious_kernel(conscientious_spec(kernel_peak_lag=lag))
+           for lag in range(1, MAX_KERNEL_PEAK_LAG + 1)] + [list(_PAPERMILL_KERNEL)]
+
+
+def ulps_above(x, n):
+    """The float ``n`` steps above ``x``."""
+    for _ in range(n):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+@st.composite
+def masses_in_order(draw):
+    """Masses ``a <= m <= b`` in [1, 1e7]: ``a`` over the range with 1.0 and 1e7 among its draws,
+    ``b`` a few ulps or a short step above it, and ``m`` next to ``a``, next to ``b`` or between."""
+    a = draw(st.sampled_from([1.0, 1e7]) | st.floats(1.0, 1e7))
+    b = min(draw(st.builds(ulps_above, st.just(a), st.integers(0, 3))
+                 | st.floats(0, 2).map(lambda step: a + step)), 1e7)
+    m = draw(st.sampled_from([a, b, math.nextafter(a, math.inf), math.nextafter(b, 0.0)])
+             | st.floats(0, 1).map(lambda frac: a + (b - a) * frac))
+    return a, min(max(m, a), b), b
+
+
+class TestKernelLemma:
+    # synth runs the kernel only for a mass that two shaped masses with one output do not enclose
+    @settings(max_examples=300)
+    @given(st.sampled_from(KERNELS), masses_in_order())
+    def test_a_mass_between_two_with_one_output_gives_that_output(self, kernel, masses):
+        a, m, b = masses
+        if _floor_carry(kernel, a) == _floor_carry(kernel, b):
+            assert _floor_carry(kernel, m) == _floor_carry(kernel, a)

@@ -20,7 +20,7 @@ import tracemalloc
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from papertrail import ingest, synth
@@ -84,6 +84,11 @@ def test_reading_each_record_once_writes_the_verbatim_bytes(make_spec):
 
 @settings(max_examples=100, deadline=None)
 @given(accepted_specs())
+# masses spread over 100 units by the yearly scale, the longest kernel, and masses of which
+# about half clamp to 1.0
+@example(papermill_spec(7, base_rate=0.25, peak_rate=30.0, cites_per_paper=5.0))
+@example(conscientious_spec(4, kernel_peak_lag=20))
+@example(conscientious_spec(2, cites_per_paper=1.0))
 def test_any_accepted_spec_generates_the_reference_profile(spec):
     # the draws reach cites_per_paper 1e6, where no kernel output repeats and counts pass 255
     try:
@@ -93,6 +98,18 @@ def test_any_accepted_spec_generates_the_reference_profile(spec):
             generate(spec)
     else:
         assert generate(spec) == expected
+
+
+def test_the_kernel_runs_only_where_its_output_can_change(call_counter):
+    # no timing bound: a paper runs _floor_carry only where the masses shaped before it do not
+    # settle its output; the first call of each spec counts its publications
+    calls, count = call_counter
+    count(synth, "_floor_carry")
+    synth._papers(conscientious_spec(0, cites_per_paper=1e-9))  # every mass clamps to 1.0
+    assert calls["_floor_carry"] == 1 + 1
+    calls.clear()
+    synth._papers(WIDE_SPEC)
+    assert calls["_floor_carry"] - 1 < 11_703 / 3
 
 
 def test_rows_share_a_shape_within_one_call_and_never_across_calls(monkeypatch):
