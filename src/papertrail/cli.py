@@ -384,6 +384,7 @@ def _open_output(path: str | Path, target: str) -> tuple[BinaryIO, tuple[str, st
     ends in a separator (a path that can only name a directory, which open refuses), a path or
     target under /dev or /proc (as /dev/stdout is), an existing file that is not a regular file (a
     FIFO, a device; a directory fails to open), and an existing file whose directory refuses a new one.
+    Such a path is opened to append, so that it keeps its bytes until ``_write`` commits it.
     """
     name = os.fspath(path)
     try:
@@ -392,13 +393,13 @@ def _open_output(path: str | Path, target: str) -> tuple[BinaryIO, tuple[str, st
         mode = None
     if (target.endswith(os.sep) or mode is not None and not S_ISREG(mode)
             or any(p.startswith(("/dev/", "/proc/")) for p in (os.path.abspath(name), target))):
-        return open(name, "wb"), None
+        return open(name, "ab"), None
     temporary = os.path.join(os.path.dirname(target), f".papertrail-{os.urandom(8).hex()}.tmp")
     try:
         fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
         if isinstance(exc, PermissionError) and mode is not None:  # the file itself may be writable
-            return open(name, "wb"), None
+            return open(name, "ab"), None
         exc.filename = name  # the message names the output, not its temporary file
         raise
     stream = open(fd, "wb")
@@ -453,9 +454,13 @@ def _write(*outputs: tuple[str | Path | None, str | bytes | Callable[[BinaryIO],
                 with _writing(path):
                     os.replace(*move)
             elif path is None:
-                write(stream)
+                with _writing("standard output"):
+                    write(stream)
+                    stream.flush()
             else:
                 with _writing(path), stream:
+                    if S_ISREG(os.fstat(stream.fileno()).st_mode):  # kept until now: see _open_output
+                        stream.truncate(0)
                     write(stream)
     except BaseException:
         for path, _, stream, move in pending:

@@ -12,14 +12,15 @@ m(p) = slope * p + intercept.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .config import AnalysisConfig, Region
+from .config import AnalysisConfig, Region, _check_types, _echo_int
 from .errors import DegenerateAbscissaError, EmptyCohortError, TooFewPointsError
 from .indicators import IndicatorSet, _indicators
-from .ingest import ReportFormat, _read_report
+from .ingest import MAX_COUNT, ReportFormat, _read_report
 
 
 class RegionClass(str, Enum):
@@ -39,7 +40,8 @@ class ScatterAxes(str, Enum):
 
 @dataclass(frozen=True)
 class CohortPoint:
-    """One researcher's coordinates in the cohort scatter plots."""
+    """One researcher's coordinates in the cohort scatter plots.  A value of the wrong type or
+    outside its range raises ValueError naming the field."""
 
     label: str
     r: float | None
@@ -49,10 +51,16 @@ class CohortPoint:
     avg_pubs_year: float
 
     def __post_init__(self) -> None:
+        _check_types(self)
+        # compared, not converted: an int r too large for a float is refused like an infinite one
+        if self.r is not None and not -sys.float_info.max <= self.r <= sys.float_info.max:
+            raise ValueError(f"r must be finite, got {_echo_int(self.r)}")
         if not 0.0 <= self.i_index <= 1.0:
             raise ValueError("i_index must lie in [0, 1]")
-        if self.total_pubs < 1:
-            raise ValueError("total_pubs must be at least 1")
+        for name, least in (("total_pubs", 1), ("max_pubs_year", 0), ("avg_pubs_year", 0)):
+            if not least <= (value := getattr(self, name)) <= MAX_COUNT:
+                raise ValueError(f"{name} must be at least {least} and at most {MAX_COUNT}, "
+                                 f"got {_echo_int(value)}")
 
 
 @dataclass(frozen=True)

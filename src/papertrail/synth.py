@@ -24,8 +24,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice, starmap
-from operator import itemgetter
+from itertools import starmap
+from operator import itemgetter, mul
 from typing import Iterator
 
 from .config import _check_types, _echo_int
@@ -241,7 +241,7 @@ def _enforce_peak(counts: list[int], peak: int) -> list[int]:
     single citations from the largest rival bin into the peak bin until the
     mode is strict.  Totals are conserved.
     """
-    if len(counts) <= 1 or sum(counts) == 0:
+    if sum(counts) == 0:
         return counts
     held, counts[peak] = counts[peak], -1  # below every rival while they are searched
     while held <= (top := max(counts)):
@@ -296,13 +296,17 @@ _Row = tuple[str, int, int, range, list[str], tuple[int, ...]]
 def _papers(spec: SynthSpec) -> tuple[range, Iterator[_Row]]:
     """Shape every paper of ``spec``, and return the year window of its report and its rows.
 
-    This eager pass draws every random number and raises InvalidSpecError
-    before it returns.  It keeps, in paper order, one reference per paper to
-    the shape of its kernel output; papers of one call with the same output
-    share one shape, which no caller changes.  The window is the least
-    ``year + lo`` and the greatest ``year + hi`` over the papers that cite
-    something, ``_NO_YEARS`` if none does.  The rows are rendered from the
-    references as they are asked for (see ``_rows``).
+    This eager pass draws every random number, all through ``_jitters``, and
+    raises InvalidSpecError before it returns.  It keeps, year by year in
+    paper order, one reference per paper to the shape of its kernel output;
+    papers of one call with the same output share one shape, which no caller
+    changes.  The window is the least ``year + lo`` and the greatest
+    ``year + hi`` over the papers that cite something, ``_NO_YEARS`` if none
+    does.  Each row is rendered from its reference as it is asked for: a row of
+    ``ingest._write_report`` followed by its counts, ``(title, pub_year, total,
+    years, cells, counts)``, where ``years`` runs from the paper's first to its
+    last cited year (empty if it cites nothing), ``counts`` holds its citations
+    in those years and ``cells`` their texts.
 
     The kernel (``_floor_carry``) runs only for a mass whose output the masses
     already shaped cannot settle.  Every kernel weight is >= 0, and each step of
@@ -328,24 +332,21 @@ def _papers(spec: SynthSpec) -> tuple[range, Iterator[_Row]]:
     from array import array
 
     rng = Xorshift64Star(spec.seed)
+    papermill = spec.archetype is Archetype.PAPERMILL
 
-    # the kernel takes no random draw, so building it here leaves the draw order as it was
-    if spec.archetype is Archetype.CONSCIENTIOUS:
-        targets = _conscientious_pub_targets(spec)
-        pub_counts = _floor_carry([t * rng.jitter(_PUB_JITTER) for t in targets])
-        kernel = _conscientious_kernel(spec)
-        peak_offset = spec.kernel_peak_lag
-    else:
-        # output sits exactly at the base rate until the onset; only the
-        # growth years are jittered, then forced monotone from the onset on
-        targets = _papermill_pub_targets(spec)
-        onset = spec.onset_offset
-        pub_counts = [round(spec.base_rate)] * onset
-        pub_counts += _floor_carry([t * rng.jitter(_PUB_JITTER) for t in targets[onset:]])
+    # a papermill's output sits exactly at the base rate until the onset; only the growth years
+    # are jittered, then forced monotone from the onset on.  The kernel takes no random draw, so
+    # building it here leaves the draw order as it was
+    onset = spec.onset_offset if papermill else 0
+    targets = (_papermill_pub_targets if papermill else _conscientious_pub_targets)(spec)[onset:]
+    pub_counts = [round(spec.base_rate)] * onset + _floor_carry(
+        list(map(mul, targets, rng._jitters(_PUB_JITTER, len(targets)))))
+    if papermill:
         for i in range(max(onset, 1), spec.n_years):
             pub_counts[i] = max(pub_counts[i], pub_counts[i - 1])
-        kernel = list(_PAPERMILL_KERNEL)
-        peak_offset = 0
+        kernel, peak_offset = list(_PAPERMILL_KERNEL), 0
+    else:
+        kernel, peak_offset = _conscientious_kernel(spec), spec.kernel_peak_lag
     if sum(pub_counts) == 0:
         raise InvalidSpecError("rates too low: zero publications generated")
 
@@ -359,12 +360,12 @@ def _papers(spec: SynthSpec) -> tuple[range, Iterator[_Row]]:
     outputs: dict[tuple[int, ...], int] = {}
     shapes: dict[tuple[int, ...], _Shape] = {}
     units: dict[int, array[float]] = {}
-    papers: list[_Shape] = []
+    papers: list[list[_Shape]] = []  # the shapes of each year's papers
     cites = spec.cites_per_paper
     first, last = MAX_YEAR, MIN_YEAR  # the window, while no paper cites anything: empty
     for year, count in enumerate(pub_counts, spec.start_year):
         # papermill masses scale with the year's output; x * 1.0 == x exactly
-        scale = count / spec.base_rate if spec.archetype is Archetype.PAPERMILL else 1.0
+        scale = count / spec.base_rate if papermill else 1.0
         drawn = []  # the shapes of the year's papers
         for jitter in rng._jitters(_CITE_JITTER, count):
             mass = max(cites * jitter * scale, 1.0)
@@ -393,34 +394,23 @@ def _papers(spec: SynthSpec) -> tuple[range, Iterator[_Row]]:
             else:
                 units[whole] = array("d", (mass, output))
             drawn.append(found[output])
-        papers += drawn
+        papers.append(drawn)
         if cited := list(filter(itemgetter(4), drawn)):  # the shapes with counts
             first = min(first, year + min(map(itemgetter(1), cited)))
             last = max(last, year + max(map(itemgetter(2), cited)))
     window = range(first, last) if first < last else _NO_YEARS
-    return window, _rendered(spec.start_year, pub_counts, papers)
+    return window, _rendered(spec.start_year, papers)
 
 
-def _rendered(start_year: int, pub_counts: list[int], papers: list[_Shape]) -> Iterator[_Row]:
-    """The row of each of ``papers``, the shapes of the ``pub_counts[i]`` papers of each year
-    ``start_year + i`` in turn, rendered as it is asked for."""
-    shapes = iter(papers)
+def _rendered(start_year: int, years: list[list[_Shape]]) -> Iterator[_Row]:
+    """The row of each paper, ``years[i]`` holding the shapes of the papers of year
+    ``start_year + i``, rendered as it is asked for."""
     paper_no = 0
-    for year, count in enumerate(pub_counts, start_year):
-        for total, lo, hi, cells, counts in islice(shapes, count):
+    for year, papers in enumerate(years, start_year):
+        for total, lo, hi, cells, counts in papers:
             paper_no += 1
             yield (f"Synthetic study {paper_no:04d}", year, total,
                    range(year + lo, year + hi) if counts else _NO_YEARS, cells, counts)
-
-
-def _rows(spec: SynthSpec) -> Iterator[_Row]:
-    """Each paper as a row of ``ingest._write_report`` followed by its counts:
-    ``(title, pub_year, total, years, cells, counts)``, where ``years`` runs from its first to its
-    last cited year (empty if it cites nothing), ``counts`` holds its citations in those years and
-    ``cells`` their texts.  Papers of one call with the same kernel output share one ``counts``
-    tuple and one ``cells`` list, which no caller changes.  Every paper is shaped, and a refused
-    spec raises, before this returns; each row is rendered as it is asked for."""
-    return _papers(spec)[1]
 
 
 def _names(spec: SynthSpec) -> tuple[str, str]:
@@ -434,5 +424,5 @@ def generate(spec: SynthSpec) -> ResearcherProfile:
     name, source_id = _names(spec)
     # start_year bounds every pub_year, and the counts are non-negative ints
     return ResearcherProfile(name=name, source_id=source_id, records=list(starmap(
-        _record, map(itemgetter(0, 1, 2, 3, 5), _rows(spec)))))
+        _record, map(itemgetter(0, 1, 2, 3, 5), _papers(spec)[1]))))
 

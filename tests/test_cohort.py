@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+import tracemalloc
 import warnings
 
 import pytest
@@ -34,6 +36,59 @@ def point(label="x", r=0.0, i=0.5, p=10, m=3, avg=1.0):
 def test_point_rejects_invalid_coordinates(i, p, message):
     with pytest.raises(ValueError, match=message):
         point(i=i, p=p)
+
+
+REFUSED_POINTS = [
+    ("label", 5, "label must be str, got int"),
+    ("r", True, "r must be float, got bool"),
+    ("r", "0.5", "r must be float, got str"),
+    ("r", math.nan, "r must be finite, got nan"),
+    ("r", -math.inf, "r must be finite, got -inf"),
+    ("r", 10**400, r"r must be finite, got \(401 digits\)"),
+    ("i_index", math.nan, r"i_index must lie in \[0, 1\]"),
+    ("total_pubs", True, "total_pubs must be int, got bool"),
+    ("total_pubs", 10.0, "total_pubs must be int, got float"),
+    ("total_pubs", 10**400, r"total_pubs must be at least 1 and at most 1000000000000, got \(401 digits\)"),
+    ("max_pubs_year", 2.5, "max_pubs_year must be int, got float"),
+    ("max_pubs_year", -1, "max_pubs_year must be at least 0 and at most 1000000000000, got -1"),
+    ("max_pubs_year", 10**12 + 1, "max_pubs_year must be at least 0 and at most 1000000000000, got 1000000000001"),
+    ("avg_pubs_year", "x", "avg_pubs_year must be float, got str"),
+    ("avg_pubs_year", None, "avg_pubs_year must be float, got NoneType"),
+    ("avg_pubs_year", math.nan, "avg_pubs_year must be at least 0 and at most 1000000000000, got nan"),
+    ("avg_pubs_year", 1e13, r"avg_pubs_year must be at least 0 and at most 1000000000000, got 10000000000000\.0"),
+]
+
+
+@pytest.mark.parametrize("field,value,message", REFUSED_POINTS,
+                         ids=[f"{field}-{k}" for k, (field, _, _) in enumerate(REFUSED_POINTS)])
+def test_point_follows_the_one_type_rule_and_bounds_its_counts(field, value, message):
+    # a point refused here would otherwise reach cohort_summary, the fits or the charts and fail
+    # there with a TypeError or an OverflowError
+    coordinates = {"label": "x", "r": 0.0, "i_index": 0.5, "total_pubs": 10, "max_pubs_year": 3,
+                   "avg_pubs_year": 1.0}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CohortPoint(**{**coordinates, field: value})
+
+
+def test_point_takes_its_bounds_a_missing_r_and_an_int_for_a_float():
+    assert point(r=None).r is None
+    assert point(r=1, avg=0).r == 1
+    point(p=1, m=0, avg=0.0)
+    point(p=10**12, m=10**12, avg=1e12)
+
+
+def test_checking_a_point_leaves_no_memory_behind():
+    # CPython 3.11 builds the tuple of dataclasses.fields at one size and shrinks it, and parks
+    # each one freed on a free list that no later call takes from; a cohort checks a point per
+    # report, so the type check must not go through it
+    point()
+    tracemalloc.start()
+    try:
+        points = [point(p=p) for p in range(1, 1001)]
+        left = tracemalloc.take_snapshot().filter_traces([tracemalloc.Filter(True, dataclasses.__file__)])
+    finally:
+        tracemalloc.stop()
+    assert len(points) == 1000 and left.statistics("filename") == []
 
 
 class TestClassifyRegion:

@@ -12,7 +12,8 @@ holds the package's one type rule, compares a value's ``type(...)``.  In
 ``ingest.py`` only the block pass, ``_read_chunk``, and the exact cell
 reader, ``_int``, convert text with ``int``, and ``_int`` and ``_parse_count``
 build a message only to raise it.  In ``render.py`` only ``_text`` escapes
-a chart's text.
+a chart's text.  ``synth._papers`` draws every random number through
+``_jitters``.
 """
 
 import ast
@@ -200,6 +201,15 @@ def test_one_chart_text_helper():
     # every text of a chart goes through _text, which also stands in for what XML forbids; a text
     # escaped on its own, which could carry a control character into the SVG, cannot come in unseen
     assert callers()["escape"] == {"render._text"}
+
+
+def test_synth_draws_every_number_through_one_loop():
+    # _jitters draws what jitter draws one at a time; a second draw path in _papers, whose order
+    # could drift from the first, cannot come in unseen
+    called = {ast.unparse(node.func).rpartition(".")[2] for node in ast.walk(function("synth.py", "_papers"))
+              if isinstance(node, ast.Call)}
+    assert "_jitters" in called
+    assert called & {"jitter", "uniform", "next_u64"} == set()
 
 
 def test_the_checks_see_the_package():

@@ -260,3 +260,46 @@ def test_a_file_in_a_directory_that_refuses_new_files_is_written_in_place(inputs
     assert main(["analyze", report, "--json", str(new)]) == 1
     assert capsys.readouterr().err == f"error: cannot write {new}: [Errno 13] Permission denied: '{new}'\n"
     assert sorted(os.listdir(out)) == ["a.json"]
+
+
+def test_a_failed_run_keeps_a_file_written_in_place(inputs, monkeypatch, capsys):
+    # a file written in place is opened before any output is committed, so opening it must not
+    # truncate it: the run below fails on its second output, after the chart is opened
+    out, report = inputs["out"], inputs["report"]
+    chart = out / "old.svg"
+    chart.write_bytes(b"an earlier chart")
+    open_file = os.open
+
+    def refuse_temporary_files(path, flags, *args, **kwargs):
+        name = os.path.basename(path)
+        if os.path.dirname(path) == str(out) and name.startswith(".papertrail-") and name.endswith(".tmp"):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return open_file(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", refuse_temporary_files)
+    missing = inputs["out"].parent / "no" / "such" / "dir" / "out.json"
+    assert main(["analyze", report, "--svg", str(chart), "--json", str(missing)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {missing}: [Errno 2] ")
+    assert chart.read_bytes() == b"an earlier chart"
+    # a run that succeeds writes the whole chart in place, as it writes a new one
+    assert main(["analyze", report, "--svg", str(chart)]) == 0
+    monkeypatch.setattr(os, "open", open_file)
+    assert main(["analyze", report, "--svg", str(out / "new.svg")]) == 0
+    assert chart.read_bytes() == (out / "new.svg").read_bytes()
+    assert sorted(os.listdir(out)) == ["new.svg", "old.svg"]
+
+
+class FullStdout(io.StringIO):
+    """A standard output that refuses its text, as one redirected to a full disk does."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("argv", [lambda inputs: ["analyze", inputs["report"]],
+                                  lambda inputs: ["cohort", inputs["manifest"]]],
+                         ids=["analyze", "cohort"])
+def test_a_failed_write_to_standard_output_is_an_error_line(argv, inputs, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    assert main(argv(inputs)) == 1
+    assert capsys.readouterr().err == "error: cannot write standard output: [Errno 28] No space left on device\n"

@@ -115,7 +115,7 @@ def test_the_kernel_runs_only_where_its_output_can_change(call_counter):
 def test_rows_share_a_shape_within_one_call_and_never_across_calls(monkeypatch):
     # no timing bound: papers of one call with the same kernel output share one counts tuple and
     # one cells list, and generate's records hold the rows' counts; a second call builds its own
-    rows = list(synth._rows(WIDE_SPEC))
+    rows = list(synth._papers(WIDE_SPEC)[1])
     for index, kind in ((4, list), (5, tuple)):  # the cells, then the counts
         assert all(type(row[index]) is kind for row in rows)
         assert (len({id(row[index]) for row in rows}) == len({tuple(row[index]) for row in rows})
@@ -125,12 +125,16 @@ def test_rows_share_a_shape_within_one_call_and_never_across_calls(monkeypatch):
 
     seen = []
 
-    def recorded(spec, rows_of=synth._rows):
-        for row in rows_of(spec):
-            seen.append(row)
-            yield row
+    def recorded(spec, papers_of=synth._papers):
+        window, rows = papers_of(spec)
 
-    monkeypatch.setattr(synth, "_rows", recorded)
+        def each():
+            for row in rows:
+                seen.append(row)
+                yield row
+        return window, each()
+
+    monkeypatch.setattr(synth, "_papers", recorded)
     records = generate(WIDE_SPEC).records
     assert all(rec._counts is row[5] for rec, row in zip(records, seen, strict=True))
 
@@ -234,7 +238,7 @@ def union_of_spans(spans):
 
 def assert_writes_like_reference(records):
     """``serialize_report`` writes ``records`` like the reference, and so does ``_write_report``
-    given the window and each row's cells rendered on their own, as ``synth._rows`` renders each
+    given the window and each row's cells rendered on their own, as ``synth._papers`` renders each
     shape's; the writer gets the rows as a one-shot iterator, so a second pass over them would fail."""
     profile = ResearcherProfile(name="n", source_id="id", records=records)
     rows = [(rec.title, rec.pub_year, rec.total_citations, rec._years, ingest._cells([rec._counts])[0])
@@ -315,7 +319,7 @@ def test_counts_around_the_text_table():
 def test_synth_counts_at_the_edge_of_the_text_table(spec, tmp_path):
     # both producers and both flavors: the rows that synth renders shape by shape, and the records
     # that serialize_report renders, hold counts of 255 and 256
-    assert {255, 256} <= {count for row in synth._rows(spec) for count in row[5]}
+    assert {255, 256} <= {count for row in synth._papers(spec)[1] for count in row[5]}
     _, data = reference(spec)
     assert_writes_like_reference(generate(spec).records)
     for fmt in ReportFormat:
@@ -353,7 +357,7 @@ def test_synth_rows_are_trimmed_and_written_without_column_sums(spec, monkeypatc
     # no timing bound: a synth row runs from its first to its last cited year, so the window
     # is the union of the rows as they are, and the writer needs no per-year totals
     profile = generate(spec)
-    for row, rec in zip(synth._rows(spec), profile.records, strict=True):
+    for row, rec in zip(synth._papers(spec)[1], profile.records, strict=True):
         for years, counts in ((row[3], row[5]), (rec._years, rec._counts)):
             assert len(counts) == len(years)
             assert not counts and not years or counts[0] and counts[-1]
