@@ -12,12 +12,11 @@ m(p) = slope * p + intercept.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .config import AnalysisConfig, Region, _check_types, _echo_int
+from .config import AnalysisConfig, Region, _check_range, _check_types
 from .errors import DegenerateAbscissaError, EmptyCohortError, TooFewPointsError
 from .indicators import IndicatorSet, _indicators
 from .ingest import MAX_COUNT, ReportFormat, _read_report
@@ -52,15 +51,12 @@ class CohortPoint:
 
     def __post_init__(self) -> None:
         _check_types(self)
-        # compared, not converted: an int r too large for a float is refused like an infinite one
-        if self.r is not None and not -sys.float_info.max <= self.r <= sys.float_info.max:
-            raise ValueError(f"r must be finite, got {_echo_int(self.r)}")
-        if not 0.0 <= self.i_index <= 1.0:
-            raise ValueError("i_index must lie in [0, 1]")
-        for name, least in (("total_pubs", 1), ("max_pubs_year", 0), ("avg_pubs_year", 0)):
-            if not least <= (value := getattr(self, name)) <= MAX_COUNT:
-                raise ValueError(f"{name} must be at least {least} and at most {MAX_COUNT}, "
-                                 f"got {_echo_int(value)}")
+        if self.r is not None:  # pearson's r can pass ±1 by a rounding error, one ulp at most seen
+            _check_range(self.r, -1 - 1e-9, 1 + 1e-9, "r")
+        _check_range(self.i_index, 0, 1, "i_index")
+        _check_range(self.total_pubs, 1, MAX_COUNT, "total_pubs")
+        _check_range(self.max_pubs_year, 0, MAX_COUNT, "max_pubs_year")
+        _check_range(self.avg_pubs_year, 0, MAX_COUNT, "avg_pubs_year")
 
 
 @dataclass(frozen=True)
@@ -190,7 +186,8 @@ def fit_power_law(points: Iterable[tuple[float, float]]) -> PowerLawFit:
 
     Points with I <= 0 or p <= 0 cannot enter log space; they are left
     out rather than offset, and ``n_points`` counts only the points used.
-    r_squared is the coefficient of determination in log space.
+    r_squared is the coefficient of determination in log space.  A fit whose
+    a is not a positive finite float raises DegenerateAbscissaError.
     """
     usable = [(p, i) for p, i in points if p > 0 and i > 0]
     if len(usable) < 2:
@@ -200,7 +197,14 @@ def fit_power_law(points: Iterable[tuple[float, float]]) -> PowerLawFit:
     log_p = [math.log(p) for p, _ in usable]
     log_i = [math.log(i) for _, i in usable]
     slope, intercept, r_squared = _ols(log_p, log_i)
-    return PowerLawFit(a=math.exp(intercept), b=slope, r_squared=r_squared, n_points=len(usable))
+    # p values close together give a steep slope and an intercept whose exp() overflows or is 0
+    try:
+        a = math.exp(intercept)
+    except OverflowError:
+        a = math.inf
+    if not 0.0 < a < math.inf:
+        raise DegenerateAbscissaError(f"power-law fit has no positive finite a = exp({intercept})")
+    return PowerLawFit(a=a, b=slope, r_squared=r_squared, n_points=len(usable))
 
 
 def fit_linear(points: Iterable[tuple[float, float]]) -> LinearFit:

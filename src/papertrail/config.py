@@ -1,4 +1,4 @@
-"""Analysis settings: the flag thresholds, the flag region and the package's one type rule.
+"""Analysis settings: the flag thresholds, the flag region and the package's type and range rules.
 
 This module imports nothing of the package, so the CLI can read its config
 keys and build an ``AnalysisConfig`` without loading the analysis itself.
@@ -35,6 +35,23 @@ def _echo_int(value: float) -> str:
     return f"{'-' * (value < 0)}({digits} digits)"
 
 
+def _check_range(value: float, least: float, most: float | None, what: str,
+                 error: type[Exception] = ValueError, open: bool = False) -> None:
+    """Raise ``error`` unless ``least <= value <= most`` (no upper end if ``most`` is None, both ends
+    excluded if ``open``): the package's one range rule.  It compares and never converts, so NaN, an
+    infinity and an int too long for a float are refused alike.  Its message names the range as
+    ``<least>..<most>``, ``at least <least>`` or ``(<least>, <most>)``, each number by ``_echo_int``."""
+    if least < value < most if open else least <= value and (most is None or value <= most):
+        return
+    if open:
+        rule = f"lie in ({_echo_int(least)}, {_echo_int(most)})"
+    elif most is None:
+        rule = f"be at least {_echo_int(least)}"
+    else:
+        rule = f"lie in {_echo_int(least)}..{_echo_int(most)}"
+    raise error(f"{what} must {rule}, got {_echo_int(value)}")
+
+
 def _check_types(obj: object, error: type[Exception] = ValueError) -> None:
     """Raise ``error`` naming the first field of the dataclass ``obj`` whose value breaks
     ``_check_type`` for the field's declared type (a name, as annotations are postponed); a field
@@ -58,10 +75,8 @@ class Region:
 
     def __post_init__(self) -> None:
         _check_types(self)
-        if not -1.0 < self.r_min < 1.0:
-            raise ValueError(f"r_min must lie in (-1, 1), got {_echo_int(self.r_min)}")
-        if not 0.0 < self.i_max < 1.0:
-            raise ValueError(f"i_max must lie in (0, 1), got {_echo_int(self.i_max)}")
+        _check_range(self.r_min, -1, 1, "r_min", open=True)
+        _check_range(self.i_max, 0, 1, "i_max", open=True)
 
 
 @dataclass(frozen=True)
@@ -83,13 +98,9 @@ class AnalysisConfig:
     def __post_init__(self) -> None:
         _check_types(self)
         Region(self.r_min, self.i_max)  # raises on an out-of-range r_min or i_max
-        if self.pubs_per_year_limit < 1:
-            raise ValueError(
-                f"pubs_per_year_limit must be >= 1, got {_echo_int(self.pubs_per_year_limit)}")
-        if self.growth_window < 0:
-            raise ValueError(f"growth_window must be >= 0, got {_echo_int(self.growth_window)}")
-        if self.max_lag < 0:
-            raise ValueError(f"max_lag must be >= 0, got {_echo_int(self.max_lag)}")
+        _check_range(self.pubs_per_year_limit, 1, None, "pubs_per_year_limit")
+        _check_range(self.growth_window, 0, None, "growth_window")
+        _check_range(self.max_lag, 0, None, "max_lag")
 
     @property
     def region(self) -> Region:

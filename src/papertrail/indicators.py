@@ -17,7 +17,7 @@ from operator import ge, gt, le, lt, mul, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .config import DEFAULT_MAX_LAG, AnalysisConfig, _echo_int
+from .config import DEFAULT_MAX_LAG, AnalysisConfig, _check_range, _echo_int
 from .errors import (
     AllDegenerateError,
     HExceedsPublicationsError,
@@ -133,8 +133,7 @@ def best_lag(series: AnnualSeries, max_lag: int = DEFAULT_MAX_LAG) -> LagResult:
     TooShortError when any candidate lag would leave fewer than 3 pairs,
     AllDegenerateError when every lag is undefined.
     """
-    if max_lag < 0:
-        raise ValueError("max_lag must be non-negative")
+    _check_range(max_lag, 0, None, "max_lag")
     n = len(series.pubs)
     if n < max_lag + 3:
         raise TooShortError(
@@ -168,8 +167,7 @@ def i_index(h: int, total_pubs: int) -> float:
     """Integrity index: the exact quotient h / total publications."""
     if total_pubs < 1:
         raise ZeroPublicationsError("integrity index needs at least one publication")
-    if not 0 <= h <= total_pubs:
-        raise HExceedsPublicationsError(f"h={_echo_int(h)} outside 0..{_echo_int(total_pubs)}")
+    _check_range(h, 0, total_pubs, "h", HExceedsPublicationsError)
     return h / total_pubs
 
 

@@ -32,7 +32,7 @@ from itertools import chain, compress, count, islice, repeat
 from operator import add, attrgetter, itemgetter, ne
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .config import _ECHO_LIMIT, _check_type, _echo_int
+from .config import _ECHO_LIMIT, _check_range, _check_type
 from .errors import (
     EmptyProfileError,
     EncodingError,
@@ -98,21 +98,14 @@ class PublicationRecord:
         _check_type(title, "str", "title")
         _check_type(pub_year, "int", "publication year")
         _check_type(total_citations, "int", "total citations")
-        if not MIN_YEAR <= pub_year <= MAX_YEAR:
-            raise ValueError(f"publication year {_echo_int(pub_year)} outside {MIN_YEAR}..{MAX_YEAR}")
-        if total_citations < 0:
-            raise ValueError("total citations must be non-negative")
-        if total_citations > MAX_COUNT:
-            raise ValueError(f"total citations must be at most {MAX_COUNT}")
+        _check_range(pub_year, MIN_YEAR, MAX_YEAR, "publication year")
+        _check_range(total_citations, 0, MAX_COUNT, "total citations")
         for year, count in by_year.items():
             _check_type(year, "int", "cited year")
-            if not MIN_YEAR <= year <= MAX_YEAR:
-                raise ValueError(f"cited year {_echo_int(year)} outside {MIN_YEAR}..{MAX_YEAR}")
-            _check_type(count, "int", f"citation count for year {year}")
-            if count < 0:
-                raise ValueError(f"negative citation count for year {year}")
-            if count > MAX_COUNT:
-                raise ValueError(f"citation count for year {year} must be at most {MAX_COUNT}")
+            _check_range(year, MIN_YEAR, MAX_YEAR, "cited year")
+            what = f"citation count for year {year}"
+            _check_type(count, "int", what)
+            _check_range(count, 0, MAX_COUNT, what)
         years = range(min(by_year), max(by_year) + 1) if by_year else _NO_YEARS
         _fill(self, title, pub_year, total_citations, years.start,
               [by_year.get(year, 0) for year in years])
@@ -520,8 +513,7 @@ def serialize_report(profile: ResearcherProfile, fmt: ReportFormat = ReportForma
         raise ValueError("researcher name is empty; parse_report would read the file's name")
     if profile.reported_h is not None:
         _check_type(profile.reported_h, "int", "reported h-index")
-        if not 0 <= profile.reported_h <= MAX_COUNT:
-            raise ValueError(f"reported h-index must lie in 0..{MAX_COUNT}")
+        _check_range(profile.reported_h, 0, MAX_COUNT, "reported h-index")
     named = [("researcher name", profile.name),
              ("researcher id", "" if profile.source_id is None else profile.source_id)]
     _check_fields(fmt, chain(named, zip(repeat("record title"), map(attrgetter("title"), records))))

@@ -15,7 +15,7 @@ from html import escape
 from typing import Iterator, Sequence
 
 from .cohort import CohortPoint, LinearFit, PowerLawFit, ScatterAxes
-from .config import Region, _check_types
+from .config import Region, _check_range, _check_types
 from .errors import EmptyCohortError
 from .indicators import IndicatorSet, round_half_up
 from .series import AnnualSeries
@@ -54,8 +54,7 @@ class ChartStyle:
     def __post_init__(self) -> None:
         _check_types(self)
         for name, margins in (("width", MARGIN_LEFT + MARGIN_RIGHT), ("height", MARGIN_TOP + MARGIN_BOTTOM)):
-            if not margins < getattr(self, name) <= 100_000:
-                raise ValueError(f"chart {name} must lie in {margins + 1:g}..100000 pixels")
+            _check_range(getattr(self, name), int(margins) + 1, 100_000, f"chart {name}")
 
 
 @dataclass(frozen=True)
@@ -292,7 +291,8 @@ def scatter_chart(
 
     One circle marker per plottable point; in bubble mode the radius scales
     affinely with max_pubs_year.  The fit curve is sampled at 100 abscissae
-    across the data range; the region rectangle covers r > r_min, I < i_max.
+    across the data range, less any where the fit has no finite float value;
+    the region rectangle covers r > r_min, I < i_max.
     """
     if not points:
         raise EmptyCohortError("scatter chart needs at least one point")
@@ -318,11 +318,13 @@ def scatter_chart(
         samples = []
         for k in range(FIT_CURVE_SAMPLES):
             x = x0 + (x1 - x0) * k / (FIT_CURVE_SAMPLES - 1)
-            if isinstance(fit, PowerLawFit):
-                y = fit.a * x ** fit.b
-            else:
-                y = fit.slope * x + fit.intercept
-            samples.append(f"{_fmt(xt.to_px(x))},{_fmt(yt.to_px(y))}")
+            try:
+                y = fit.a * x ** fit.b if isinstance(fit, PowerLawFit) else fit.slope * x + fit.intercept
+            except (OverflowError, ZeroDivisionError):  # x ** b past the largest float, or 0 ** -b
+                continue
+            # a sample with no finite float value is left out: a complex one comes of a negative x
+            if isinstance(y, float) and math.isfinite(py := yt.to_px(y)):
+                samples.append(f"{_fmt(xt.to_px(x))},{_fmt(py)}")
         parts.append(
             f'<polyline class="fit" points="{" ".join(samples)}" fill="none" '
             f'stroke="{LINE_COLOR}" stroke-width="1.5"/>'

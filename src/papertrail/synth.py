@@ -28,7 +28,7 @@ from itertools import starmap
 from operator import itemgetter, mul
 from typing import Iterator
 
-from .config import _check_types, _echo_int
+from .config import _check_range, _check_types, _echo_int
 from .errors import InvalidSpecError
 from .ingest import _NO_YEARS, MAX_YEAR, MIN_YEAR, ResearcherProfile, _cells, _record, _trim
 
@@ -132,34 +132,21 @@ class SynthSpec:
 
     def __post_init__(self) -> None:
         _check_types(self, InvalidSpecError)
-        if not 0 <= self.seed <= _MASK64:
-            # the generator reduces its seed mod 2**64, so a wider seed would
-            # repeat the data of a smaller one under a different name
-            raise InvalidSpecError("seed must lie in 0..2**64-1")
-        if self.n_years < 8:
-            raise InvalidSpecError("n_years must be at least 8")
-        for name in ("base_rate", "peak_rate", "cites_per_paper"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidSpecError(f"{name} must be finite")
-        if self.base_rate < MIN_BASE_RATE:
-            raise InvalidSpecError(f"base_rate must be at least {MIN_BASE_RATE}")
+        # the generator reduces its seed mod 2**64, so a wider seed would repeat the data of a
+        # smaller one under a different name
+        _check_range(self.seed, 0, _MASK64, "seed", InvalidSpecError)
+        # at most MAX_YEAR - MIN_YEAR, which leaves the start_year range below one year
+        _check_range(self.n_years, 8, MAX_YEAR - MIN_YEAR, "n_years", InvalidSpecError)
+        for name in ("base_rate", "peak_rate"):
+            _check_range(getattr(self, name), MIN_BASE_RATE, MAX_PEAK_RATE, name, InvalidSpecError)
         if self.base_rate > self.peak_rate:
-            raise InvalidSpecError("base_rate must not exceed peak_rate")
-        if self.peak_rate > MAX_PEAK_RATE:
-            raise InvalidSpecError(f"peak_rate must not exceed {MAX_PEAK_RATE:g}")
-        if not 1 <= self.kernel_peak_lag <= MAX_KERNEL_PEAK_LAG:
-            raise InvalidSpecError(f"kernel_peak_lag must lie in 1..{MAX_KERNEL_PEAK_LAG}")
-        if not 0 <= self.onset_offset < self.n_years:
-            raise InvalidSpecError("onset_offset must lie in 0..n_years-1")
+            raise InvalidSpecError(f"base_rate must not exceed peak_rate, got {self.base_rate} > {self.peak_rate}")
+        _check_range(self.kernel_peak_lag, 1, MAX_KERNEL_PEAK_LAG, "kernel_peak_lag", InvalidSpecError)
+        _check_range(self.onset_offset, 0, self.n_years - 1, "onset_offset", InvalidSpecError)
         if not 0 < self.cites_per_paper <= MAX_CITES_PER_PAPER:
-            raise InvalidSpecError(
-                f"cites_per_paper must lie in (0, {MAX_CITES_PER_PAPER:g}]"
-            )
-        if not MIN_YEAR <= self.start_year <= MAX_YEAR - self.n_years:
-            raise InvalidSpecError(
-                f"start_year {_echo_int(self.start_year)} leaves no room for "
-                f"{_echo_int(self.n_years)} years"
-            )
+            raise InvalidSpecError(f"cites_per_paper must lie in (0, {MAX_CITES_PER_PAPER:g}], "
+                                   f"got {_echo_int(self.cites_per_paper)}")
+        _check_range(self.start_year, MIN_YEAR, MAX_YEAR - self.n_years, "start_year", InvalidSpecError)
         # the kernel carries citations past the last publication year
         tail = (_KERNEL_SPAN * self.kernel_peak_lag if self.archetype is Archetype.CONSCIENTIOUS
                 else len(_PAPERMILL_KERNEL) - 1)

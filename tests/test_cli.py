@@ -466,6 +466,27 @@ class TestCohort:
         assert doc["aggregation"] == "mean"
         assert [p["label"] for p in doc["points"]] == [f"R{k}" for k in range(5)]
 
+    @pytest.mark.parametrize("sizes", [(100, 101), (101, 100)], ids=["a-overflows", "a-is-zero"])
+    def test_a_power_law_it_cannot_represent_is_no_fit(self, sizes, tmp_path, capsys):
+        # I = 1 on one side and 1/101 or 1/100 on the other, one paper apart: ln a is about
+        # +2136 (exp overflows) or -2136 (exp is 0); both are a fit error, not a crash or a = 0
+        header = "Title\tPublication Year\tTotal Citations\t2020\t2021\n"
+        cited = tmp_path / "a.tsv"
+        cited.write_text(header + "".join(f"p{k}\t2020\t150\t150\t0\n" for k in range(sizes[0])))
+        uncited = tmp_path / "b.tsv"
+        uncited.write_text(header + "q0\t2020\t1\t1\t0\n"
+                           + "".join(f"q{k}\t2020\t0\t0\t0\n" for k in range(1, sizes[1])))
+        manifest = self.make_manifest(tmp_path, [("A", cited.name), ("B", uncited.name)])
+        out = tmp_path / "c.json"
+        assert main(["cohort", str(manifest), "--json", str(out), "--svg-dir", str(tmp_path / "figs")]) == 0
+        doc = json.loads(out.read_text())
+        assert [p["i_index"] for p in doc["points"]] == [1.0, 1 / sizes[1]]
+        assert doc["power_law_fit"] is None
+        assert doc["power_law_fit_error"].startswith("power-law fit has no positive finite a = exp(")
+        assert doc["linear_fit"] is not None
+        for chart in (tmp_path / "figs").iterdir():
+            ET.parse(chart)
+
     def test_bad_entry_reported_processing_continues(self, tmp_path, capsys):
         entries = []
         for k in range(4):

@@ -19,6 +19,7 @@ from papertrail.cohort import (
     parse_manifest,
 )
 from papertrail.errors import DegenerateAbscissaError, EmptyCohortError, TooFewPointsError
+from papertrail.indicators import pearson
 
 # frozen oracle: closed-form normal equations on {(1,1),(2,2),(3,2)}
 OLS_ORACLE = {"slope": 0.5, "intercept": 2 / 3, "r_squared": 0.75}
@@ -29,9 +30,9 @@ def point(label="x", r=0.0, i=0.5, p=10, m=3, avg=1.0):
 
 
 @pytest.mark.parametrize("i,p,message", [
-    (-0.1, 10, r"i_index must lie in \[0, 1\]"),
-    (1.5, 10, r"i_index must lie in \[0, 1\]"),
-    (0.5, 0, "total_pubs must be at least 1"),
+    (-0.1, 10, r"i_index must lie in 0\.\.1, got -0\.1"),
+    (1.5, 10, r"i_index must lie in 0\.\.1, got 1\.5"),
+    (0.5, 0, r"total_pubs must lie in 1\.\.1000000000000, got 0"),
 ])
 def test_point_rejects_invalid_coordinates(i, p, message):
     with pytest.raises(ValueError, match=message):
@@ -42,20 +43,22 @@ REFUSED_POINTS = [
     ("label", 5, "label must be str, got int"),
     ("r", True, "r must be float, got bool"),
     ("r", "0.5", "r must be float, got str"),
-    ("r", math.nan, "r must be finite, got nan"),
-    ("r", -math.inf, "r must be finite, got -inf"),
-    ("r", 10**400, r"r must be finite, got \(401 digits\)"),
-    ("i_index", math.nan, r"i_index must lie in \[0, 1\]"),
+    ("r", math.nan, r"r must lie in -1\.000000001\.\.1\.000000001, got nan"),
+    ("r", -math.inf, r"r must lie in -1\.000000001\.\.1\.000000001, got -inf"),
+    ("r", 10**400, r"r must lie in -1\.000000001\.\.1\.000000001, got \(401 digits\)"),
+    ("r", 5.0, r"r must lie in -1\.000000001\.\.1\.000000001, got 5\.0"),
+    ("r", -1.5, r"r must lie in -1\.000000001\.\.1\.000000001, got -1\.5"),
+    ("i_index", math.nan, r"i_index must lie in 0\.\.1, got nan"),
     ("total_pubs", True, "total_pubs must be int, got bool"),
     ("total_pubs", 10.0, "total_pubs must be int, got float"),
-    ("total_pubs", 10**400, r"total_pubs must be at least 1 and at most 1000000000000, got \(401 digits\)"),
+    ("total_pubs", 10**400, r"total_pubs must lie in 1\.\.1000000000000, got \(401 digits\)"),
     ("max_pubs_year", 2.5, "max_pubs_year must be int, got float"),
-    ("max_pubs_year", -1, "max_pubs_year must be at least 0 and at most 1000000000000, got -1"),
-    ("max_pubs_year", 10**12 + 1, "max_pubs_year must be at least 0 and at most 1000000000000, got 1000000000001"),
+    ("max_pubs_year", -1, r"max_pubs_year must lie in 0\.\.1000000000000, got -1"),
+    ("max_pubs_year", 10**12 + 1, r"max_pubs_year must lie in 0\.\.1000000000000, got 1000000000001"),
     ("avg_pubs_year", "x", "avg_pubs_year must be float, got str"),
     ("avg_pubs_year", None, "avg_pubs_year must be float, got NoneType"),
-    ("avg_pubs_year", math.nan, "avg_pubs_year must be at least 0 and at most 1000000000000, got nan"),
-    ("avg_pubs_year", 1e13, r"avg_pubs_year must be at least 0 and at most 1000000000000, got 10000000000000\.0"),
+    ("avg_pubs_year", math.nan, r"avg_pubs_year must lie in 0\.\.1000000000000, got nan"),
+    ("avg_pubs_year", 1e13, r"avg_pubs_year must lie in 0\.\.1000000000000, got 10000000000000\.0"),
 ]
 
 
@@ -73,8 +76,22 @@ def test_point_follows_the_one_type_rule_and_bounds_its_counts(field, value, mes
 def test_point_takes_its_bounds_a_missing_r_and_an_int_for_a_float():
     assert point(r=None).r is None
     assert point(r=1, avg=0).r == 1
+    assert point(r=-1 - 1e-9).r == -1 - 1e-9 and point(r=1 + 1e-9).r == 1 + 1e-9
     point(p=1, m=0, avg=0.0)
     point(p=10**12, m=10**12, avg=1e12)
+
+
+def test_point_takes_every_r_pearson_gives():
+    # pearson passes 1 by one ulp in about 3% of proportional series, so the bound on r has a slack
+    rng = random.Random(11)
+    overshoots = 0
+    for _ in range(4000):
+        xs = [rng.randint(0, 10 ** rng.randint(1, 12)) for _ in range(rng.randint(3, 60))]
+        r = pearson(xs, [x * rng.choice([3, -7, 0.001, 123.456]) for x in xs])
+        if r is not None:
+            overshoots += abs(r) > 1
+            assert point(r=r).r == r
+    assert overshoots > 0
 
 
 def test_checking_a_point_leaves_no_memory_behind():
@@ -215,6 +232,13 @@ class TestPowerLawFit:
     def test_degenerate_abscissa(self):
         with pytest.raises(DegenerateAbscissaError):
             fit_power_law([(10, 0.5), (10, 0.25)])
+
+    @pytest.mark.parametrize("points", [[(100, 1.0), (101, 1 / 101)], [(101, 1.0), (100, 1 / 100)]],
+                             ids=["a-overflows", "a-is-zero"])
+    def test_a_that_is_not_a_positive_finite_float_is_degenerate(self, points):
+        # one paper apart, the slope is about -463 and ln a about +-2136
+        with pytest.raises(DegenerateAbscissaError, match=r"^power-law fit has no positive finite a = exp\("):
+            fit_power_law(points)
 
     def test_scale_covariance(self):
         rng = random.Random(8)

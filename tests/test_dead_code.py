@@ -13,7 +13,9 @@ holds the package's one type rule, compares a value's ``type(...)``.  In
 reader, ``_int``, convert text with ``int``, and ``_int`` and ``_parse_count``
 build a message only to raise it.  In ``render.py`` only ``_text`` escapes
 a chart's text.  ``synth._papers`` draws every random number through
-``_jitters``.
+``_jitters``.  Each function that checks a caller's value against a range
+does so through ``config._check_range``, the one range rule, and raises
+nothing else but the checks listed here.
 """
 
 import ast
@@ -177,10 +179,12 @@ def test_one_conversion_path_per_tier():
 
 
 def function(module: str, name: str) -> ast.FunctionDef:
-    """The module-level function ``name`` of the package module ``module``."""
-    (found,) = [node for node in TREES[PACKAGE / module].body
-                if isinstance(node, ast.FunctionDef) and node.name == name]
-    return found
+    """The function ``name`` of the package module ``module``: a module-level one, or a method
+    named as ``Class.method``."""
+    node = TREES[PACKAGE / module]
+    for part in name.split("."):
+        (node,) = [n for n in node.body if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == part]
+    return node
 
 
 def unraised_f_strings(tree: ast.AST) -> list[str]:
@@ -210,6 +214,48 @@ def test_synth_draws_every_number_through_one_loop():
               if isinstance(node, ast.Call)}
     assert "_jitters" in called
     assert called & {"jitter", "uniform", "next_u64"} == set()
+
+
+def raised(tree: ast.AST) -> list[tuple[str, str]]:
+    """Each ``raise`` in ``tree``, in source order, as its exception's name and the text its
+    message starts with."""
+    found = []
+    for node in sorted((n for n in ast.walk(tree) if isinstance(n, ast.Raise)), key=lambda n: n.lineno):
+        message = node.exc.args[0]
+        first = message.values[0] if isinstance(message, ast.JoinedStr) else message
+        found.append((node.exc.func.id, first.value))
+    return found
+
+
+# the checks left hand-written where the one range rule applies: comparisons of two fields, a
+# half-open range, and errors of their own class that are not a value outside a range
+HAND_WRITTEN_RAISES = {
+    ("config.py", "Region.__post_init__"): [],
+    ("config.py", "AnalysisConfig.__post_init__"): [],
+    ("render.py", "ChartStyle.__post_init__"): [],
+    ("cohort.py", "CohortPoint.__post_init__"): [],
+    ("synth.py", "SynthSpec.__post_init__"): [
+        ("InvalidSpecError", "base_rate must not exceed peak_rate, got "),
+        ("InvalidSpecError", "cites_per_paper must lie in (0, "),
+        ("InvalidSpecError", "citations would run to ")],
+    ("ingest.py", "PublicationRecord.__init__"): [],
+    ("ingest.py", "serialize_report"): [
+        ("ValueError", "profile has no records; parse_report rejects a report without any"),
+        ("ValueError", "researcher name is empty; parse_report would read the file's name")],
+    ("indicators.py", "best_lag"): [
+        ("TooShortError", "series of "),
+        ("AllDegenerateError", "correlation undefined at every candidate lag")],
+    ("indicators.py", "i_index"): [
+        ("ZeroPublicationsError", "integrity index needs at least one publication")],
+}
+
+
+@pytest.mark.parametrize("module, name", HAND_WRITTEN_RAISES, ids=[name for _, name in HAND_WRITTEN_RAISES])
+def test_every_range_goes_through_the_one_range_rule(module, name):
+    # a range spelled by hand, with its own message and its own idea of NaN, cannot come back in unseen
+    tree = function(module, name)
+    assert "_check_range" in {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert raised(tree) == HAND_WRITTEN_RAISES[module, name]
 
 
 def test_the_checks_see_the_package():

@@ -138,7 +138,7 @@ class TestBestLag:
 
     def test_negative_max_lag_rejected(self):
         series = AnnualSeries(2000, (1, 2, 3, 4), (1, 2, 3, 4))
-        with pytest.raises(ValueError, match="max_lag must be non-negative"):
+        with pytest.raises(ValueError, match="^max_lag must be at least 0, got -1$"):
             best_lag(series, -1)
 
     def test_tie_breaks_to_smallest_lag(self):

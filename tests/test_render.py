@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from papertrail.cli import main
-from papertrail.cohort import CohortPoint, Region, fit_linear, fit_power_law
+from papertrail.cohort import CohortPoint, LinearFit, PowerLawFit, Region, fit_linear, fit_power_law
 from papertrail.errors import EmptyCohortError, PapertrailError
 from papertrail.indicators import IndicatorSet, analyze_profile
 from papertrail.ingest import MAX_COUNT, PublicationRecord, ResearcherProfile, serialize_report
@@ -233,6 +233,31 @@ class TestScatterChart:
         assert len(find_class(root, "rect", "region")) == correlation
 
 
+UNREPRESENTABLE_FITS = [
+    # the fit the two-researcher cohort one paper apart used to get: p ** b overflows at every p
+    ([CohortPoint("C", None, 0.01, 100, 100, 100.0), CohortPoint("D", None, 1.0, 101, 101, 101.0)],
+     ScatterAxes.I_VS_P_POWERFIT, PowerLawFit(a=0.0, b=462.8157851175318, r_squared=1.0, n_points=2), 0),
+    # a negative r to the power 0.5 is complex: the 50 samples at r >= 0 are left
+    ([CohortPoint("C", -0.5, 0.2, 10, 1, 1.0), CohortPoint("D", 0.5, 0.3, 10, 1, 1.0)],
+     ScatterAxes.I_VS_R, PowerLawFit(a=1.0, b=0.5, r_squared=1.0, n_points=2), 50),
+    # 0.0 to a negative power has no value: the first sample goes
+    ([CohortPoint("C", 0.0, 0.2, 10, 1, 1.0), CohortPoint("D", 0.5, 0.3, 10, 1, 1.0)],
+     ScatterAxes.I_VS_R, PowerLawFit(a=1.0, b=-1.0, r_squared=1.0, n_points=2), 99),
+    # a line past the largest float
+    ([CohortPoint("C", 0.0, 0.2, 10, 1, 1.0), CohortPoint("D", 0.5, 0.3, 20, 2, 1.0)],
+     ScatterAxes.M_VS_P_LINFIT, LinearFit(slope=1e308, intercept=1e308, r_squared=1.0, n_points=2), 0),
+]
+
+
+@pytest.mark.parametrize("points,axes,fit,kept", UNREPRESENTABLE_FITS,
+                         ids=["power-overflows", "power-complex", "power-of-zero", "line-overflows"])
+def test_a_fit_sample_with_no_finite_value_is_left_out(points, axes, fit, kept):
+    (curve,) = find_class(svg_root(scatter_chart(points, axes, fit=fit)), "polyline", "fit")
+    vertices = polyline_vertices(curve)
+    assert len(vertices) == kept
+    assert all(math.isfinite(c) for vertex in vertices for c in vertex)
+
+
 def _interp(curve, x):
     for (x0, y0), (x1, y1) in zip(curve, curve[1:]):
         if min(x0, x1) - 1e-9 <= x <= max(x0, x1) + 1e-9:
@@ -247,16 +272,19 @@ class TestStyleValidation:
         # and leave a plot frame of one pixel inside the margins, which 1x1, 50x50, 100x40 and
         # 136x92 did not (bars of negative size, a frame of 0x0); the bound above keeps each
         # coordinate finite and short, which a height of 10**307 (inf) and a width of 10**300 did not
-        width = "chart width must lie in 137..100000 pixels"
-        height = "chart height must lie in 93..100000 pixels"
-        for kwargs, message in [({"width": 0}, width), ({"height": -1}, height),
-                                ({"width": 1, "height": 1}, width), ({"width": 50, "height": 50}, width),
-                                ({"width": 100, "height": 40}, width), ({"width": 137, "height": 40}, height),
-                                ({"width": 136, "height": 92}, width), ({"height": 92}, height),
-                                ({"width": 10**400}, width), ({"height": 10**400}, height),
-                                ({"height": 10**307}, height), ({"width": 10**300}, width),
-                                ({"width": 100_001}, width), ({"height": 100_001}, height),
-                                ({"width": int(sys.float_info.max)}, width)]:
+        width = "chart width must lie in 137..100000, got {}".format
+        height = "chart height must lie in 93..100000, got {}".format
+        for kwargs, message in [({"width": 0}, width(0)), ({"height": -1}, height(-1)),
+                                ({"width": 1, "height": 1}, width(1)), ({"width": 50, "height": 50}, width(50)),
+                                ({"width": 100, "height": 40}, width(100)),
+                                ({"width": 137, "height": 40}, height(40)),
+                                ({"width": 136, "height": 92}, width(136)), ({"height": 92}, height(92)),
+                                ({"width": 10**400}, width("(401 digits)")),
+                                ({"height": 10**400}, height("(401 digits)")),
+                                ({"height": 10**307}, height("(308 digits)")),
+                                ({"width": 10**300}, width("(301 digits)")),
+                                ({"width": 100_001}, width(100_001)), ({"height": 100_001}, height(100_001)),
+                                ({"width": int(sys.float_info.max)}, width("(309 digits)"))]:
             with pytest.raises(ValueError) as raised:
                 ChartStyle(**kwargs)
             assert str(raised.value) == message
