@@ -172,7 +172,8 @@ def _read_text(path: str) -> str:
 
 
 def load_config_file(path: str) -> dict[str, Any]:
-    """Parse a `key = value` config file; '#' starts a comment line."""
+    """Parse a `key = value` config file; '#' starts a comment line.  A value that cannot be read,
+    or lies outside its range, raises ValueError naming ``path:line``."""
     values: dict[str, Any] = {}
     # split on "\n" only, so line numbers agree with editors and the UTF-8 error of _read_text
     for line_no, raw in enumerate(_read_text(path).split("\n"), start=1):
@@ -189,6 +190,10 @@ def load_config_file(path: str) -> dict[str, Any]:
         except ValueError:
             raise ValueError(
                 f"{_name(path)}:{line_no}: bad value for {key}: {_echo(value.strip())}") from None
+        try:  # checked here, with the other keys at their defaults, so that a flag cannot hide it
+            AnalysisConfig(**{key: values[key]})
+        except ValueError as exc:
+            raise ValueError(f"{_name(path)}:{line_no}: {exc}") from None
     return values
 
 

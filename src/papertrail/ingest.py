@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, compress, count, islice, repeat
 from operator import add, attrgetter, itemgetter, ne
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Callable, Iterable, Mapping, NoReturn, Sequence
 
 from .config import _ECHO_LIMIT, _check_range, _check_type
 from .errors import (
@@ -227,11 +227,6 @@ def _split(line: str | list[str]) -> list[str]:
     return line.split("\t") if isinstance(line, str) else line
 
 
-def _numbered(lines: Iterable[str] | Iterable[list[str]], start: int) -> Iterator[tuple[int, list[str]]]:
-    """The cells of each nonblank one of ``_lines``, with its row number; the first line is row ``start``."""
-    return ((row_no, _split(line)) for row_no, line in enumerate(lines, start) if line)
-
-
 def _echo(cell: str, limit: int = _ECHO_LIMIT) -> str:
     """``cell`` as a message shows it: quoted, or named by its length if the quotes would hold
     more than ``limit`` characters (an escape such as ``\\x1c`` counts as its four)."""
@@ -287,48 +282,52 @@ def _parse_count(cell: str, what: str, row_no: int, error: type[PapertrailError]
     raise error(f"row {row_no}: {what} is above {MAX_COUNT} ({len(str(value))} digits)")
 
 
-def _read_chunk(lines: list[str] | list[list[str]], fmt: ReportFormat,
-                columns: int) -> tuple[list[str], Sequence[int], int]:
-    """The titles and the numeric cells, row by row, of the clean rows that open ``lines``, a
-    chunk of at most ``_BULK_CELLS`` numeric cells after the header, which has ``columns`` cells;
-    and the index in ``lines`` of the first line left to ``_read_rows``.
+def _read_chunk(lines: list[str] | list[list[str]], fmt: ReportFormat, year_cols: range,
+                first_row: int) -> tuple[list[str], Sequence[int]]:
+    """The titles and the numeric cells, row by row, of the record rows in ``lines``, a chunk of
+    at most ``_BULK_CELLS`` numeric cells whose first line is row ``first_row``, under a header
+    with the year columns ``year_cols``.
 
     The chunk is read in one pass: one split, one tab count per line, one
     ``itemgetter`` lookup of every numeric cell in ``_CELL`` and one bound
-    test per kind of cell; blank lines, the false ones, are skipped as
-    ``_numbered`` skips them.  At a cell the table lacks, the chunk is looked
-    up cell by cell up to that cell, and ``int()`` converts the rest.  The
-    pass keeps the rows before the first line with a wrong cell count, a
-    cell that ``int()`` refuses, or a publication year outside
-    MIN_YEAR..MAX_YEAR or a count outside 0..MAX_COUNT.  ``_read_rows``
-    reads that line and the rest of the chunk, never a kept row: it raises
-    for the first bad row, or accepts what only ``str.strip()`` cleans, such
-    as "\x1c7".  The index is ``len(lines)`` if the pass keeps every row.
+    test per kind of cell; blank lines, the false ones, are skipped.  At a
+    cell the table lacks, the chunk is looked up cell by cell up to that
+    cell, and ``int()`` converts the rest.  A cell that ``int()`` refuses is
+    read by ``_int``, which also takes what only ``str.strip()`` cleans, such
+    as "\x1c7", and ``int()`` goes on from the next cell.  So the pass keeps
+    exactly the rows that the row rules accept: the first line with a wrong
+    cell count, a cell that ``_int`` refuses, or a publication year outside
+    MIN_YEAR..MAX_YEAR or a count outside 0..MAX_COUNT has a fault, and
+    ``_row_error`` raises it.
     """
     rows = list(filter(None, lines))  # blank lines
+    if not rows:
+        return [], ()
+    numeric = len(year_cols) + 2  # a row's publication year, its total and one count per year
     if fmt is ReportFormat.TSV:
-        widths, width = list(map(str.count, rows, repeat("\t"))), columns - 1
+        widths, width = list(map(str.count, rows, repeat("\t"))), numeric
     else:
-        widths, width = list(map(len, rows)), columns
+        widths, width = list(map(len, rows)), numeric + 1
     kept = widths.count(width)
     if kept != len(rows):  # the rows before the first line with a wrong cell count
         kept = list(map(ne, widths, repeat(width))).index(True)
-    if not kept:
-        return [], (), 0
-    block = rows[:kept]
-    cells = "\t".join(block).split("\t") if fmt is ReportFormat.TSV else list(chain.from_iterable(block))
-    titles = cells[0::columns]
-    del cells[0::columns]
-    numeric = columns - 1
-    try:  # each row has two or more numeric cells, so the call returns a tuple
-        values = itemgetter(*cells)(_CELL)  # all within 0..MAX_COUNT
+    cells = "\t".join(rows[:kept]).split("\t") if fmt is ReportFormat.TSV else list(chain.from_iterable(rows[:kept]))
+    titles = cells[0::numeric + 1]
+    del cells[0::numeric + 1]
+    try:  # each row has two or more numeric cells, so the call returns a tuple; no cell: no row kept
+        values = itemgetter(*cells)(_CELL) if cells else ()  # all within 0..MAX_COUNT
     except KeyError:  # a cell the table lacks: cell by cell up to that cell, int() for the rest
         values = []
         with suppress(KeyError):
             values.extend(map(_CELL.__getitem__, cells))
         looked_up = len(values)
-        with suppress(ValueError):  # extend keeps the cells before the first one int() refuses
-            values.extend(map(int, islice(cells, looked_up, None)))
+        rest = islice(cells, looked_up, None)
+        with suppress(MalformedRowError):  # _int refuses the cell: the pass keeps the rows before it
+            while len(values) < len(cells):
+                try:  # extend keeps the cells before the first one int() refuses
+                    values.extend(map(int, rest))
+                except ValueError:  # ``rest`` has passed that cell
+                    values.append(_int(cells[len(values)], "cell", MalformedRowError, MAX_COUNT))
         kept = len(values) // numeric
         read = values[looked_up:kept * numeric]
         if read and not (0 <= min(read) and max(read) <= MAX_COUNT):  # keep the rows before the first
@@ -336,32 +335,30 @@ def _read_chunk(lines: list[str] | list[list[str]], fmt: ReportFormat,
     pub_years = values[:kept * numeric:numeric]
     if pub_years and not (MIN_YEAR <= min(pub_years) and max(pub_years) <= MAX_YEAR):
         kept = next(i for i, year in enumerate(pub_years) if not MIN_YEAR <= year <= MAX_YEAR)
-    if kept == len(rows):
-        return titles, values, len(lines)
-    # the index in ``lines`` of the first row not kept, blank lines counted
-    return titles[:kept], values[:kept * numeric], next(islice(compress(count(), lines), kept, None))
-
-
-def _read_rows(rows: Iterator[tuple[int, list[str]]], year_cols: range) -> tuple[list[str], list[int]]:
-    """The titles and the numeric cells, row by row, of numbered record rows read cell by cell: the
-    exact path, for the rows from the first one ``_read_chunk`` does not keep.
-
-    Raises MalformedRowError for the first row with a wrong column count or a bad cell.
-    """
-    titles: list[str] = []
-    values: list[int] = []
-    expected = 3 + len(year_cols)
-    whats = ["total citations", *(f"citation count for {year}" for year in year_cols)]
-    for row_no, cells in rows:
-        if len(cells) != expected:
-            raise MalformedRowError(f"row {row_no}: expected {expected} columns, got {len(cells)}")
-        pub_year = _int(cells[1], "publication year", MalformedRowError, MAX_YEAR, row_no)
-        if not MIN_YEAR <= pub_year <= MAX_YEAR:
-            raise MalformedRowError(f"row {row_no}: publication year {pub_year} outside {MIN_YEAR}..{MAX_YEAR}")
-        values.append(pub_year)
-        values += [_parse_count(cell, what, row_no, MalformedRowError) for what, cell in zip(whats, cells[2:])]
-        titles.append(cells[0])
+    if kept < len(rows):  # the row's index in ``lines``, blank lines counted, gives its number
+        row_no, row = first_row + next(islice(compress(count(), lines), kept, None)), _split(rows[kept])
+        # the error's traceback holds this frame while the caller handles it (cohort then reads the
+        # next report): the chunk's cells are freed first, which keeps cohort's peak RSS as it was
+        del cells, titles, values
+        _row_error(row_no, row, year_cols)
     return titles, values
+
+
+def _row_error(row_no: int, cells: list[str], year_cols: range) -> NoReturn:
+    """Raise MalformedRowError for the first fault of row ``row_no``, read cell by cell: a wrong
+    cell count, a publication year or count that ``_int`` refuses, a publication year outside
+    MIN_YEAR..MAX_YEAR or a count outside 0..MAX_COUNT.  ``_read_chunk`` calls it only for a row
+    it does not keep, which has a fault."""
+    expected = 3 + len(year_cols)
+    if len(cells) != expected:
+        raise MalformedRowError(f"row {row_no}: expected {expected} columns, got {len(cells)}")
+    pub_year = _int(cells[1], "publication year", MalformedRowError, MAX_YEAR, row_no)
+    if not MIN_YEAR <= pub_year <= MAX_YEAR:
+        raise MalformedRowError(f"row {row_no}: publication year {pub_year} outside {MIN_YEAR}..{MAX_YEAR}")
+    _parse_count(cells[2], "total citations", row_no, MalformedRowError)
+    for year, cell in zip(year_cols, cells[3:]):
+        _parse_count(cell, f"citation count for {year}", row_no, MalformedRowError)
+    raise AssertionError(f"row {row_no} has no fault")
 
 
 def _mismatch_warnings(titles: list[str], totals: list[int], window_sums: list[int]) -> list[str]:
@@ -380,11 +377,10 @@ def _read_report(data: bytes, fmt: ReportFormat, default_name: str,
     year window, the citations in each year of the window, and ``per_row`` of each record's
     counts over the window as a tuple (empty without year columns), or None without ``per_row``.
 
-    The lines after the header are read in chunks of at most ``_BULK_CELLS`` numeric cells:
-    ``_read_chunk`` keeps the clean rows that open one, ``_read_rows`` reads the rest of it from
-    the first row not kept, so each row is read once, and the chunk's columns, sums and ``per_row``
-    values are kept before the next chunk is split.  So only one chunk's cells are held at once;
-    ``cohort`` passes no ``per_row``, ``analyze`` passes ``sum``.
+    The lines after the header are read in chunks of at most ``_BULK_CELLS`` numeric cells, each
+    by ``_read_chunk``, which reads each row once and raises for the first one with a fault; the
+    chunk's columns, sums and ``per_row`` values are kept before the next chunk is split.  So only
+    one chunk's cells are held at once; ``cohort`` passes no ``per_row``, ``analyze`` passes ``sum``.
 
     Raises what ``parse_report`` raises, for the same bytes.
     """
@@ -392,7 +388,7 @@ def _read_report(data: bytes, fmt: ReportFormat, default_name: str,
     source_id: str | None = None
     reported_h: int | None = None
     lines = _lines(_decode(data), fmt)  # the decoded text is freed once split
-    rows = _numbered(lines, 1)
+    rows = ((row_no, _split(line)) for row_no, line in enumerate(lines, 1) if line)  # nonblank
 
     for row_no, cells in rows:
         key = cells[0]
@@ -430,11 +426,7 @@ def _read_report(data: bytes, fmt: ReportFormat, default_name: str,
     per_rows = [] if per_row else None
     # lines[start] is row start + 1, so the first chunk starts on the line after the header
     for start in range(row_no, len(lines), step):
-        chunk = lines[start:start + step]
-        chunk_titles, values, rest = _read_chunk(chunk, fmt, numeric + 1)
-        if rest < len(chunk):
-            more_titles, more_values = _read_rows(_numbered(chunk[rest:], start + rest + 1), year_cols)
-            chunk_titles, values = chunk_titles + more_titles, [*values, *more_values]
+        chunk_titles, values = _read_chunk(lines[start:start + step], fmt, year_cols, start + 1)
         # ``values`` holds each row's numeric cells, row after row
         titles += chunk_titles
         pub_years += values[0::numeric]

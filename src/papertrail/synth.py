@@ -340,7 +340,10 @@ def _papers(spec: SynthSpec) -> tuple[range, Iterator[_Row]]:
     # per call: ``found`` holds the shape of each distinct raw kernel output, in the order found,
     # and ``outputs`` the index there of each raw output: a table of its own, as a raw output can
     # equal some other output's trimmed counts.  ``shapes`` holds the shape of each trimmed counts,
-    # so that equal counts are one shape.  ``units[int(mass)]`` holds the masses of that unit shaped
+    # so that equal counts are one shape.  The counts alone fix the shape's offset ``lo``:
+    # _enforce_peak leaves bin ``peak_offset`` the strict maximum of any nonzero output, so equal
+    # trimmed counts hold it at the same index and start at the same ``lo``, and an all-zero
+    # output trims to no counts.  ``units[int(mass)]`` holds the masses of that unit shaped
     # so far, sorted, then the index of each one's output, in one array of floats: the garbage
     # collector does not track arrays, and where no output repeats each paper adds a unit
     found: list[_Shape] = []

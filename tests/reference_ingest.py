@@ -6,6 +6,8 @@ returns the same profiles and raises the same errors.  The helpers that
 did not change (decoding, row splitting) are shared with the package.  The
 header's year columns are parsed as before the package bounded them to
 MIN_YEAR..MAX_YEAR; that bound is the one difference the tests allow.
+A count (a total, a year cell or the h-index) above MAX_COUNT is refused
+with the package's message, as README documents the bound.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from papertrail.errors import EmptyProfileError, MalformedHeaderError, MalformedRowError
 from papertrail.ingest import (
     _HEADER_PREFIX,
+    MAX_COUNT,
     MAX_YEAR,
     META_H_INDEX,
     META_ID,
@@ -42,13 +45,15 @@ def _parse_year_columns(cells: list[str]) -> list[int]:
     return years
 
 
-def _parse_count(cell: str, what: str, row_no: int) -> int:
+def _parse_count(cell: str, what: str, row_no: int, error=MalformedRowError) -> int:
     try:
         value = int(cell.strip())
     except ValueError:
-        raise MalformedRowError(f"row {row_no}: {what} {cell!r} is not an integer") from None
+        raise error(f"row {row_no}: {what} {cell!r} is not an integer") from None
     if value < 0:
-        raise MalformedRowError(f"row {row_no}: {what} must be non-negative, got {value}")
+        raise error(f"row {row_no}: {what} must be non-negative, got {value}")
+    if value > MAX_COUNT:
+        raise error(f"row {row_no}: {what} is above {MAX_COUNT} ({len(str(value))} digits)")
     return value
 
 
@@ -100,15 +105,7 @@ def parse_report(
                 elif key == META_ID:
                     source_id = cells[1]
                 else:
-                    try:
-                        reported_h = int(cells[1].strip())
-                    except ValueError:
-                        raise MalformedHeaderError(
-                            f"row {row_no}: h-index {cells[1]!r} is not an integer"
-                        ) from None
-                    if reported_h < 0:
-                        raise MalformedHeaderError(
-                            f"row {row_no}: h-index must be non-negative, got {reported_h}")
+                    reported_h = _parse_count(cells[1], "h-index", row_no, MalformedHeaderError)
                 continue
             raise MalformedHeaderError(
                 f"row {row_no}: expected metadata or header row, got {key!r}"

@@ -1,21 +1,22 @@
-"""Where the one-pass read of a chunk of a record block hands over to the row-by-row path.
+"""Where the one-pass read of a chunk of a record block stops, and the one row it reads cell by cell.
 
 ``_read_report`` reads the record block in chunks of at most ``_BULK_CELLS``
-numeric cells.  ``_read_chunk`` keeps the clean rows that open a chunk and
-leaves ``_read_rows`` only the rows from the first one it cannot vouch for to
-the end of the chunk: a line with a wrong cell count, a cell that ``int()``
-refuses, or a cell past its bound.  A row that fails a bound test leaves it
-the chunk from that row on, as the other two kinds of stop do.
-Whatever the split, the outcome must equal the row-by-row path's, also in a
-block of more numeric cells than one chunk holds.  The header's year cells are read
-through the lookup table first; the outcome must equal reading each through
-``_int``.
+numeric cells.  ``_read_chunk`` keeps exactly the rows that the row rules
+accept: a cell that ``int()`` refuses is read by ``_int``, as the row rules
+read it.  The first row it does not keep has a fault: a wrong cell count, a
+cell that ``_int`` refuses, or a cell past its bound.  ``_row_error`` reads
+that one row cell by cell and raises its first fault; it is never called for
+a clean row.  Whatever the split, the outcome must equal the reference's,
+also in a block of more numeric cells than one chunk holds, and the retry
+through ``_int`` must cost one call per cell that ``int()`` refuses.  The
+header's year cells are read through the lookup table first; the outcome
+must equal reading each through ``_int``.
 """
 
 import pytest
 
 from papertrail import ingest
-from papertrail.errors import MalformedHeaderError
+from papertrail.errors import MalformedHeaderError, MalformedRowError
 from papertrail.ingest import MAX_COUNT, MAX_YEAR, MIN_YEAR, ReportFormat, parse_report
 
 from test_ingest_differential import (
@@ -27,7 +28,6 @@ from test_ingest_differential import (
     outcome,
     report,
     row_by_row,
-    split_report,
 )
 
 HEADER = ["Title", "Publication Year", "Total Citations", "2010", "2011"]
@@ -69,36 +69,27 @@ def changed(row: list[str], column: int | None, cell: str) -> list[str]:
 
 
 def vouched(row: list[str], header: list[str]) -> str:
-    """What the block pass makes of ``row``: "clean", "bound" (int() reads each numeric cell but
-    one lies past its bound) or "refused" (a wrong cell count, or a cell int() refuses)."""
+    """What the block pass makes of ``row``: "clean", "bound" (``_int`` reads each numeric cell
+    but one lies past its bound) or "refused" (a wrong cell count, or a cell ``_int`` refuses)."""
     if len(row) != len(header):
         return "refused"
     try:
-        values = [int(cell) for cell in row[1:]]
-    except ValueError:
+        values = [ingest._int(cell, "cell", MalformedRowError, MAX_COUNT) for cell in row[1:]]
+    except MalformedRowError:
         return "refused"
     if MIN_YEAR <= values[0] <= MAX_YEAR and all(0 <= v <= MAX_COUNT for v in values):
         return "clean"
     return "bound"
 
 
-def chunk_of(row_no: int, header_row: int, columns: int) -> range:
-    """The row numbers of the chunk that holds row ``row_no`` of the record block after the
-    header at row ``header_row``, which has ``columns`` cells."""
-    lines = ingest._BULK_CELLS // (columns - 1)
-    start = header_row + 1 + (row_no - header_row - 1) // lines * lines
-    return range(start, start + lines)
-
-
 def handoff_case(position: str, change: str, fmt: ReportFormat, ending: bytes, blank: list[str]):
     """The report with the changed row at ``position``, two ``blank`` lines before it; the row
-    number of that row, the row numbers of its chunk, and what the block pass makes of the row."""
+    number of that row, and what the block pass makes of the row."""
     header, records, bad = POSITIONS[position]
     row = changed(records[bad], *CHANGES[change])
     rows = [["# researcher", "R"], header, *records[:bad], blank, blank, row, *records[bad + 1:]]
     data = report(rows, fmt).replace(b"\n", ending)
-    bad_row = rows.index(row) + 1
-    return data, bad_row, chunk_of(bad_row, 2, len(header)), vouched(row, header)
+    return data, rows.index(row) + 1, vouched(row, header)
 
 
 # a blank line: an empty one, or in CSV one whose one cell is empty (written as "")
@@ -121,24 +112,20 @@ def cases(positions, changes, blanks=BLANKS, endings=ENDINGS):
            ["count-'256'", "count-'x'", "year-'2101'", "short"], ["tsv", "csv"], ["lf"]),
 ])
 def test_handoff_agrees_with_the_row_by_row_path(position, change, fmt, blank, ending, monkeypatch):
-    data, bad_row, chunk, kind = handoff_case(position, change, fmt, ending, blank)
+    data, bad_row, kind = handoff_case(position, change, fmt, ending, blank)
     expected = row_by_row(data, fmt)
     handed = []
-    read_rows = ingest._read_rows
+    row_error = ingest._row_error
 
-    def spy(rows, year_cols):
-        rows = list(rows)
-        handed.append([row_no for row_no, _ in rows])
-        return read_rows(iter(rows), year_cols)
-    monkeypatch.setattr(ingest, "_read_rows", spy)
+    def spy(row_no, cells, year_cols):
+        handed.append(row_no)
+        return row_error(row_no, cells, year_cols)
+    monkeypatch.setattr(ingest, "_row_error", spy)
     assert outcome(parse_report, data, fmt) == expected
 
-    # the numbers of the nonblank rows of the changed row's chunk; _read_rows gets those from the
-    # changed row on, whichever kind of stop it is, and never a row the block pass kept
-    numbered = [n for n, cells in enumerate(split_report(data, fmt), 1)
-                if n in chunk and cells not in ([], [""], ["\r"])]
-    # a blank line of any kind, CRLF TSV's lone "\r" too, is skipped
-    assert handed == ([] if kind == "clean" else [[n for n in numbered if n >= bad_row]])
+    # _row_error reads the changed row, whichever kind of stop it is, numbered with the blank lines
+    # before it (CRLF TSV's lone "\r" too) counted; and never a clean row
+    assert handed == ([] if kind == "clean" else [bad_row])
 
 
 # the lines of a chunk of wide records, and a record block of two chunks: one full, one of two lines
@@ -171,6 +158,27 @@ def test_chunk_edges_agree_with_the_row_by_row_path_and_the_reference(edge, chan
         block[blank] = []
     data = report([["# researcher", "R"], WIDE_HEADER, *block], fmt).replace(b"\n", ending)
     assert outcome(parse_report, data, fmt) == row_by_row(data, fmt) == assert_same_outcome(data, fmt)
+
+
+@pytest.mark.parametrize("fmt", list(ReportFormat), ids=lambda fmt: fmt.value)
+def test_the_retry_through_int_costs_one_call_per_refused_cell(fmt, monkeypatch):
+    # a total that int() refuses and _int reads, in every row of a block of two chunks: the pass
+    # reads each such cell through _int once and goes on from the next cell, so its cost stays
+    # linear in the block, and it reads no row again
+    block = [[title, year, "\x1c" + total, *counts] for title, year, total, *counts in WIDE_RECORDS]
+    assert len(block) * (len(WIDE_HEADER) - 1) > ingest._BULK_CELLS
+    data = report([["# researcher", "R"], WIDE_HEADER, *block], fmt)
+    read, called, row_errors = ingest._int, [], []
+
+    def counted(cell, *args):
+        called.append(cell)
+        return read(cell, *args)
+    monkeypatch.setattr(ingest, "_int", counted)
+    monkeypatch.setattr(ingest, "_row_error", lambda *args: row_errors.append(args))
+    profile = parse_report(data, fmt)
+    assert [record.total_citations for record in profile.records] == [1] * len(block)
+    assert called == ["\x1c1"] * len(block)
+    assert row_errors == []
 
 
 def int_only_year_columns(cells: list[str]) -> range:

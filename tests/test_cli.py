@@ -387,7 +387,19 @@ class TestThresholdValidation:
         out = tmp_path / "out.json"
         assert main([command, str(inputs[command]), "--json", str(out),
                      "--config", str(cfg)]) == 2
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:1: ") and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "cohort"])
+    def test_bad_config_file_value_is_refused_under_a_flag(self, command, inputs, tmp_path, capsys):
+        # the file's r_min is checked at its line, before --r-min overrides it
+        cfg = tmp_path / "cfg"
+        cfg.write_text("# thresholds\nr_min = 2\n")
+        out = tmp_path / "out.json"
+        assert main([command, str(inputs[command]), "--json", str(out),
+                     "--config", str(cfg), "--r-min", "0.4"]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:2: r_min must lie in (-1, 1), got 2.0\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["analyze", "cohort"])

@@ -11,11 +11,13 @@ and ``cli._open_output`` open, replace, remove or make files, and only
 holds the package's one type rule, compares a value's ``type(...)``.  In
 ``ingest.py`` only the block pass, ``_read_chunk``, and the exact cell
 reader, ``_int``, convert text with ``int``, and ``_int`` and ``_parse_count``
-build a message only to raise it.  In ``render.py`` only ``_text`` escapes
-a chart's text.  ``synth._papers`` draws every random number through
-``_jitters``.  Each function that checks a caller's value against a range
-does so through ``config._check_range``, the one range rule, and raises
-nothing else but the checks listed here.
+build a message only to raise it.  ``_read_report`` reads record rows only
+through ``_read_chunk``, and only ``_read_chunk`` calls ``_row_error``, which
+names the fault of the one row where the block pass stops.  In ``render.py``
+only ``_text`` escapes a chart's text.  ``synth._papers`` draws every random
+number through ``_jitters``.  Each function that checks a caller's value
+against a range does so through ``config._check_range``, the one range rule,
+and raises nothing else but the checks listed here.
 """
 
 import ast
@@ -176,6 +178,21 @@ def test_one_conversion_path_per_tier():
     # the block pass converts a chunk's cells with int() at once, and the exact path each cell
     # through _int; a third conversion, such as a row-level int() pass, cannot come in unseen
     assert int_users(TREES[PACKAGE / "ingest.py"]) == {"_read_chunk", "_int"}
+
+
+def test_one_reader_of_record_rows():
+    # the block pass reads every record row, and reads the row where it stops again only to name
+    # its fault; a second reader of record rows, with its own idea of a valid cell, cannot come
+    # back in unseen
+    calls = callers()
+    assert calls["_read_chunk"] == {"ingest._read_report"}
+    assert calls["_row_error"] == {"ingest._read_chunk"}
+    called = [ast.unparse(node.func) for node in ast.walk(function("ingest.py", "_read_report"))
+              if isinstance(node, ast.Call)]
+    # one reader each: of the metadata and header rows, the h-index, the year columns, the records
+    readers = {"_split", "_int", "_parse_count", "_parse_year_columns", "_read_chunk", "_row_error"}
+    assert sorted(name for name in called if name in readers) == [
+        "_parse_count", "_parse_year_columns", "_read_chunk", "_split"]
 
 
 def function(module: str, name: str) -> ast.FunctionDef:

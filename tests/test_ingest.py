@@ -55,10 +55,7 @@ class TestParse:
         # each "\x01" shows as four characters, so eleven of them quote 44
         ("\x01" * 11, "(11 characters)"),
     ], ids=["at-the-bound", "5000-characters", "escaped"])
-    @pytest.mark.parametrize("read_chunk", [ingest._read_chunk, lambda *args: ([], [], 0)],
-                             ids=["block", "row-by-row"])
-    def test_mismatch_warning_names_a_long_title_by_its_length(self, title, shown, read_chunk, monkeypatch):
-        monkeypatch.setattr(ingest, "_read_chunk", read_chunk)
+    def test_mismatch_warning_names_a_long_title_by_its_length(self, title, shown):
         lines = ["Title\tPublication Year\tTotal Citations\t2010", "ok\t2010\t1\t1", f"{title}\t2010\t2\t1"]
         profile = parse_report(tsv(*lines))
         assert profile.records[1].title == title

@@ -8,9 +8,9 @@ MIN_YEAR..MAX_YEAR, ``parse_report`` rejects that header instead; and where
 the reference echoes a cell or a warning's title longer than the echo bound,
 ``parse_report`` names it by its length, or a number by its digit count.
 
-``parse_report`` reads the clean rows of each chunk of a record block in one
-pass and the others row by row; the two paths must also agree with each
-other on every input.
+``parse_report`` reads each chunk of a record block in one pass, and reads
+only the row where that pass stops cell by cell, to name its fault; the
+block tests check that split against the reference too.
 """
 
 import ast
@@ -280,10 +280,8 @@ def test_cell_over_the_echo_bound_is_the_other_difference(cell, row, column, fmt
 
 
 def row_by_row(data: bytes, fmt: ReportFormat):
-    """The outcome of ``parse_report`` with the one-pass read of each chunk turned off: every
-    chunk goes to ``_read_rows`` whole, and each call gets lists of its own."""
-    with mock.patch.object(ingest, "_read_chunk", side_effect=lambda *args: ([], [], 0)):
-        return outcome(parse_report, data, fmt)
+    """The outcome of the cell-by-cell reference, which ``parse_report`` must give too."""
+    return assert_same_outcome(data, fmt)
 
 
 def assert_paths_agree(data: bytes, fmt: ReportFormat):
@@ -402,7 +400,7 @@ def with_bad_last_cell(data: bytes, fmt: ReportFormat) -> tuple[bytes, str]:
 def test_well_formed_reports_take_the_block_pass(fmt):
     for label, data in well_formed_reports(fmt):
         expected = row_by_row(data, fmt)
-        with mock.patch.object(ingest, "_read_rows", side_effect=AssertionError(label)):
+        with mock.patch.object(ingest, "_row_error", side_effect=AssertionError(label)):
             assert outcome(parse_report, data, fmt) == expected
         bad, message = with_bad_last_cell(data, fmt)
         with pytest.raises(MalformedRowError) as exc:
