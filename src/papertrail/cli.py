@@ -512,8 +512,20 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     _write(*outputs, (args.json, _json_text(document)))
 
 
+def _cohort_entry(path: Path, explicit_format: str | None,
+                  config: AnalysisConfig) -> tuple[tuple | None, str | None]:
+    """A manifest entry's point fields after its label, and None; or None, and why its report
+    cannot be read.  Plain values, which a forked child sends back with ``marshal``."""
+    from .cohort import _point_values
+
+    try:
+        return _point_values(*_read_report_file(path, explicit_format), config), None
+    except (OSError, PapertrailError) as exc:
+        return None, _reason(exc)
+
+
 def cmd_cohort(args: argparse.Namespace) -> None:
-    from .cohort import _point_from_report, parse_manifest
+    from .cohort import CohortPoint, _fan_out, parse_manifest
 
     config = _resolve_analysis_config(args)
     manifest = Path(args.manifest)
@@ -524,14 +536,14 @@ def cmd_cohort(args: argparse.Namespace) -> None:
 
     entries, problems = parse_manifest(manifest_text)
     diagnostics = [{"label": "", "path": "", "error": p} for p in problems]
+    paths = [manifest.parent / path for _, path in entries]  # an absolute path replaces the parent
+    results = _fan_out(_cohort_entry, [(path, args.format, config) for path in paths])
     points: list[CohortPoint] = []
-    for label, path in entries:
-        resolved = manifest.parent / path  # an absolute path replaces the parent
-        try:
-            points.append(_point_from_report(label, *_read_report_file(resolved, args.format),
-                                             config))
-        except (OSError, PapertrailError) as exc:
-            diagnostics.append({"label": label, "path": str(resolved), "error": _reason(exc)})
+    for (label, _), path, (values, reason) in zip(entries, paths, results):
+        if reason is None:
+            points.append(CohortPoint(label, *values))
+        else:
+            diagnostics.append({"label": label, "path": str(path), "error": reason})
 
     if not points:
         raise _Failure(EXIT_DATA_ERROR, "\n".join(

@@ -7,14 +7,22 @@ are the probable papermilling cluster.  Two cohort-level fits describe how
 the integrity index and the peak annual output scale with total papers:
 a power law I(p) = a * p^b (fit in log-log space) and a straight line
 m(p) = slope * p + intercept.
+
+``cohort`` builds its points with ``_fan_out``, in as many forked processes as
+the CPUs it may run on, each returning its results through a pipe; the points
+and their order are those of the one-process run.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
+import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NoReturn, Sequence
 
 from .config import AnalysisConfig, Region, _check_range, _check_types
 from .errors import DegenerateAbscissaError, EmptyCohortError, TooFewPointsError
@@ -106,13 +114,135 @@ def point_from_indicators(label: str, ind: IndicatorSet) -> CohortPoint:
     )
 
 
-def _point_from_report(label: str, data: bytes, fmt: ReportFormat,
-                       config: AnalysisConfig) -> CohortPoint:
-    """``point_from_indicators(label, analyze_profile(parse_report(data, fmt), config))`` from
-    the report's columns: no records, lag scan, HCP count, flags or warnings are made."""
+def _point_values(data: bytes, fmt: ReportFormat,
+                  config: AnalysisConfig) -> tuple[float | None, float, int, int, float]:
+    """The fields after the label of ``point_from_indicators(label, analyze_profile(parse_report(
+    data, fmt), config))``, from the report's columns: no records, lag scan, HCP count, flags or
+    warnings are made."""
     _, _, reported_h, _, pub_years, totals, years, column_sums, _ = _read_report(data, fmt, "")
     _, r, _, i, stats, _ = _indicators(pub_years, totals, years, column_sums, reported_h, config)
-    return CohortPoint(label, r, i, len(pub_years), stats.max_pubs, stats.avg_pubs)
+    return r, i, len(pub_years), stats.max_pubs, stats.avg_pubs
+
+
+# the report bytes under which a cohort is built in one process: what the parent reads in the time
+# that one forked child costs it.  On a 2-vCPU VM (CPython 3.11.7) a bare fork, pipe and reap took
+# 2.1-2.8 ms, in which _point_values reads 62-78 kB; with the copy-on-write faults that follow in
+# both processes, interleaved cohort runs over 16-32 benchmark reports were first faster with two
+# processes than with one at 320-460 kB
+_FORK_FLOOR_BYTES = 400_000
+
+
+def _fan_out(func: Callable[..., object], items: Sequence[tuple], jobs: int | None = None) -> list:
+    """``[func(*item) for item in items]``, computed in up to ``jobs`` processes.
+
+    ``func`` returns what ``marshal`` writes, and each item starts with the path of the file
+    that ``func`` reads.  ``jobs`` defaults to the CPUs this process may run on, or to 1 when
+    those files hold under ``_FORK_FLOOR_BYTES``; it is capped at ``len(items)``, and it is 1
+    without ``os.fork`` or while another thread runs (a forked child would have only this
+    thread, and could wait forever on a lock that another thread held).
+
+    The parent computes ``items[0::jobs]`` while forked child k computes ``items[k::jobs]``
+    (see ``_send``).  The parent then computes, in order, each item that no child sent back,
+    so that it raises what the list above raises, and an item that raised in the parent
+    raises there again.  No child outlives the call.
+    """
+    if jobs is None:
+        affinity = getattr(os, "sched_getaffinity", None)
+        jobs = len(affinity(0)) if affinity else os.cpu_count() or 1
+        if not _holds_at_least(_FORK_FLOOR_BYTES, [item[0] for item in items]):
+            jobs = 1
+    jobs = min(jobs, len(items))
+    threading = sys.modules.get("threading")  # not imported here: a program with threads has it
+    if jobs < 2 or not hasattr(os, "fork") or threading and threading.active_count() > 1:
+        return [func(*item) for item in items]
+
+    missing = object()
+    results = [missing] * len(items)
+    failed = None  # the index and exception of the first item that raised in the parent
+    children = {}  # each child not yet reaped: its pid, its share's first index, its pipe
+    try:
+        for k in range(1, jobs):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException as exc:
+                os.close(read_end)
+                os.close(write_end)
+                if isinstance(exc, OSError):  # as at the process limit: the parent computes the share
+                    continue
+                raise
+            if pid == 0:
+                _send(func, items[k::jobs], write_end)
+            os.close(write_end)
+            children[pid] = k, read_end
+        for n in range(0, len(items), jobs):
+            try:
+                results[n] = func(*items[n])
+            except BaseException as exc:  # raised again in order, once the children are done
+                failed = n, exc
+                break
+        for pid, (k, read_end) in list(children.items()):
+            data = _read_all(read_end)
+            os.close(read_end)
+            os.waitpid(pid, 0)
+            del children[pid]
+            try:  # a child that died before its dump was whole sent nothing
+                sent = marshal.loads(data)
+            except (EOFError, ValueError, TypeError):
+                sent = []
+            results[k:k + jobs * len(sent):jobs] = sent
+        for n, result in enumerate(results):
+            if result is missing:
+                if failed and failed[0] == n:
+                    raise failed[1]
+                results[n] = func(*items[n])
+        return results
+    finally:
+        if children:  # only on an exception: end the children still running
+            from signal import SIGKILL
+
+            for pid, (_, read_end) in children.items():
+                os.close(read_end)
+                with suppress(ProcessLookupError):
+                    os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _holds_at_least(size: int, paths: Iterable[os.PathLike]) -> bool:
+    """Whether the files at ``paths`` hold ``size`` bytes together; a path that cannot be
+    read counts as empty."""
+    total = 0
+    for path in paths:
+        with suppress(OSError, ValueError):  # ValueError: a NUL byte in the path
+            total += os.stat(path).st_size
+        if total >= size:
+            return True
+    return False
+
+
+def _send(func: Callable[..., object], share: Sequence[tuple], fd: int) -> NoReturn:
+    """In a forked child: write into ``fd``, as one ``marshal`` dump, the list of ``func(*item)``
+    for the items of ``share`` before the first that raises, then end the process.  It never
+    returns into the caller, and it flushes no stdio and runs no ``atexit`` handler, which are
+    the parent's."""
+    try:
+        sent = []
+        with suppress(BaseException):  # the parent computes the item that raised, and raises
+            for item in share:
+                sent.append(func(*item))
+        data = memoryview(marshal.dumps(sent))
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os._exit(0)
+
+
+def _read_all(fd: int) -> bytes:
+    """What ``fd`` yields until its end."""
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
 
 
 def classify_region(point: CohortPoint, region: Region = Region()) -> RegionClass:

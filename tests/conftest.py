@@ -1,4 +1,5 @@
 import collections
+import functools
 import random
 
 import pytest
@@ -52,6 +53,15 @@ def call_counter(monkeypatch) -> tuple:
             return original(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
     return calls, count
+
+
+@pytest.fixture
+def one_process(monkeypatch) -> None:
+    """``cohort`` builds every point in this process, so that a spy on what it calls sees every
+    entry: a forked child runs the same code, but out of the spy's sight."""
+    from papertrail import cohort
+
+    monkeypatch.setattr(cohort, "_fan_out", functools.partial(cohort._fan_out, jobs=1))
 
 
 def make_profile(totals_by_year, name="fixture", reported_h=None) -> ResearcherProfile:

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from papertrail import cli, cohort, indicators, ingest
-from papertrail.cohort import point_from_indicators
+from papertrail.cohort import CohortPoint, point_from_indicators
 from papertrail.errors import PapertrailError
 from papertrail.indicators import AnalysisConfig, analyze_profile
 from papertrail.ingest import ReportFormat, parse_report
@@ -48,7 +48,7 @@ def bits(point):
 
 def assert_same_point(data: bytes, fmt: ReportFormat, config: AnalysisConfig) -> None:
     expected = point_from_indicators("L", analyze_profile(parse_report(data, fmt), config))
-    assert bits(cohort._point_from_report("L", data, fmt, config)) == bits(expected)
+    assert bits(CohortPoint("L", *cohort._point_values(data, fmt, config))) == bits(expected)
 
 
 GROWING = [(f"p{k}", 2010 + k % 4, 3 * k, [k, 0, 2 * k, 1]) for k in range(9)]
@@ -150,7 +150,7 @@ def test_a_bad_report_gives_the_same_error(name, tmp_path, capsys):
     with pytest.raises(PapertrailError) as parsed:
         parse_report(BAD[name])
     with pytest.raises(type(parsed.value)) as read:
-        cohort._point_from_report("L", BAD[name], ReportFormat.TSV, AnalysisConfig())
+        cohort._point_values(BAD[name], ReportFormat.TSV, AnalysisConfig())
     assert str(read.value) == str(parsed.value)
 
     (tmp_path / "bad.tsv").write_bytes(BAD[name])
@@ -163,7 +163,7 @@ def test_a_bad_report_gives_the_same_error(name, tmp_path, capsys):
 
 
 def test_cohort_makes_no_record_and_skips_what_its_document_omits(tmp_path, records_made,
-                                                                 call_counter):
+                                                                 call_counter, one_process):
     write_corpus(tmp_path)
     (tmp_path / "mismatch.tsv").write_bytes(report(*EXPLICIT["mismatching-totals"][:1]))
     with open(tmp_path / "cohort.manifest", "a", encoding="utf-8") as manifest:
@@ -192,7 +192,7 @@ def test_cohort_makes_no_record_and_skips_what_its_document_omits(tmp_path, reco
     assert records_made == []
 
 
-def test_cohort_never_reads_a_row_and_analyze_still_warns(tmp_path, monkeypatch):
+def test_cohort_never_reads_a_row_and_analyze_still_warns(tmp_path, monkeypatch, one_process):
     # _read_report computes a value per row only for a per-row function; cohort passes none
     names = write_corpus(tmp_path)
     (tmp_path / "mismatch.tsv").write_bytes(report(*EXPLICIT["mismatching-totals"][:1]))

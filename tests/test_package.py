@@ -9,7 +9,7 @@ import pytest
 
 import papertrail
 from papertrail.ingest import ReportFormat, serialize_report
-from papertrail.synth import generate, papermill_spec
+from papertrail.synth import conscientious_spec, generate, papermill_spec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PROBE = Path(__file__).resolve().parent / "package_probe.py"
@@ -113,6 +113,16 @@ def test_each_command_loads_only_what_it_uses(tmp_path):
         assert {"papertrail.render", "papertrail.synth", "decimal", "html"}.isdisjoint(modules)
         assert modules & ON_USE == {"json"}
     assert "papertrail.cohort" not in loaded["analyze"]
+    # a cohort large enough to build its points in forked processes loads no process pool, no
+    # pickling and no subprocess machinery
+    (tmp_path / "big.tsv").write_bytes(serialize_report(generate(
+        conscientious_spec(1, n_years=40, peak_rate=20.0, start_year=1975))))
+    (tmp_path / "big.manifest").write_text("".join(f"R{k}\tbig.tsv\n" for k in range(8)),
+                                           encoding="utf-8")
+    assert 8 * (tmp_path / "big.tsv").stat().st_size >= papertrail.cohort._FORK_FLOOR_BYTES
+    forked = modules_after("cohort", tmp_path / "big.manifest", "--json", tmp_path / "c.json")
+    assert {"multiprocessing", "concurrent.futures", "pickle", "subprocess",
+            "selectors"}.isdisjoint(forked)
     synth = modules_after("synth", "--archetype", "papermill", "-o", tmp_path / "s.tsv")
     assert "papertrail.synth" in synth and "papertrail.render" not in synth
     assert {"papertrail.cohort", "papertrail.indicators", "papertrail.series"}.isdisjoint(synth)
