@@ -124,11 +124,12 @@ def _point_values(data: bytes, fmt: ReportFormat,
     return r, i, len(pub_years), stats.max_pubs, stats.avg_pubs
 
 
-# the report bytes under which a cohort is built in one process: what the parent reads in the time
-# that one forked child costs it.  On a 2-vCPU VM (CPython 3.11.7) a bare fork, pipe and reap took
-# 2.1-2.8 ms, in which _point_values reads 62-78 kB; with the copy-on-write faults that follow in
-# both processes, interleaved cohort runs over 16-32 benchmark reports were first faster with two
-# processes than with one at 320-460 kB
+# the report bytes that each process of a cohort run must have to read: what the parent reads in the
+# time that one forked child costs it.  On a 2-vCPU VM (CPython 3.11.7) a bare fork, pipe and reap
+# took 2.1-2.8 ms, in which _point_values reads 62-78 kB; with the copy-on-write faults that follow
+# in both processes, interleaved cohort runs over 16-32 benchmark reports were first faster with two
+# processes than with one at 320-460 kB.  More than two processes were never measured: each one
+# past the second is given another floor's worth of bytes, by the same rule
 _FORK_FLOOR_BYTES = 400_000
 
 
@@ -136,54 +137,60 @@ def _fan_out(func: Callable[..., object], items: Sequence[tuple], jobs: int | No
     """``[func(*item) for item in items]``, computed in up to ``jobs`` processes.
 
     ``func`` returns what ``marshal`` writes, and each item starts with the path of the file
-    that ``func`` reads.  ``jobs`` defaults to the CPUs this process may run on, or to 1 when
-    those files hold under ``_FORK_FLOOR_BYTES``; it is capped at ``len(items)``, and it is 1
-    without ``os.fork`` or while another thread runs (a forked child would have only this
-    thread, and could wait forever on a lock that another thread held).
+    that ``func`` reads.  ``jobs`` defaults to the CPUs this process may run on, and to no
+    more than one process for each ``_FORK_FLOOR_BYTES`` those files hold; it is capped at
+    ``len(items)``, and it is 1 without ``os.fork`` or while another thread runs (a forked
+    child would have only this thread, and could wait forever on a lock that another thread
+    held).
 
     The parent computes ``items[0::jobs]`` while forked child k computes ``items[k::jobs]``
     (see ``_send``).  The parent then computes, in order, each item that no child sent back,
-    so that it raises what the list above raises, and an item that raised in the parent
-    raises there again.  No child outlives the call.
+    so that it raises what the list above raises, and an ``Exception`` that an item raised in
+    the parent raises there again; any other exception, such as ``KeyboardInterrupt``, is
+    raised at once.  No child outlives the call.
     """
     if jobs is None:
         affinity = getattr(os, "sched_getaffinity", None)
-        jobs = len(affinity(0)) if affinity else os.cpu_count() or 1
-        if not _holds_at_least(_FORK_FLOOR_BYTES, [item[0] for item in items]):
-            jobs = 1
+        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+        jobs = min(cpus, 1 + sum(_file_size(item[0]) for item in items) // _FORK_FLOOR_BYTES)
     jobs = min(jobs, len(items))
     threading = sys.modules.get("threading")  # not imported here: a program with threads has it
     if jobs < 2 or not hasattr(os, "fork") or threading and threading.active_count() > 1:
         return [func(*item) for item in items]
 
+    parent = os.getpid()
     missing = object()
     results = [missing] * len(items)
     failed = None  # the index and exception of the first item that raised in the parent
-    children = {}  # each child not yet reaped: its pid, its share's first index, its pipe
+    children = {}  # each child not yet reaped: its pid and its share's first index
+    pipes = {}  # each pipe not yet closed, by its child's pid
     try:
         for k in range(1, jobs):
-            read_end, write_end = os.pipe()
+            try:  # a pipe or a fork refused, as at a resource limit, leaves the share to the parent
+                read_end, write_end = os.pipe()
+            except OSError:
+                continue
             try:
                 pid = os.fork()
             except BaseException as exc:
                 os.close(read_end)
                 os.close(write_end)
-                if isinstance(exc, OSError):  # as at the process limit: the parent computes the share
+                if isinstance(exc, OSError):
                     continue
                 raise
             if pid == 0:
                 _send(func, items[k::jobs], write_end)
             os.close(write_end)
-            children[pid] = k, read_end
+            children[pid], pipes[pid] = k, read_end
         for n in range(0, len(items), jobs):
             try:
                 results[n] = func(*items[n])
-            except BaseException as exc:  # raised again in order, once the children are done
+            except Exception as exc:  # raised again in order, once the children are done
                 failed = n, exc
                 break
-        for pid, (k, read_end) in list(children.items()):
-            data = _read_all(read_end)
-            os.close(read_end)
+        for pid, k in list(children.items()):
+            data = _read_all(pipes[pid])
+            os.close(pipes.pop(pid))
             os.waitpid(pid, 0)
             del children[pid]
             try:  # a child that died before its dump was whole sent nothing
@@ -198,26 +205,25 @@ def _fan_out(func: Callable[..., object], items: Sequence[tuple], jobs: int | No
                 results[n] = func(*items[n])
         return results
     finally:
-        if children:  # only on an exception: end the children still running
+        if os.getpid() != parent:  # a child that an interrupt reached before _send
+            os._exit(1)
+        for read_end in pipes.values():  # only on an exception: end the children still running
+            os.close(read_end)
+        if children:
             from signal import SIGKILL
 
-            for pid, (_, read_end) in children.items():
-                os.close(read_end)
+            for pid in children:
                 with suppress(ProcessLookupError):
                     os.kill(pid, SIGKILL)
                 os.waitpid(pid, 0)
 
 
-def _holds_at_least(size: int, paths: Iterable[os.PathLike]) -> bool:
-    """Whether the files at ``paths`` hold ``size`` bytes together; a path that cannot be
-    read counts as empty."""
-    total = 0
-    for path in paths:
-        with suppress(OSError, ValueError):  # ValueError: a NUL byte in the path
-            total += os.stat(path).st_size
-        if total >= size:
-            return True
-    return False
+def _file_size(path: os.PathLike) -> int:
+    """The size of the file at ``path``; 0 where it cannot be read."""
+    try:
+        return os.stat(path).st_size
+    except (OSError, ValueError):  # ValueError: a NUL byte in the path
+        return 0
 
 
 def _send(func: Callable[..., object], share: Sequence[tuple], fd: int) -> NoReturn:

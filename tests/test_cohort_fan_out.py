@@ -13,11 +13,13 @@ or write to stdout or stderr.
 
 from __future__ import annotations
 
+import errno
 import functools
 import json
 import os
 import signal
 import threading
+import time
 
 import pytest
 
@@ -138,7 +140,7 @@ def failing_entry(failures: dict[str, BaseException]):
 FAILURES = {
     "bug-in-the-parent": {"pm0.tsv": RuntimeError("bug at PM0")},
     "interrupt-in-the-child": {"co0.tsv": KeyboardInterrupt("at CO0")},
-    "child-first": {"co0.tsv": RuntimeError("bug at CO0"), "pm1.tsv": KeyboardInterrupt("at PM1")},
+    "child-first": {"co0.tsv": RuntimeError("bug at CO0"), "pm1.tsv": RuntimeError("bug at PM1")},
     "parent-first": {"pm1.tsv": KeyboardInterrupt("at PM1"), "csv.csv": RuntimeError("bug at CSV")},
     "out-of-memory-first": {"pm2.tsv": MemoryError("at PM2"), "co2.tsv": RuntimeError("bug at CO2")},
 }
@@ -157,6 +159,59 @@ def test_an_exception_is_raised_as_in_one_process(case, corpus, tmp_path, monkey
     assert not (tmp_path / "c.json").exists()
 
 
+def test_an_interrupt_in_the_parent_ends_the_children_at_once(corpus, tmp_path, monkeypatch,
+                                                              capfd):
+    parent, entry = os.getpid(), cli._cohort_entry
+
+    def interrupted(path, *args):
+        if path.name == "co0.tsv" and os.getpid() != parent:
+            time.sleep(30)  # a child still busy with its share
+        elif path.name == "pm1.tsv":
+            raise KeyboardInterrupt("at PM1")
+        return entry(path, *args)
+    monkeypatch.setattr(cli, "_cohort_entry", interrupted)
+    start = time.monotonic()
+    outcome = run(monkeypatch, capfd, ["cohort", corpus, "--json", str(tmp_path / "c.json")], 2)
+    assert outcome == ((KeyboardInterrupt, "at PM1"), "", "")
+    assert time.monotonic() - start < 10
+    assert_no_child_left()
+
+
+def test_an_interrupt_while_a_child_is_reaped_leaves_no_child(corpus, tmp_path, monkeypatch,
+                                                             capfd):
+    waitpid, calls = os.waitpid, []
+
+    def interrupted(pid, options):
+        calls.append(pid)
+        if len(calls) == 1:
+            raise KeyboardInterrupt("while reaping")
+        return waitpid(pid, options)
+    monkeypatch.setattr(os, "waitpid", interrupted)
+    outcome = run(monkeypatch, capfd, ["cohort", corpus, "--json", str(tmp_path / "c.json")], 3)
+    assert outcome == ((KeyboardInterrupt, "while reaping"), "", "")
+    assert len(set(calls)) == 2  # each child, the first one again after the interrupt
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    assert_no_child_left()
+
+
+def test_an_interrupt_in_a_child_before_it_sends_never_returns_into_the_caller(
+        corpus, tmp_path, monkeypatch, capfd):
+    argv = ["cohort", corpus, "--json", str(tmp_path / "c.json")]
+    serial = run(monkeypatch, capfd, argv, 1), outputs(tmp_path)
+    parent = os.getpid()
+
+    def interrupted(*args):
+        raise KeyboardInterrupt("before the child sends")
+    monkeypatch.setattr(cohort, "_send", interrupted)
+    got = run(monkeypatch, capfd, argv, 3), outputs(tmp_path)
+    if os.getpid() != parent:  # a child that got back here
+        (tmp_path / "escaped").write_text("", encoding="utf-8")
+        os._exit(0)
+    assert got == serial
+    assert not (tmp_path / "escaped").exists()
+    assert_no_child_left()
+
+
 def test_a_child_that_dies_has_its_share_built_by_the_parent(corpus, tmp_path, monkeypatch,
                                                              capfd):
     argv = ["cohort", corpus, "--json", str(tmp_path / "c.json")]
@@ -173,14 +228,23 @@ def test_a_child_that_dies_has_its_share_built_by_the_parent(corpus, tmp_path, m
         assert_no_child_left()
 
 
-def test_a_failed_fork_leaves_the_share_to_the_parent(corpus, tmp_path, monkeypatch, capfd):
+def refused(*args):
+    raise OSError(errno.EMFILE, "Too many open files")
+
+
+def fork_refused():
+    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("call, refusal", [("fork", fork_refused), ("pipe", refused)],
+                         ids=["fork", "pipe"])
+def test_a_failed_fork_leaves_the_share_to_the_parent(call, refusal, corpus, tmp_path,
+                                                      monkeypatch, capfd):
     argv = ["cohort", corpus, "--json", str(tmp_path / "c.json")]
     serial = run(monkeypatch, capfd, argv, 1), outputs(tmp_path)
-
-    def fork():
-        raise BlockingIOError(11, "Resource temporarily unavailable")
-    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, call, refusal)
     assert (run(monkeypatch, capfd, argv, 2), outputs(tmp_path)) == serial
+    assert_no_child_left()
 
 
 def refuse_to_fork():
@@ -190,7 +254,7 @@ def refuse_to_fork():
 def test_no_fork_while_another_thread_runs(corpus, tmp_path, monkeypatch, capfd):
     argv = ["cohort", corpus, "--json", str(tmp_path / "c.json")]
     serial = run(monkeypatch, capfd, argv, 1), outputs(tmp_path)
-    monkeypatch.setattr(cohort, "_FORK_FLOOR_BYTES", 0)  # so that the small corpus would fork
+    monkeypatch.setattr(cohort, "_FORK_FLOOR_BYTES", 1)  # so that the small corpus would fork
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", refuse_to_fork)
     assert run(monkeypatch, capfd, argv, None)[0] == (AssertionError, "forked")
@@ -207,32 +271,38 @@ def test_no_fork_while_another_thread_runs(corpus, tmp_path, monkeypatch, capfd)
     assert not waiting.is_alive()
 
 
-def test_a_cohort_under_the_byte_floor_is_built_in_one_process(corpus, tmp_path, monkeypatch,
-                                                               capfd):
+def counting_forks(monkeypatch) -> list:
+    """The pids that ``os.fork`` returns from here on, in the parent."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        forks.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def test_each_process_has_a_byte_floor_of_reports(corpus, tmp_path, monkeypatch, capfd):
     argv = ["cohort", corpus, "--json", str(tmp_path / "c.json")]
     serial = run(monkeypatch, capfd, argv, 1), outputs(tmp_path)
     with open(corpus, encoding="utf-8") as manifest:
         paths = [tmp_path / path for _, path in cohort.parse_manifest(manifest.read())[0]]
     size = sum(path.stat().st_size for path in paths if path.exists())
-    monkeypatch.setattr(os, "fork", refuse_to_fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(cohort, "_FORK_FLOOR_BYTES", size + 1)
-    assert (run(monkeypatch, capfd, argv, None), outputs(tmp_path)) == serial
-    monkeypatch.setattr(cohort, "_FORK_FLOOR_BYTES", size)
-    assert run(monkeypatch, capfd, argv, None)[0] == (AssertionError, "forked")
-    assert_no_child_left()
+    forks = counting_forks(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    for floor, processes in [(size + 1, 1), (size, 2), (size // 2 + 1, 2), (size // 2, 3)]:
+        forks.clear()
+        monkeypatch.setattr(cohort, "_FORK_FLOOR_BYTES", floor)
+        assert (run(monkeypatch, capfd, argv, None), outputs(tmp_path)) == serial
+        assert len(forks) == processes - 1, floor
+        assert_no_child_left()
 
 
 def test_the_default_jobs_are_the_cpus_this_process_may_use(corpus, tmp_path, monkeypatch,
                                                            capfd):
-    forks = []
-    fork = os.fork
-
-    def counted():
-        forks.append(1)
-        return fork()
-    monkeypatch.setattr(os, "fork", counted)
-    monkeypatch.setattr(cohort, "_FORK_FLOOR_BYTES", 0)
+    forks = counting_forks(monkeypatch)
+    monkeypatch.setattr(cohort, "_FORK_FLOOR_BYTES", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     assert run(monkeypatch, capfd, ["cohort", corpus, "--json", str(tmp_path / "c.json")],
                None)[0] == 0
