@@ -137,11 +137,11 @@ def _fan_out(func: Callable[..., object], items: Sequence[tuple], jobs: int | No
     """``[func(*item) for item in items]``, computed in up to ``jobs`` processes.
 
     ``func`` returns what ``marshal`` writes, and each item starts with the path of the file
-    that ``func`` reads.  ``jobs`` defaults to the CPUs this process may run on, and to no
-    more than one process for each ``_FORK_FLOOR_BYTES`` those files hold; it is capped at
-    ``len(items)``, and it is 1 without ``os.fork`` or while another thread runs (a forked
-    child would have only this thread, and could wait forever on a lock that another thread
-    held).
+    that ``func`` reads.  ``jobs`` defaults to the CPUs this process may run on, but to no
+    more than one process plus one for each ``_FORK_FLOOR_BYTES`` those files hold; it is
+    capped at ``len(items)``, and it is 1 without ``os.fork`` or while another thread runs (a
+    forked child would have only this thread, and could wait forever on a lock that another
+    thread held).
 
     The parent computes ``items[0::jobs]`` while forked child k computes ``items[k::jobs]``
     (see ``_send``).  The parent then computes, in order, each item that no child sent back,
